@@ -235,7 +235,8 @@ int main() {
                           .rank(core::QueryBatch::from_term_vectors(
                                     mono.space(), ref_vectors),
                                 qopts);
-    const auto got = built->snapshot().rank_batch(batches.front(), qopts);
+    const auto got =
+        built->snapshot().try_rank_batch(batches.front(), qopts).value();
     for (std::size_t b = 0; b < want.size(); ++b) {
       if (!bit_identical(got[b], want[b])) {
         std::cerr << "FAIL: N = 1 default-policy ranking for query " << b
@@ -301,14 +302,14 @@ int main() {
   for (std::size_t c = 0; c < configs.size(); ++c) {
     core::SearchOptions copts = qopts;
     copts.merge = configs[c].policy;
-    const auto ranked = configs[c].snap->rank_batch(texts, copts);
+    const auto ranked = configs[c].snap->try_rank_batch(texts, copts).value();
     const double overlap = mean_overlap10(ranked, mono_sets, top_z);
 
     double stream_s = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
       timer.reset();
       for (const auto& block : batches) {
-        const auto r = configs[c].snap->rank_batch(block, copts);
+        const auto r = configs[c].snap->try_rank_batch(block, copts).value();
         if (r.size() != block.size()) {
           std::cerr << "short batch result\n";
           return 1;
@@ -347,7 +348,7 @@ int main() {
     gopts.facets = 8;
     core::QueryStats qs;
     const auto gathered =
-        exchange_snap.gather_batch(batches.front(), gopts, &qs);
+        exchange_snap.try_gather_batch(batches.front(), gopts, &qs).value();
     if (gathered.size() != batches.front().size()) {
       std::cerr << "gather_batch returned a short batch\n";
       return 1;

@@ -113,7 +113,7 @@ PhaseResult run_phase(core::ShardedIndex& index,
       for (std::size_t i = 0; i < iters; ++i) {
         const auto& block = batches[(t + i) % batches.size()];
         const core::ShardedSnapshot snap = index.snapshot();
-        const auto ranked = snap.rank_batch(block, qopts);
+        const auto ranked = snap.try_rank_batch(block, qopts).value();
         if (ranked.size() != block.size()) {
           std::cerr << "short batch result\n";
           std::exit(1);
@@ -222,7 +222,7 @@ int main() {
   std::vector<std::vector<core::ScoredDoc>> expected;
   {
     const core::ShardedSnapshot snap = index_r3.snapshot();
-    auto ranked = snap.rank_batch(texts, qopts);
+    auto ranked = snap.try_rank_batch(texts, qopts).value();
     expected = std::move(ranked);
   }
 
@@ -236,7 +236,7 @@ int main() {
       for (std::size_t i = 0; i < kFailoverIters; ++i) {
         const std::size_t q = (t * kFailoverIters + i) % texts.size();
         const core::ShardedSnapshot snap = index_r3.snapshot();
-        const auto ranked = snap.rank_batch({texts[q]}, qopts);
+        const auto ranked = snap.try_rank_batch({texts[q]}, qopts).value();
         if (ranked.size() != 1 || !bit_identical(ranked[0], expected[q])) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }

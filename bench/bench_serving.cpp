@@ -13,7 +13,8 @@
 //                  non-2xx answers. Quick mode (LSI_BENCH_QUICK) shrinks
 //                  the sweep to smoke scale and skips the gate.
 //   --smoke        scripted functional drive — ingest, search, session
-//                  paging, stats, drain — failing on any non-2xx answer.
+//                  paging, stats, drain — failing on any non-2xx answer or
+//                  any /search body off the one documented schema.
 //                  With --port it drives an EXTERNAL daemon (the CI
 //                  serve-smoke job runs `lsi_cli serve` under ASan and
 //                  points this mode at it); without, an in-process one.
@@ -49,6 +50,7 @@
 
 #include "bench_common.hpp"
 #include "lsi/lsi.hpp"
+#include "obs/schema.hpp"
 #include "serve/server.hpp"
 #include "synth/corpus.hpp"
 
@@ -266,6 +268,15 @@ int fail(const char* step, const Response& resp) {
   return 1;
 }
 
+/// A 200 whose body has the one /search schema (docs/SERVING.md), so
+/// schema drift fails the smoke instead of passing as a 200.
+bool search_ok(const Response& resp, bool session) {
+  if (resp.status != 200) return false;
+  const Status s = obs::validate_search_json(resp.body, session);
+  if (!s.ok()) std::cerr << "schema drift: " << s.to_string() << "\n";
+  return s.ok();
+}
+
 int run_smoke(std::uint16_t port, const std::string& query, bool expect_429,
               bool kill_replica, bool do_shutdown) {
   Client client(port);
@@ -294,14 +305,17 @@ int run_smoke(std::uint16_t port, const std::string& query, bool expect_429,
   // Search + page three times through the session cursor.
   resp = client.request(
       "GET", "/search?session=" + token + "&q=" + encode(query) + "&top=3");
-  if (resp.status != 200) return fail("search", resp);
+  if (!search_ok(resp, true)) return fail("search", resp);
   for (int page = 0; page < 2; ++page) {
     resp = client.request("GET", "/search?session=" + token + "&top=3");
-    if (resp.status != 200) return fail("paging", resp);
+    if (!search_ok(resp, true)) return fail("paging", resp);
   }
 
-  resp = client.request("GET", "/search?q=" + encode(query) + "&labels=1");
-  if (resp.status != 200) return fail("labels search", resp);
+  resp = client.request("GET", "/search?q=" + encode(query));
+  if (!search_ok(resp, false)) return fail("sessionless search", resp);
+  resp = client.request("GET", "/search?q=" + encode(query) +
+                                   "&merge=zscore&collapse=0.9&facets=3");
+  if (!search_ok(resp, false)) return fail("rich search", resp);
 
   resp = client.request("GET", "/stats");
   if (resp.status != 200) return fail("stats", resp);
@@ -332,7 +346,7 @@ int run_smoke(std::uint16_t port, const std::string& query, bool expect_429,
       return fail("degraded healthz", resp);
     }
     resp = client.request("GET", "/search?q=" + encode(query) + "&top=3");
-    if (resp.status != 200) return fail("degraded search", resp);
+    if (!search_ok(resp, false)) return fail("degraded search", resp);
     resp = client.request("POST", "/ingest?wait=1",
                           "failover\t" + query + " during ejection\n");
     if (resp.status != 202) return fail("degraded ingest", resp);

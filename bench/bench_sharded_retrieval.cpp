@@ -193,7 +193,7 @@ int main() {
     if (shards == 1) {
       // Bit-parity: with one shard the scatter is one BatchedRetriever pass
       // and the gather a truncation, so cosines must match to the bit.
-      const auto got = snap.rank_batch(batches.front(), qopts);
+      const auto got = snap.try_rank_batch(batches.front(), qopts).value();
       if (got.size() != ref_rankings.size()) {
         std::cerr << "FAIL: 1-shard batch size diverged\n";
         return 1;
@@ -214,7 +214,7 @@ int main() {
     for (int rep = 0; rep < kReps; ++rep) {
       timer.reset();
       for (const auto& block : batches) {
-        const auto ranked = snap.rank_batch(block, qopts);
+        const auto ranked = snap.try_rank_batch(block, qopts).value();
         if (ranked.size() != block.size()) {
           std::cerr << "short batch result\n";
           return 1;
@@ -231,7 +231,7 @@ int main() {
     for (std::size_t i = 0; i < kLatencyProbes; ++i) {
       const auto& t = texts[i % texts.size()];
       timer.reset();
-      const auto ranked = snap.retrieve(t, qopts);
+      const auto ranked = snap.try_rank_batch({t}, qopts).value()[0];
       lat_ms.push_back(timer.millis());
       if (ranked.empty()) {
         std::cerr << "empty ranking in latency probe\n";
@@ -251,7 +251,8 @@ int main() {
                 << fb_built.status().to_string() << "\n";
       return 1;
     }
-    const auto fb_ranked = fb_built->snapshot().rank_batch(texts, qopts);
+    const auto fb_ranked =
+        fb_built->snapshot().try_rank_batch(texts, qopts).value();
     double overlap_sum = 0.0;
     for (std::size_t b = 0; b < texts.size(); ++b) {
       std::size_t hits = 0;
@@ -304,7 +305,8 @@ int main() {
   if (have_instrumented) {
     obs::ScopedSink scoped(&stats.sink());
     core::QueryStats qs;
-    const auto ranked = instrumented_snap.rank_batch(batches.front(), qopts, &qs);
+    const auto ranked =
+        instrumented_snap.try_rank_batch(batches.front(), qopts, &qs).value();
     if (ranked.size() != batches.front().size()) return 1;
     stats.param("instrumented_project_s", qs.project_seconds);
     stats.param("instrumented_score_s", qs.score_seconds);

@@ -472,31 +472,27 @@ int cmd_shard_stats(const std::vector<std::string>& args) {
     QueryStats stats;
     std::cout << "# probe: " << probe << " (merge="
               << gather::merge_policy_name(qopts.merge) << ")\n";
-    if (qopts.facets > 0 || qopts.collapse_cosine > 0.0) {
-      // Rich gather path: fusion score + raw cosine + collapsed duplicates
-      // per hit, facet suggestions after the ranking.
-      const auto results =
-          index.snapshot().gather_batch({probe}, qopts, &stats);
-      for (const auto& hit : results[0].hits) {
-        std::cout << "doc " << hit.doc << "\tscore " << hit.score
-                  << "\tcosine " << hit.cosine << "\tshard " << hit.shard;
-        if (!hit.duplicates.empty()) {
-          std::cout << "\tdups";
-          for (const auto d : hit.duplicates) std::cout << ' ' << d;
-        }
-        std::cout << '\n';
+    const auto results =
+        index.snapshot().try_gather_batch({probe}, qopts, &stats);
+    if (!results.ok()) {
+      std::cerr << results.status().to_string() << '\n';
+      return 1;
+    }
+    // One line per hit (fusion score, raw cosine, source shard, collapsed
+    // duplicates), facet suggestions after the ranking.
+    for (const auto& hit : (*results)[0].hits) {
+      std::cout << hit.label << "\tdoc " << hit.doc << "\tscore " << hit.score
+                << "\tcosine " << hit.cosine << "\tshard " << hit.shard;
+      if (!hit.duplicates.empty()) {
+        std::cout << "\tdups";
+        for (const auto d : hit.duplicates) std::cout << ' ' << d;
       }
-      if (!results[0].facets.empty()) {
-        std::cout << "# facets:";
-        for (const auto& f : results[0].facets) {
-          std::cout << ' ' << f.term;
-        }
-        std::cout << '\n';
-      }
-    } else {
-      for (const auto& hit : index.snapshot().query(probe, qopts, &stats)) {
-        std::cout << hit.label << '\t' << hit.cosine << '\n';
-      }
+      std::cout << '\n';
+    }
+    if (!(*results)[0].facets.empty()) {
+      std::cout << "# facets:";
+      for (const auto& f : (*results)[0].facets) std::cout << ' ' << f.term;
+      std::cout << '\n';
     }
     stat_param("probe_docs_scored", static_cast<double>(stats.docs_scored));
   }
@@ -561,12 +557,12 @@ int run_sharded_ingest_stress(const Collection& docs, std::size_t shards,
       std::size_t q = r;
       while (!done.load(std::memory_order_acquire)) {
         const auto snap = index.snapshot();
-        std::vector<QueryResult> hits;
+        std::vector<std::vector<ScoredDoc>> hits;
         {
           LSI_OBS_SPAN(span, "serving.query");
-          hits = snap.query(docs[q % base].body);
+          hits = snap.try_rank_batch({docs[q % base].body}).value();
         }
-        if (hits.empty()) {
+        if (hits[0].empty()) {
           std::cerr << "empty ranking against " << snap.num_docs()
                     << " documents\n";
         }

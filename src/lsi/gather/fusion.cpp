@@ -56,6 +56,7 @@ std::vector<FusedHit> fuse(const std::vector<ShardList>& per_shard,
       hit.doc = list.docs[r];
       hit.cosine = list.cosines[r];
       hit.shard = s;
+      hit.rank = r;
       switch (opts.policy) {
         case MergePolicy::kRawCosine:
           hit.score = hit.cosine;

@@ -63,13 +63,15 @@ struct FusionOptions {
 };
 
 /// One fused hit: the fusion score the global ranking sorts by, plus the raw
-/// per-shard cosine (kept for display/thresholds) and the shard it came
-/// from (the dedup/facet stages need to know which latent space to consult).
+/// per-shard cosine (kept for display/thresholds), the shard it came from
+/// and its position in that shard's list (the dedup/facet stages need to
+/// know which latent space, and which row of it, to consult).
 struct FusedHit {
   index_t doc = 0;      ///< global document id
   double score = 0.0;   ///< fusion score (== cosine under kRawCosine)
   double cosine = 0.0;  ///< raw per-shard cosine
   std::size_t shard = 0;
+  std::size_t rank = 0;  ///< 0-based position in per_shard[shard]
 };
 
 /// Canonical fused order: score descending, global doc id ascending — the

@@ -207,25 +207,4 @@ Expected<LsiDatabase> try_load_database_file(const std::string& path) {
   return try_load_database(is);
 }
 
-// Deprecated shims. The pragma silences the self-referential deprecation
-// warnings these definitions would otherwise emit under -Werror.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-void save_database(std::ostream& os, const LsiDatabase& db) {
-  try_save_database(os, db).or_throw();
-}
-
-LsiDatabase load_database(std::istream& is) {
-  return try_load_database(is).value();
-}
-
-void save_database_file(const std::string& path, const LsiDatabase& db) {
-  try_save_database_file(path, db).or_throw();
-}
-
-LsiDatabase load_database_file(const std::string& path) {
-  return try_load_database_file(path).value();
-}
-#pragma GCC diagnostic pop
-
 }  // namespace lsi::core

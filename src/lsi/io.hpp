@@ -39,17 +39,4 @@ Expected<LsiDatabase> try_load_database(std::istream& is);
 Status try_save_database_file(const std::string& path, const LsiDatabase& db);
 Expected<LsiDatabase> try_load_database_file(const std::string& path);
 
-/// Deprecated throwing signatures (one-PR migration shims; see status.hpp).
-[[deprecated("use try_save_database(os, db).or_throw()")]]
-void save_database(std::ostream& os, const LsiDatabase& db);
-
-[[deprecated("use try_load_database(is).value()")]]
-LsiDatabase load_database(std::istream& is);
-
-[[deprecated("use try_save_database_file(path, db).or_throw()")]]
-void save_database_file(const std::string& path, const LsiDatabase& db);
-
-[[deprecated("use try_load_database_file(path).value()")]]
-LsiDatabase load_database_file(const std::string& path);
-
 }  // namespace lsi::core

@@ -59,14 +59,6 @@ Expected<LsiIndex> LsiIndex::try_build(const text::Collection& docs,
   return index;
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-LsiIndex LsiIndex::build(const text::Collection& docs,
-                         const IndexOptions& opts) {
-  return try_build(docs, opts).value();
-}
-#pragma GCC diagnostic pop
-
 la::Vector LsiIndex::weighted_term_vector(std::string_view text) const {
   const la::Vector raw = text::text_to_term_vector(tdm_, text, opts_.parser);
   return weighting::apply_to_vector(raw, global_weights_,

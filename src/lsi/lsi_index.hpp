@@ -90,11 +90,6 @@ class LsiIndex {
   static Expected<LsiIndex> try_build(const text::Collection& docs,
                                       const IndexOptions& opts);
 
-  /// Deprecated throwing signature (one-PR migration shim; see status.hpp).
-  [[deprecated("use LsiIndex::try_build(docs, opts).value()")]]
-  static LsiIndex build(const text::Collection& docs,
-                        const IndexOptions& opts);
-
   /// Ranks documents against free-text. Unknown words are ignored (they are
   /// not indexed terms, exactly like "of children with" in the paper's
   /// example query). The no-options overload uses IndexOptions::query;

@@ -92,11 +92,10 @@ struct SearchOptions {
   /// Near-duplicate collapse threshold at the gather: fused hits whose
   /// reconstructed term profiles agree with a better-ranked hit's at cosine
   /// >= this fold into it. Outside (0, 1] (the default -1) collapses
-  /// nothing. Only honored by the gather_batch read path.
+  /// nothing.
   double collapse_cosine = -1.0;
   /// Number of facet terms (query refinements from the top-z semantic
-  /// neighborhood) to attach to the response; 0 disables. Only honored by
-  /// the gather_batch read path.
+  /// neighborhood) to attach to the response; 0 disables.
   std::size_t facets = 0;
 
   /// When non-null, installed as the active observability sink for the

@@ -170,21 +170,6 @@ Expected<SemanticSpace> try_build_semantic_space(const la::CscMatrix& a,
   return try_build_semantic_space(a, opts);
 }
 
-// Deprecated shims. The pragma silences the self-referential deprecation
-// warnings these definitions would otherwise emit under -Werror.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-SemanticSpace build_semantic_space(const la::CscMatrix& a,
-                                   const BuildOptions& opts,
-                                   la::LanczosStats* stats) {
-  return try_build_semantic_space(a, opts, stats).value();
-}
-
-SemanticSpace build_semantic_space(const la::CscMatrix& a, index_t k) {
-  return try_build_semantic_space(a, k).value();
-}
-#pragma GCC diagnostic pop
-
 void align_signs_to(SemanticSpace& space, const la::DenseMatrix& reference) {
   const index_t cols = std::min(space.u.cols(), reference.cols());
   for (index_t j = 0; j < cols; ++j) {

@@ -151,15 +151,6 @@ Expected<SemanticSpace> try_build_semantic_space(
 Expected<SemanticSpace> try_build_semantic_space(const la::CscMatrix& a,
                                                  index_t k);
 
-/// Deprecated throwing signatures (one-PR migration shims; see status.hpp).
-[[deprecated("use try_build_semantic_space(a, opts).value()")]]
-SemanticSpace build_semantic_space(const la::CscMatrix& a,
-                                   const BuildOptions& opts,
-                                   la::LanczosStats* stats = nullptr);
-
-[[deprecated("use try_build_semantic_space(a, k).value()")]]
-SemanticSpace build_semantic_space(const la::CscMatrix& a, index_t k);
-
 /// Flips the sign of space factors so they best match `reference` (another
 /// U matrix over the same terms, e.g. the paper's printed Figure 5 U_2).
 /// Sign choice is a free parameter of any SVD; aligning makes plots and

@@ -7,11 +7,9 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "lsi/gather/dedup.hpp"
-#include "lsi/ranking.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -187,7 +185,7 @@ std::vector<std::uint64_t> ShardedSnapshot::generations() const {
 
 std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
     const std::vector<std::string>& texts, const SearchOptions& opts,
-    std::vector<QueryStats>* shard_stats, std::atomic<bool>* expired,
+    std::vector<QueryStats>* shard_stats, std::atomic<bool>& expired,
     std::vector<std::vector<ScoreMoments>>* moments) const {
   // Scatter: every shard handles the whole batch against its own space —
   // through its own cluster-pruned structure when the snapshot carries one
@@ -201,10 +199,10 @@ std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
   if (moments) moments->assign(shards_.size(), {});
   LSI_OBS_SPAN(span, "sharding.scatter");
   fan_out_shards(shards_, [&](std::size_t s) {
-    // Per-shard deadline check (try_* paths only): a scatter task that has
-    // not started by expiry abandons the batch instead of scoring it.
-    if (expired != nullptr && shard_opts.deadline_expired()) {
-      expired->store(true, std::memory_order_relaxed);
+    // Per-shard deadline check: a scatter task that has not started by
+    // expiry abandons the batch instead of scoring it.
+    if (shard_opts.deadline_expired()) {
+      expired.store(true, std::memory_order_relaxed);
       return;
     }
     LSI_OBS_SPAN(shard_span, "sharding.shard_rank");
@@ -224,87 +222,14 @@ std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
   return per_shard;
 }
 
-std::vector<std::vector<ScoredDoc>> ShardedSnapshot::rank_batch_impl(
+Expected<std::vector<ShardedSnapshot::GatherResult>> ShardedSnapshot::search(
     const std::vector<std::string>& texts, const SearchOptions& opts,
-    QueryStats* stats, std::atomic<bool>* expired) const {
-  obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
-  const std::size_t bsz = texts.size();
-  const std::size_t n_shards = shards_.size();
-  std::vector<std::vector<ScoredDoc>> merged(bsz);
-  if (bsz == 0 || n_shards == 0) return merged;
-
-  std::vector<QueryStats> shard_stats(n_shards);
-  const bool raw_policy = opts.merge == gather::MergePolicy::kRawCosine;
-  std::vector<std::vector<ScoreMoments>> shard_moments;
-  auto per_shard =
-      scatter(texts, opts, stats ? &shard_stats : nullptr, expired,
-              raw_policy ? nullptr : &shard_moments);
-  if (expired != nullptr &&
-      expired->load(std::memory_order_relaxed)) {
-    return merged;  // caller reports kDeadlineExceeded; results are partial
+    QueryStats* stats, bool labels) const {
+  if (Status s = opts.Validate(); !s.ok()) return s;
+  if (opts.deadline_expired()) {
+    return Status::DeadlineExceeded(
+        "search deadline expired before the scatter began");
   }
-
-  // Gather: map shard-local indices to global ids, then merge every query's
-  // N sorted lists under the shared comparator. Equal cosines order by
-  // global id — independent of which shard produced them, so the tie order
-  // is identical across shard counts. The raw-cosine default stays on the
-  // original merge_rankings path (bit-identical to the pre-gather engine);
-  // kZScore/kRRF re-score each shard's list before the same sort.
-  {
-    LSI_OBS_SPAN(span, "sharding.gather");
-    for (std::size_t b = 0; b < bsz; ++b) {
-      if (raw_policy) {
-        std::vector<std::vector<ScoredDoc>> lists(n_shards);
-        for (std::size_t s = 0; s < n_shards; ++s) {
-          const std::vector<index_t>& ids = *shards_[s].global_ids;
-          lists[s] = std::move(per_shard[s][b]);
-          for (ScoredDoc& sd : lists[s]) sd.doc = ids[sd.doc];
-        }
-        merged[b] = merge_rankings(lists, opts.z);
-      } else {
-        std::vector<gather::ShardList> lists(n_shards);
-        for (std::size_t s = 0; s < n_shards; ++s) {
-          const std::vector<index_t>& ids = *shards_[s].global_ids;
-          const std::vector<ScoredDoc>& ranked = per_shard[s][b];
-          lists[s].docs.reserve(ranked.size());
-          lists[s].cosines.reserve(ranked.size());
-          for (const ScoredDoc& sd : ranked) {
-            lists[s].docs.push_back(ids[sd.doc]);
-            lists[s].cosines.push_back(sd.cosine);
-          }
-          // Full-sweep background moments: the z-score standardizes each
-          // shard's list against everything the shard scored, not just the
-          // top-z it returned (fusion.hpp).
-          const ScoreMoments& m = shard_moments[s][b];
-          lists[s].bg_count = m.count;
-          lists[s].bg_mean = m.mean;
-          lists[s].bg_stdev = m.stdev;
-        }
-        const std::vector<gather::FusedHit> fused =
-            gather::fuse(lists, opts.fusion_options(), opts.z);
-        merged[b].reserve(fused.size());
-        // The cosine slot carries the FUSION score so downstream ordering
-        // consumers (paging cursors, min_cosine-free sessions) stay policy-
-        // agnostic; gather_batch exposes both values separately.
-        for (const gather::FusedHit& h : fused) {
-          merged[b].push_back(ScoredDoc{h.doc, h.score});
-        }
-      }
-    }
-  }
-
-  if (stats) {
-    stats->batch_size += static_cast<index_t>(bsz);
-    for (const QueryStats& qs : shard_stats) accumulate_stats(*stats, qs);
-  }
-  obs::count("sharding.batches");
-  obs::count("sharding.queries", bsz);
-  return merged;
-}
-
-std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
-    const std::vector<std::string>& texts, const SearchOptions& opts,
-    QueryStats* stats, std::atomic<bool>* expired) const {
   obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
   const std::size_t bsz = texts.size();
   const std::size_t n_shards = shards_.size();
@@ -314,21 +239,23 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
   std::vector<QueryStats> shard_stats(n_shards);
   const bool raw_policy = opts.merge == gather::MergePolicy::kRawCosine;
   std::vector<std::vector<ScoreMoments>> shard_moments;
-  auto per_shard =
+  std::atomic<bool> expired{false};
+  const auto per_shard =
       scatter(texts, opts, stats ? &shard_stats : nullptr, expired,
               raw_policy ? nullptr : &shard_moments);
-  if (expired != nullptr && expired->load(std::memory_order_relaxed)) {
-    return results;  // caller reports kDeadlineExceeded
+  if (expired.load(std::memory_order_relaxed)) {
+    return Status::DeadlineExceeded(
+        "search deadline expired during the shard scatter");
   }
 
   const bool collapse =
       opts.collapse_cosine > 0.0 && opts.collapse_cosine <= 1.0;
   LSI_OBS_SPAN(span, "sharding.gather");
   for (std::size_t b = 0; b < bsz; ++b) {
-    // Global-id shard lists for the fusion, plus a global -> shard-local row
-    // lookup (dedup reconstruction and facets read shard-local V rows).
+    // Map shard-local indices to global ids for the fusion. Each fused hit
+    // keeps its position in its shard list, so the shard-local row (for
+    // dedup reconstruction, facets and labels) is one index away.
     std::vector<gather::ShardList> lists(n_shards);
-    std::vector<std::unordered_map<index_t, index_t>> local_rows(n_shards);
     for (std::size_t s = 0; s < n_shards; ++s) {
       const std::vector<index_t>& ids = *shards_[s].global_ids;
       const std::vector<ScoredDoc>& ranked = per_shard[s][b];
@@ -337,15 +264,20 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
       for (const ScoredDoc& sd : ranked) {
         lists[s].docs.push_back(ids[sd.doc]);
         lists[s].cosines.push_back(sd.cosine);
-        local_rows[s].emplace(ids[sd.doc], sd.doc);
       }
       if (!raw_policy) {
+        // Full-sweep background moments: the z-score standardizes each
+        // shard's list against everything the shard scored, not just the
+        // top-z it returned (fusion.hpp).
         const ScoreMoments& m = shard_moments[s][b];
         lists[s].bg_count = m.count;
         lists[s].bg_mean = m.mean;
         lists[s].bg_stdev = m.stdev;
       }
     }
+    const auto local_row = [&](const gather::FusedHit& h) {
+      return per_shard[h.shard][b][h.rank].doc;
+    };
 
     std::vector<gather::FusedHit> fused;
     {
@@ -365,37 +297,24 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
         const IndexSnapshot& snap = *shards_[h.shard].snapshot;
         const SemanticSpace& sp = snap.space();
         profiles.push_back(gather::reconstruct_term_profile(
-            sp.u, sp.sigma, sp.v, local_rows[h.shard].at(h.doc),
-            snap.context().vocabulary()));
+            sp.u, sp.sigma, sp.v, local_row(h), snap.context().vocabulary()));
       }
       collapsed = gather::collapse_near_duplicates(fused, profiles,
                                                    opts.collapse_cosine);
       if (opts.z > 0 && collapsed.size() > opts.z) collapsed.resize(opts.z);
-    } else {
-      collapsed.reserve(fused.size());
-      for (const gather::FusedHit& h : fused) {
-        collapsed.push_back(gather::CollapsedHit{h, {}});
-      }
     }
+    // Without collapse every fused hit is its own representative.
+    const std::size_t n_hits = collapse ? collapsed.size() : fused.size();
+    const auto rep = [&](std::size_t i) -> const gather::FusedHit& {
+      return collapse ? collapsed[i].rep : fused[i];
+    };
 
     GatherResult& result = results[b];
-    result.hits.reserve(collapsed.size());
-    for (gather::CollapsedHit& ch : collapsed) {
-      GatherHit hit;
-      hit.doc = ch.rep.doc;
-      hit.score = ch.rep.score;
-      hit.cosine = ch.rep.cosine;
-      hit.shard = ch.rep.shard;
-      hit.duplicates = std::move(ch.duplicates);
-      result.hits.push_back(std::move(hit));
-    }
-
-    if (opts.facets > 0 && !result.hits.empty()) {
+    if (opts.facets > 0 && n_hits > 0) {
       LSI_OBS_SPAN(facet_span, "gather.facets");
       std::vector<std::vector<index_t>> rows_by_shard(n_shards);
-      for (const GatherHit& hit : result.hits) {
-        rows_by_shard[hit.shard].push_back(
-            local_rows[hit.shard].at(hit.doc));
+      for (std::size_t i = 0; i < n_hits; ++i) {
+        rows_by_shard[rep(i).shard].push_back(local_row(rep(i)));
       }
       std::vector<std::vector<gather::Facet>> shard_lists;
       for (std::size_t s = 0; s < n_shards; ++s) {
@@ -408,6 +327,20 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
       }
       result.facets = gather::merge_facets(shard_lists, opts.facets);
     }
+
+    result.hits.resize(n_hits);
+    for (std::size_t i = 0; i < n_hits; ++i) {
+      const gather::FusedHit& h = rep(i);
+      GatherHit& hit = result.hits[i];
+      hit.doc = h.doc;
+      if (labels) {
+        hit.label = shards_[h.shard].snapshot->doc_labels()[local_row(h)];
+      }
+      hit.score = h.score;
+      hit.cosine = h.cosine;
+      hit.shard = h.shard;
+      if (collapse) hit.duplicates = std::move(collapsed[i].duplicates);
+    }
   }
 
   if (stats) {
@@ -419,85 +352,27 @@ std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch_impl(
   return results;
 }
 
-std::vector<ShardedSnapshot::GatherResult> ShardedSnapshot::gather_batch(
-    const std::vector<std::string>& texts, const SearchOptions& opts,
-    QueryStats* stats) const {
-  return gather_batch_impl(texts, opts, stats, /*expired=*/nullptr);
-}
-
 Expected<std::vector<ShardedSnapshot::GatherResult>>
 ShardedSnapshot::try_gather_batch(const std::vector<std::string>& texts,
                                   const SearchOptions& opts,
                                   QueryStats* stats) const {
-  if (Status s = opts.Validate(); !s.ok()) return s;
-  if (opts.deadline_expired()) {
-    return Status::DeadlineExceeded(
-        "search deadline expired before the scatter began");
-  }
-  std::atomic<bool> expired{false};
-  auto results = gather_batch_impl(texts, opts, stats, &expired);
-  if (expired.load(std::memory_order_relaxed)) {
-    return Status::DeadlineExceeded(
-        "search deadline expired during the shard scatter");
-  }
-  return results;
-}
-
-std::vector<std::vector<ScoredDoc>> ShardedSnapshot::rank_batch(
-    const std::vector<std::string>& texts, const SearchOptions& opts,
-    QueryStats* stats) const {
-  return rank_batch_impl(texts, opts, stats, /*expired=*/nullptr);
+  return search(texts, opts, stats, /*labels=*/true);
 }
 
 Expected<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::try_rank_batch(
     const std::vector<std::string>& texts, const SearchOptions& opts,
     QueryStats* stats) const {
-  if (Status s = opts.Validate(); !s.ok()) return s;
-  if (opts.deadline_expired()) {
-    return Status::DeadlineExceeded(
-        "search deadline expired before the scatter began");
-  }
-  std::atomic<bool> expired{false};
-  auto merged = rank_batch_impl(texts, opts, stats, &expired);
-  if (expired.load(std::memory_order_relaxed)) {
-    return Status::DeadlineExceeded(
-        "search deadline expired during the shard scatter");
-  }
-  return merged;
-}
-
-std::vector<ScoredDoc> ShardedSnapshot::retrieve(std::string_view text,
-                                                 const SearchOptions& opts,
-                                                 QueryStats* stats) const {
-  auto ranked = rank_batch({std::string(text)}, opts, stats);
-  return ranked.empty() ? std::vector<ScoredDoc>{} : std::move(ranked[0]);
-}
-
-std::vector<QueryResult> ShardedSnapshot::query(std::string_view text,
-                                                const SearchOptions& opts,
-                                                QueryStats* stats) const {
-  const std::vector<ScoredDoc> ranked = retrieve(text, opts, stats);
-  // Resolve labels: global ids are sparse in the merged list, so build the
-  // reverse (global id -> shard, local) view only for the returned docs.
-  std::vector<QueryResult> out;
-  out.reserve(ranked.size());
-  for (const ScoredDoc& sd : ranked) {
-    QueryResult qr;
-    qr.doc = sd.doc;
-    qr.cosine = sd.cosine;
-    for (const ShardView& shard : shards_) {
-      const std::vector<index_t>& ids = *shard.global_ids;
-      const std::size_t docs =
-          static_cast<std::size_t>(shard.snapshot->space().num_docs());
-      for (std::size_t j = 0; j < docs; ++j) {
-        if (ids[j] == sd.doc) {
-          qr.label = shard.snapshot->doc_labels()[j];
-          break;
-        }
-      }
-      if (!qr.label.empty()) break;
+  SearchOptions ranked = opts;
+  ranked.collapse_cosine = -1.0;
+  ranked.facets = 0;
+  auto gathered = search(texts, ranked, stats, /*labels=*/false);
+  if (!gathered.ok()) return gathered.status();
+  std::vector<std::vector<ScoredDoc>> out(gathered->size());
+  for (std::size_t b = 0; b < out.size(); ++b) {
+    out[b].reserve((*gathered)[b].hits.size());
+    for (const GatherHit& hit : (*gathered)[b].hits) {
+      out[b].push_back(ScoredDoc{hit.doc, hit.score});
     }
-    out.push_back(std::move(qr));
   }
   return out;
 }

@@ -42,7 +42,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "lsi/batched_retrieval.hpp"
@@ -145,41 +144,13 @@ class ShardedSnapshot {
   /// two queries against equal generation vectors see identical indexes.
   std::vector<std::uint64_t> generations() const;
 
-  /// Batched scatter-gather retrieval over free-text queries: result[b] is
-  /// query b's global top-z ranking with GLOBAL document ids, in the shared
-  /// lsi/ranking.hpp order. Each shard parses/weights the texts against its
-  /// own vocabulary, projects the whole batch once, ranks with its
-  /// BatchedRetriever — through that shard's cluster-pruned structure when
-  /// `opts.search` admits it (lsi/search_options.hpp); per-shard exact
-  /// fallbacks are independent, so a small shard can sweep exactly while a
-  /// large sibling prunes — and the per-shard top-z lists are merged
-  /// deterministically. Runs under the "sharding.scatter" / "sharding.gather"
-  /// spans; `stats` (when non-null) accumulates the summed per-shard stage
-  /// breakdown (seconds are CPU-seconds across shards, not wall time).
-  std::vector<std::vector<ScoredDoc>> rank_batch(
-      const std::vector<std::string>& texts, const SearchOptions& opts = {},
-      QueryStats* stats = nullptr) const;
-
-  /// Checked variant: the first SearchOptions::Validate() violation, or
-  /// kDeadlineExceeded when `opts.deadline` has expired at entry or by the
-  /// time a shard's scatter task starts (coarse-grained: a shard pass that
-  /// began before expiry runs to completion; shards that had not started
-  /// abandon the batch).
-  Expected<std::vector<std::vector<ScoredDoc>>> try_rank_batch(
-      const std::vector<std::string>& texts, const SearchOptions& opts = {},
-      QueryStats* stats = nullptr) const;
-
-  /// Single-query convenience wrapper over rank_batch.
-  std::vector<ScoredDoc> retrieve(std::string_view text,
-                                  const SearchOptions& opts = {},
-                                  QueryStats* stats = nullptr) const;
-
-  /// One result of the rich gather path: the fused hit plus the global ids
-  /// of near-duplicates collapsed into it (empty without collapse).
+  /// One fused hit: the representative plus the global ids of
+  /// near-duplicates collapsed into it (empty without collapse).
   struct GatherHit {
     index_t doc = 0;      ///< global document id of the representative
+    std::string label;    ///< read from the pinned shard row
     double score = 0.0;   ///< fusion score the global ranking sorts by
-    double cosine = 0.0;  ///< raw per-shard cosine of the representative
+    double cosine = 0.0;  ///< raw per-shard cosine (== score by default)
     std::size_t shard = 0;
     std::vector<index_t> duplicates;
   };
@@ -191,52 +162,61 @@ class ShardedSnapshot {
     std::vector<gather::Facet> facets;
   };
 
-  /// The rich gather path (docs/GATHER.md): the same scatter as rank_batch,
-  /// then the full gather pipeline — merge under `opts.merge` (z-score /
-  /// RRF re-score per-shard lists before the deterministic global sort;
-  /// the default raw-cosine policy orders exactly like rank_batch), collapse
-  /// near-duplicates when `opts.collapse_cosine` is in (0, 1], and attach
-  /// `opts.facets` facet terms per query. Runs the extra stages under the
-  /// "gather.fuse" / "gather.collapse" / "gather.facets" spans.
-  std::vector<GatherResult> gather_batch(const std::vector<std::string>& texts,
-                                         const SearchOptions& opts = {},
-                                         QueryStats* stats = nullptr) const;
-
-  /// Checked variant; same contract as try_rank_batch.
+  /// Batched scatter-gather retrieval over free-text queries (docs/GATHER.md):
+  /// result[b] is query b's global top-z with GLOBAL document ids.
+  ///
+  ///   scatter  each shard parses/weights the texts against its own
+  ///            vocabulary, projects the whole batch once and ranks it with
+  ///            its BatchedRetriever — through that shard's cluster-pruned
+  ///            structure when `opts.search` admits it (per-shard exact
+  ///            fallbacks are independent);
+  ///   fuse     the per-shard top-z lists merge under `opts.merge` into one
+  ///            deterministic global ranking (the default raw-cosine policy
+  ///            orders exactly like lsi/ranking.hpp's merge_rankings);
+  ///   collapse near-duplicates fold into their best-ranked representative
+  ///            when `opts.collapse_cosine` is in (0, 1];
+  ///   facets   `opts.facets` facet terms are attached per query;
+  ///   labels   every hit's label is read from its pinned shard row.
+  ///
+  /// Runs under the "sharding.scatter" / "sharding.gather" spans (plus
+  /// "gather.fuse" / "gather.collapse" / "gather.facets"); `stats` (when
+  /// non-null) accumulates the summed per-shard stage breakdown (seconds are
+  /// CPU-seconds across shards, not wall time). Fails with the first
+  /// SearchOptions::Validate() violation, or kDeadlineExceeded when
+  /// `opts.deadline` has expired at entry or by the time a shard's scatter
+  /// task starts (coarse-grained: a shard pass that began before expiry runs
+  /// to completion; shards that had not started abandon the batch).
   Expected<std::vector<GatherResult>> try_gather_batch(
       const std::vector<std::string>& texts, const SearchOptions& opts = {},
       QueryStats* stats = nullptr) const;
 
-  /// Free-text retrieval with labels resolved against the pinned shard
-  /// snapshots; `doc` carries the global document id.
-  std::vector<QueryResult> query(std::string_view text,
-                                 const SearchOptions& opts = {},
-                                 QueryStats* stats = nullptr) const;
+  /// try_gather_batch projected to ScoredDoc{doc, score}, with collapse and
+  /// facets cleared and no labels resolved. Under the default merge the
+  /// score is the raw cosine, and with one shard the result is bit-identical
+  /// to the monolithic BatchedRetriever.
+  Expected<std::vector<std::vector<ScoredDoc>>> try_rank_batch(
+      const std::vector<std::string>& texts, const SearchOptions& opts = {},
+      QueryStats* stats = nullptr) const;
 
  private:
-  /// Shared scatter-gather body. When `expired` is non-null the per-shard
-  /// deadline protocol is active: a scatter task observing an expired
-  /// `opts.deadline` before it starts sets the flag and abandons its pass.
-  std::vector<std::vector<ScoredDoc>> rank_batch_impl(
+  /// The one read body behind both public methods: scatter, fuse, optional
+  /// collapse, optional facets, then label resolution when `labels` is set.
+  Expected<std::vector<GatherResult>> search(
       const std::vector<std::string>& texts, const SearchOptions& opts,
-      QueryStats* stats, std::atomic<bool>* expired) const;
+      QueryStats* stats, bool labels) const;
 
-  /// The scatter stage shared by rank_batch_impl and gather_batch_impl:
-  /// result[s][b] is shard s's top-z for query b in SHARD-LOCAL document
-  /// indices. `shard_stats` (when non-null) must be pre-sized to
-  /// num_shards(); deadline protocol as above. `moments` (when non-null) is
-  /// filled so moments[s][b] holds shard s's full-sweep ScoreMoments for
-  /// query b — the background statistics the z-score merge policy
-  /// standardizes against (requested only for non-raw policies; the raw
-  /// path skips the extra passes entirely).
+  /// The scatter stage: result[s][b] is shard s's top-z for query b in
+  /// SHARD-LOCAL document indices. `shard_stats` (when non-null) must be
+  /// pre-sized to num_shards(). A scatter task observing an expired
+  /// `opts.deadline` before it starts sets `expired` and abandons its pass.
+  /// `moments` (when non-null) is filled so moments[s][b] holds shard s's
+  /// full-sweep ScoreMoments for query b — the background statistics the
+  /// z-score merge policy standardizes against (requested only for non-raw
+  /// policies; the raw path skips the extra passes entirely).
   std::vector<std::vector<std::vector<ScoredDoc>>> scatter(
       const std::vector<std::string>& texts, const SearchOptions& opts,
-      std::vector<QueryStats>* shard_stats, std::atomic<bool>* expired,
-      std::vector<std::vector<ScoreMoments>>* moments = nullptr) const;
-
-  std::vector<GatherResult> gather_batch_impl(
-      const std::vector<std::string>& texts, const SearchOptions& opts,
-      QueryStats* stats, std::atomic<bool>* expired) const;
+      std::vector<QueryStats>* shard_stats, std::atomic<bool>& expired,
+      std::vector<std::vector<ScoreMoments>>* moments) const;
 
   std::vector<ShardView> shards_;
 };

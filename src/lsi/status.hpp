@@ -1,13 +1,11 @@
 #pragma once
 // Error handling for the public API: lsi::Status and lsi::Expected<T>.
 //
-// Historically the pipeline mixed ad-hoc conventions — build_semantic_space
-// silently clamped bad inputs, io threw std::runtime_error, LsiIndex::build
-// did both. The canonical entry points (LsiIndex::Build,
-// try_build_semantic_space, try_load_database, try_save_database) now report
-// failures as values instead, so callers can branch without exception
-// handling; the old throwing signatures remain for one PR as thin
-// [[deprecated]] wrappers that call .value() / .or_throw().
+// The entry points (LsiIndex::try_build, try_build_semantic_space,
+// try_load_database, try_save_database) report failures as values, so
+// callers can branch without exception handling; `.value()` /
+// `.or_throw()` turn a failure into a std::runtime_error where throwing is
+// wanted.
 //
 // Header-only on purpose: Status is used below lsi_core in the layering
 // (obs's schema validator reports through it) and must not drag in a link
@@ -108,9 +106,8 @@ inline std::string_view status_code_name(StatusCode code) noexcept {
 }
 
 /// A value or the Status explaining why there is none. The subset of
-/// std::expected (C++23) this library needs, with value() deliberately
-/// throwing the same std::runtime_error the deprecated signatures threw, so
-/// `try_f(...).value()` is a drop-in for the old `f(...)`.
+/// std::expected (C++23) this library needs; value() on an error throws
+/// std::runtime_error carrying the status.
 template <typename T>
 class [[nodiscard]] Expected {
  public:

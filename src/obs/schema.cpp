@@ -301,14 +301,111 @@ const JsonValue* find(const JsonObject& obj, const std::string& key) {
   return it == obj.end() ? nullptr : &it->second;
 }
 
-}  // namespace
+// --- /search response checks.
 
-Status validate_stats_json(std::string_view text) {
+enum class Kind { kNumber, kString, kArray, kBool };
+
+struct Field {
+  const char* name;
+  Kind kind;
+};
+
+bool has_kind(const JsonValue& v, Kind kind) {
+  switch (kind) {
+    case Kind::kNumber: return v.is_number();
+    case Kind::kString: return v.is_string();
+    case Kind::kArray: return v.array() != nullptr;
+    case Kind::kBool: return std::holds_alternative<bool>(v.v);
+  }
+  return false;
+}
+
+/// OK when `v` is an object holding exactly `fields`, each of its kind.
+Status require_exact_object(const JsonValue& v,
+                            const std::vector<Field>& fields,
+                            const std::string& where) {
+  const JsonObject* obj = v.object();
+  if (obj == nullptr) return Status::DataLoss(where + " must be an object");
+  for (const Field& f : fields) {
+    const JsonValue* value = find(*obj, f.name);
+    if (value == nullptr || !has_kind(*value, f.kind)) {
+      return Status::DataLoss(where + " needs a well-typed \"" +
+                              std::string(f.name) + "\"");
+    }
+  }
+  for (const auto& [key, value] : *obj) {
+    bool known = false;
+    for (const Field& f : fields) known = known || key == f.name;
+    if (!known) {
+      return Status::DataLoss(where + " has unexpected key \"" + key + "\"");
+    }
+  }
+  return Status::Ok();
+}
+
+/// Parses `text` into `doc`; DataLoss unless it is valid JSON.
+Status parse_document(std::string_view text, JsonValue& doc) {
   Parser parser(text);
-  const JsonValue doc = parser.parse();
+  doc = parser.parse();
   if (!parser.error().empty()) {
     return Status::DataLoss("not valid JSON: " + parser.error());
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status validate_search_json(std::string_view text, bool session) {
+  JsonValue doc;
+  if (Status s = parse_document(text, doc); !s.ok()) return s;
+  std::vector<Field> top = {{"results", Kind::kArray},
+                            {"facets", Kind::kArray},
+                            {"generations", Kind::kArray}};
+  if (session) {
+    top.insert(top.end(), {{"session", Kind::kString},
+                           {"cursor", Kind::kNumber},
+                           {"total", Kind::kNumber},
+                           {"more", Kind::kBool}});
+  }
+  if (Status s = require_exact_object(doc, top, "response"); !s.ok()) {
+    return s;
+  }
+  const JsonObject& root = *doc.object();
+  const JsonArray& results = *find(root, "results")->array();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (Status s = require_exact_object(
+            results[i],
+            {{"doc", Kind::kNumber},
+             {"label", Kind::kString},
+             {"score", Kind::kNumber},
+             {"cosine", Kind::kNumber},
+             {"shard", Kind::kNumber},
+             {"duplicates", Kind::kArray}},
+            "\"results\"[" + std::to_string(i) + "]");
+        !s.ok()) {
+      return s;
+    }
+  }
+  const JsonArray& facets = *find(root, "facets")->array();
+  for (std::size_t i = 0; i < facets.size(); ++i) {
+    if (Status s = require_exact_object(
+            facets[i], {{"term", Kind::kString}, {"weight", Kind::kNumber}},
+            "\"facets\"[" + std::to_string(i) + "]");
+        !s.ok()) {
+      return s;
+    }
+  }
+  for (const JsonValue& g : *find(root, "generations")->array()) {
+    if (!g.is_number()) {
+      return Status::DataLoss("\"generations\" must hold numbers");
+    }
+  }
+  return Status::Ok();
+}
+
+Status validate_stats_json(std::string_view text) {
+  JsonValue doc;
+  if (Status s = parse_document(text, doc); !s.ok()) return s;
   const JsonObject* root = doc.object();
   if (root == nullptr) {
     return Status::DataLoss("top level must be an object");

@@ -1,7 +1,8 @@
 #pragma once
-// Structural validation of "lsi.stats.v1" documents — the schema check CI
-// runs over every emitted BENCH_<name>.json (no external JSON dependency; a
-// ~150-line recursive-descent parser is all the layer needs).
+// Structural validation of the JSON documents the library emits: the
+// "lsi.stats.v1" documents CI checks in every BENCH_<name>.json, and the
+// daemon's /search response (no external JSON dependency; a ~150-line
+// recursive-descent parser is all the layer needs).
 
 #include <string_view>
 
@@ -19,5 +20,13 @@ namespace lsi::obs {
 ///     "predicted" and "measured".
 /// Returns OK or a Status pinpointing the first violation.
 Status validate_stats_json(std::string_view text);
+
+/// Checks one /search response body (docs/SERVING.md): a top-level object
+/// with exactly "results", "facets" and "generations" arrays — plus string
+/// "session", numeric "cursor" and "total", and boolean "more" when
+/// `session` is set — where every result has exactly the keys doc, label,
+/// score, cosine, shard, duplicates, every facet exactly term and weight,
+/// and every generation is a number. Returns OK or the first violation.
+Status validate_search_json(std::string_view text, bool session);
 
 }  // namespace lsi::obs

@@ -8,9 +8,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -19,21 +20,32 @@ namespace lsi::serve {
 
 namespace {
 
-/// Nonnegative integer parameter, or `fallback` on absence/garbage.
-std::size_t parse_size(std::string_view s, std::size_t fallback) {
-  if (s.empty()) return fallback;
+/// Largest accepted deadline_ms: one day. Anything longer is no deadline
+/// in practice, and bounding it keeps `now + deadline` far from overflowing
+/// the clock's signed nanosecond count.
+constexpr std::size_t kMaxDeadlineMs = 86'400'000;
+
+/// Nonnegative decimal integer parameter; nullopt when absent, not all
+/// digits, or too large for std::size_t.
+std::optional<std::size_t> parse_size(std::string_view s) {
   std::size_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return fallback;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
   return value;
 }
 
+/// Appends `v` formatted like printf's %.6g.
 void append_double(std::string& out, double v) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                std::chars_format::general, 6)
+                      .ptr);
+}
+
+void append_uint(std::string& out, std::uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 /// Parses the /search retrieval knobs — nprobe, recall, exact, deadline_ms —
@@ -66,12 +78,12 @@ bool parse_search_knobs(const HttpRequest& request, core::SearchOptions& opts,
   }
   if (want_exact) opts.search = core::SearchMode::kExact;
   if (!nprobe.empty()) {
-    const std::size_t v = parse_size(nprobe, 0);
-    if (v == 0) {
+    const std::optional<std::size_t> v = parse_size(nprobe);
+    if (!v || *v == 0) {
       error = "nprobe must be a positive integer";
       return false;
     }
-    opts.nprobe = v;
+    opts.nprobe = *v;
   }
   if (!recall.empty()) {
     const std::string text(recall);
@@ -84,13 +96,14 @@ bool parse_search_knobs(const HttpRequest& request, core::SearchOptions& opts,
     opts.recall_target = v;
   }
   if (!deadline_ms.empty()) {
-    const std::size_t ms = parse_size(deadline_ms, 0);
-    if (ms == 0) {
-      error = "deadline_ms must be a positive integer";
+    const std::optional<std::size_t> ms = parse_size(deadline_ms);
+    if (!ms || *ms == 0 || *ms > kMaxDeadlineMs) {
+      error = "deadline_ms must be a positive integer of at most " +
+              std::to_string(kMaxDeadlineMs) + " (one day)";
       return false;
     }
-    opts.deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+    opts.deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(static_cast<std::int64_t>(*ms));
   }
 
   // Gather knobs (docs/GATHER.md): merge policy, RRF constant, near-dup
@@ -125,30 +138,27 @@ bool parse_search_knobs(const HttpRequest& request, core::SearchOptions& opts,
   }
   if (const std::string_view facets = request.param("facets");
       !facets.empty()) {
-    const std::size_t v = parse_size(facets, 0);
-    if (v == 0) {
+    const std::optional<std::size_t> v = parse_size(facets);
+    if (!v || *v == 0) {
       error = "facets must be a positive integer";
       return false;
     }
-    opts.facets = v;
+    opts.facets = *v;
   }
   return true;
 }
 
-/// Canonical encoding of the ranking-affecting knobs for the session cache:
-/// a session re-ranks when the query text OR this key changes. deadline_ms
-/// is deliberately excluded (a latency budget never alters the ranking).
+/// Canonical encoding of the response-affecting knobs for the session
+/// cache: a session re-ranks when the query text OR this key changes.
+/// deadline_ms is deliberately excluded (a latency budget never alters the
+/// ranking).
 std::string search_knobs_key(const HttpRequest& request) {
   std::string key;
-  key += request.param("nprobe");
-  key += '|';
-  key += request.param("recall");
-  key += '|';
-  key += request.param("exact");
-  key += '|';
-  key += request.param("merge");
-  key += '|';
-  key += request.param("rrf_k");
+  for (const char* name :
+       {"nprobe", "recall", "exact", "merge", "rrf_k", "collapse", "facets"}) {
+    key += request.param(name);
+    key += '|';
+  }
   return key;
 }
 
@@ -156,24 +166,64 @@ std::string generations_json(const std::vector<std::uint64_t>& gens) {
   std::string out = "[";
   for (std::size_t i = 0; i < gens.size(); ++i) {
     if (i) out += ',';
-    out += std::to_string(gens[i]);
+    append_uint(out, gens[i]);
   }
   out += ']';
   return out;
 }
 
-std::string ranking_page_json(const std::vector<core::ScoredDoc>& ranking,
-                              std::size_t begin, std::size_t end) {
-  std::string out = "[";
+/// The one /search response body (docs/SERVING.md): hits [begin, end) of
+/// `result`, its facets and the view's generation vector, plus the paging
+/// fields when the search ran in `session` (whose cursor is already `end`).
+std::string search_json(const core::ShardedSnapshot::GatherResult& result,
+                        std::size_t begin, std::size_t end,
+                        const std::vector<std::uint64_t>& generations,
+                        const Session* session) {
+  std::string out;
+  out.reserve(64 + 128 * (end - begin));
+  out += "{\"results\":[";
   for (std::size_t i = begin; i < end; ++i) {
+    const core::ShardedSnapshot::GatherHit& hit = result.hits[i];
     if (i != begin) out += ',';
     out += "{\"doc\":";
-    out += std::to_string(ranking[i].doc);
+    append_uint(out, hit.doc);
+    out += ",\"label\":\"";
+    out += json_escape(hit.label);
+    out += "\",\"score\":";
+    append_double(out, hit.score);
     out += ",\"cosine\":";
-    append_double(out, ranking[i].cosine);
+    append_double(out, hit.cosine);
+    out += ",\"shard\":";
+    append_uint(out, hit.shard);
+    out += ",\"duplicates\":[";
+    for (std::size_t d = 0; d < hit.duplicates.size(); ++d) {
+      if (d) out += ',';
+      append_uint(out, hit.duplicates[d]);
+    }
+    out += "]}";
+  }
+  out += "],\"facets\":[";
+  for (std::size_t f = 0; f < result.facets.size(); ++f) {
+    if (f) out += ',';
+    out += "{\"term\":\"";
+    out += json_escape(result.facets[f].term);
+    out += "\",\"weight\":";
+    append_double(out, result.facets[f].weight);
     out += '}';
   }
-  out += ']';
+  out += "],\"generations\":";
+  out += generations_json(generations);
+  if (session != nullptr) {
+    out += ",\"session\":\"";
+    out += json_escape(session->token);
+    out += "\",\"cursor\":";
+    append_uint(out, session->cursor);
+    out += ",\"total\":";
+    append_uint(out, result.hits.size());
+    out += ",\"more\":";
+    out += session->cursor < result.hits.size() ? "true" : "false";
+  }
+  out += '}';
   return out;
 }
 
@@ -577,9 +627,15 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) {
 
 HttpResponse HttpServer::handle_search(const HttpRequest& request) {
   LSI_OBS_SPAN(span, "serve.search");
-  const std::size_t page =
-      std::min(parse_size(request.param("top"), opts_.default_page_size),
-               opts_.max_ranking);
+  std::size_t page = opts_.default_page_size;
+  if (const std::string_view top = request.param("top"); !top.empty()) {
+    const std::optional<std::size_t> v = parse_size(top);
+    if (!v || *v == 0) {
+      return error_response(400, "top must be a positive integer");
+    }
+    page = *v;
+  }
+  page = std::min(page, opts_.max_ranking);
   const std::string_view token = request.param("session");
   const std::string_view q = request.param("q");
 
@@ -596,78 +652,17 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
     return error_response(http, st.message());
   };
 
+  HttpResponse resp;
   if (token.empty()) {
     // Sessionless: one-shot against the current view, no paging state.
     if (q.empty()) return error_response(400, "missing q parameter");
     sopts.z = page;
     const core::ShardedSnapshot snap = index_.snapshot();
-    HttpResponse resp;
-    if (request.param("labels") == "1") {
-      // Label resolution has no checked variant; enforce the deadline at
-      // entry (same coarse granularity as try_rank_batch's entry check).
-      if (sopts.deadline_expired()) {
-        return error_response(504, "search deadline expired");
-      }
-      const auto hits = snap.query(q, sopts);
-      resp.body = "{\"results\":[";
-      for (std::size_t i = 0; i < hits.size(); ++i) {
-        if (i) resp.body += ',';
-        resp.body += "{\"doc\":";
-        resp.body += std::to_string(hits[i].doc);
-        resp.body += ",\"label\":\"";
-        resp.body += json_escape(hits[i].label);
-        resp.body += "\",\"cosine\":";
-        append_double(resp.body, hits[i].cosine);
-        resp.body += '}';
-      }
-      resp.body += ']';
-    } else if (sopts.facets > 0 ||
-               (sopts.collapse_cosine > 0.0 && sopts.collapse_cosine <= 1.0)) {
-      // Rich gather path: collapse and/or facets were requested, so answer
-      // with the full per-hit shape (fusion score, raw cosine, source shard,
-      // collapsed duplicates) plus the facet list.
-      auto gathered = snap.try_gather_batch({std::string(q)}, sopts);
-      if (!gathered.ok()) return status_response(gathered.status());
-      const auto& result = gathered.value()[0];
-      resp.body = "{\"results\":[";
-      for (std::size_t i = 0; i < result.hits.size(); ++i) {
-        const auto& hit = result.hits[i];
-        if (i) resp.body += ',';
-        resp.body += "{\"doc\":";
-        resp.body += std::to_string(hit.doc);
-        resp.body += ",\"score\":";
-        append_double(resp.body, hit.score);
-        resp.body += ",\"cosine\":";
-        append_double(resp.body, hit.cosine);
-        resp.body += ",\"shard\":";
-        resp.body += std::to_string(hit.shard);
-        resp.body += ",\"duplicates\":[";
-        for (std::size_t d = 0; d < hit.duplicates.size(); ++d) {
-          if (d) resp.body += ',';
-          resp.body += std::to_string(hit.duplicates[d]);
-        }
-        resp.body += "]}";
-      }
-      resp.body += "],\"facets\":[";
-      for (std::size_t f = 0; f < result.facets.size(); ++f) {
-        if (f) resp.body += ',';
-        resp.body += "{\"term\":\"";
-        resp.body += json_escape(result.facets[f].term);
-        resp.body += "\",\"weight\":";
-        append_double(resp.body, result.facets[f].weight);
-        resp.body += '}';
-      }
-      resp.body += ']';
-    } else {
-      auto ranked = snap.try_rank_batch({std::string(q)}, sopts);
-      if (!ranked.ok()) return status_response(ranked.status());
-      const auto& list = ranked.value()[0];
-      resp.body = "{\"results\":";
-      resp.body += ranking_page_json(list, 0, list.size());
-    }
-    resp.body += ",\"generations\":";
-    resp.body += generations_json(snap.generations());
-    resp.body += '}';
+    auto gathered = snap.try_gather_batch({std::string(q)}, sopts);
+    if (!gathered.ok()) return status_response(gathered.status());
+    const core::ShardedSnapshot::GatherResult& result = gathered.value()[0];
+    resp.body = search_json(result, 0, result.hits.size(), snap.generations(),
+                            nullptr);
     return resp;
   }
 
@@ -678,13 +673,12 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
   const std::string knobs_key = search_knobs_key(request);
   if (!q.empty() && (std::string(q) != session->last_query ||
                      knobs_key != session->last_options_key)) {
-    // New query (or changed knobs) for this session: rank once against the
-    // PINNED view (depth capped at max_ranking) and page from the cache.
-    core::SearchOptions qopts = sopts;
-    qopts.z = opts_.max_ranking;
-    auto ranked = session->pin->try_rank_batch({std::string(q)}, qopts);
-    if (!ranked.ok()) return status_response(ranked.status());
-    session->ranking = std::move(ranked.value()[0]);
+    // New query (or changed knobs) for this session: gather once against
+    // the PINNED view (depth capped at max_ranking) and page from the cache.
+    sopts.z = opts_.max_ranking;
+    auto gathered = session->pin->try_gather_batch({std::string(q)}, sopts);
+    if (!gathered.ok()) return status_response(gathered.status());
+    session->result = std::move(gathered.value()[0]);
     session->last_query = std::string(q);
     session->last_options_key = knobs_key;
     session->cursor = 0;
@@ -693,27 +687,15 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
   }
   if (request.has_param("cursor")) {
     session->cursor =
-        parse_size(request.param("cursor"), session->cursor);
+        parse_size(request.param("cursor")).value_or(session->cursor);
   }
 
-  const std::size_t begin = std::min(session->cursor, session->ranking.size());
-  const std::size_t end = std::min(begin + page, session->ranking.size());
+  const std::size_t total = session->result.hits.size();
+  const std::size_t begin = std::min(session->cursor, total);
+  const std::size_t end = std::min(begin + page, total);
   session->cursor = end;
-
-  HttpResponse resp;
-  resp.body = "{\"session\":\"";
-  resp.body += json_escape(session->token);
-  resp.body += "\",\"results\":";
-  resp.body += ranking_page_json(session->ranking, begin, end);
-  resp.body += ",\"cursor\":";
-  resp.body += std::to_string(end);
-  resp.body += ",\"total\":";
-  resp.body += std::to_string(session->ranking.size());
-  resp.body += ",\"more\":";
-  resp.body += end < session->ranking.size() ? "true" : "false";
-  resp.body += ",\"generations\":";
-  resp.body += generations_json(session->pin->generations());
-  resp.body += '}';
+  resp.body = search_json(session->result, begin, end,
+                          session->pin->generations(), session);
   return resp;
 }
 
@@ -796,7 +778,7 @@ HttpResponse HttpServer::handle_ingest(const HttpRequest& request) {
     if (session) {
       session->pin = index_.pin_snapshot();
       session->last_query.clear();
-      session->ranking.clear();
+      session->result = {};
       session->cursor = 0;
       refreshed = true;
     }
@@ -900,8 +882,9 @@ HttpResponse HttpServer::handle_replica_admin(const HttpRequest& request,
                                               bool eject) {
   LSI_OBS_SPAN(span, eject ? "serve.replica_eject" : "serve.replica_readmit");
   const std::size_t npos = static_cast<std::size_t>(-1);
-  const std::size_t shard = parse_size(request.param("shard"), npos);
-  const std::size_t replica = parse_size(request.param("replica"), npos);
+  const std::size_t shard = parse_size(request.param("shard")).value_or(npos);
+  const std::size_t replica =
+      parse_size(request.param("replica")).value_or(npos);
   if (shard == npos || replica == npos) {
     return error_response(400, "shard and replica parameters are required");
   }

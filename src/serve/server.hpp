@@ -9,11 +9,17 @@
 //
 // Command surface (JSON responses):
 //
-//   GET    /search?q=..&top=N[&session=T][&cursor=C][&labels=1]
+//   GET    /search?q=..&top=N[&session=T][&cursor=C]
 //              [&nprobe=P | &recall=R | &exact=1][&deadline_ms=D]
+//              [&merge=M][&rrf_k=K][&collapse=C][&facets=F]
 //          nprobe/recall/exact steer the cluster-pruned candidate path
-//          (lsi/search_options.hpp); invalid combinations answer 400 with a
-//          precise message and an expired deadline_ms answers 504
+//          (lsi/search_options.hpp) and merge/rrf_k/collapse/facets the
+//          gather (docs/GATHER.md); invalid values or combinations answer
+//          400 with a precise message (deadline_ms is capped at one day)
+//          and an expired deadline_ms answers 504. Every answer has one
+//          schema: {"results":[{doc,label,score,cosine,shard,duplicates}],
+//          "facets":[{term,weight}],"generations":[..]}, plus
+//          session/cursor/total/more inside a session
 //   POST   /ingest[?session=T][&wait=1]      body: "label\ttext" per line
 //   POST   /consolidate
 //   GET    /stats                            (chunked transfer coding;

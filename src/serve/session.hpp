@@ -36,15 +36,15 @@ struct Session {
   std::shared_ptr<const core::ShardedSnapshot> pin;
   std::chrono::steady_clock::time_point last_used;
 
-  /// Paging state of the session's most recent query: the full ranking is
-  /// computed once against the pin and paged out by cursor. A change in
-  /// either the query text or the retrieval knobs (nprobe/recall/exact —
-  /// anything that can alter the ranking) invalidates the cache and
-  /// re-ranks; `last_options_key` is the server's canonical encoding of
-  /// those knobs.
+  /// Paging state of the session's most recent query: the full gather
+  /// result (hits and facets) is computed once against the pin and paged
+  /// out by cursor. A change in either the query text or the knobs that can
+  /// alter the response (nprobe/recall/exact/merge/rrf_k/collapse/facets)
+  /// invalidates the cache and re-ranks; `last_options_key` is the
+  /// server's canonical encoding of those knobs.
   std::string last_query;
   std::string last_options_key;
-  std::vector<core::ScoredDoc> ranking;
+  core::ShardedSnapshot::GatherResult result;
   std::size_t cursor = 0;
 
   /// Documents this session ingested (reported by /stats).

@@ -276,8 +276,8 @@ TEST(AnnPruning, ShardedFullProbeMatchesExactAndReportsAnnState) {
   eopts.search = SearchMode::kExact;
   eopts.z = 10;
 
-  const auto p = view.rank_batch(texts, popts);
-  const auto e = view.rank_batch(texts, eopts);
+  const auto p = view.try_rank_batch(texts, popts).value();
+  const auto e = view.try_rank_batch(texts, eopts).value();
   ASSERT_EQ(p.size(), e.size());
   for (std::size_t q = 0; q < p.size(); ++q) {
     expect_identical(p[q], e[q], texts[q].c_str());

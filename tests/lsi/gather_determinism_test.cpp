@@ -83,8 +83,8 @@ TEST(GatherDeterminism, RepeatedRunsAreBitIdenticalPerPolicy) {
     SearchOptions opts;
     opts.z = 10;
     opts.merge = policy;
-    const auto first = snap.rank_batch(texts, opts);
-    const auto second = snap.rank_batch(texts, opts);
+    const auto first = snap.try_rank_batch(texts, opts).value();
+    const auto second = snap.try_rank_batch(texts, opts).value();
     expect_identical_rankings(first, second,
                               gather::merge_policy_name(policy).data());
   }
@@ -104,8 +104,8 @@ TEST(GatherDeterminism, ReplicatedShardsRankIdenticallyAcrossRuns) {
     // Fresh snapshots per run: round-robin replica selection may pin
     // DIFFERENT replicas each time, and the rankings must not care — every
     // replica of a shard holds the same document sequence.
-    const auto first = sharded.snapshot().rank_batch(texts, opts);
-    const auto second = sharded.snapshot().rank_batch(texts, opts);
+    const auto first = sharded.snapshot().try_rank_batch(texts, opts).value();
+    const auto second = sharded.snapshot().try_rank_batch(texts, opts).value();
     expect_identical_rankings(first, second,
                               gather::merge_policy_name(policy).data());
   }
@@ -125,8 +125,8 @@ TEST(GatherDeterminism, GatherBatchAgreesWithRankBatchUnderEveryPolicy) {
     SearchOptions opts;
     opts.z = 10;
     opts.merge = policy;
-    const auto ranked = snap.rank_batch(texts, opts);
-    const auto gathered = snap.gather_batch(texts, opts);
+    const auto ranked = snap.try_rank_batch(texts, opts).value();
+    const auto gathered = snap.try_gather_batch(texts, opts).value();
     ASSERT_EQ(gathered.size(), ranked.size());
     for (std::size_t q = 0; q < ranked.size(); ++q) {
       ASSERT_EQ(gathered[q].hits.size(), ranked[q].size())
@@ -156,8 +156,8 @@ TEST(GatherDeterminism, CollapseAndFacetsAreStableAcrossRuns) {
   opts.collapse_cosine = 0.9;
   opts.facets = 8;
 
-  const auto first = snap.gather_batch(texts, opts);
-  const auto second = snap.gather_batch(texts, opts);
+  const auto first = snap.try_gather_batch(texts, opts).value();
+  const auto second = snap.try_gather_batch(texts, opts).value();
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t q = 0; q < first.size(); ++q) {
     ASSERT_EQ(first[q].hits.size(), second[q].hits.size()) << "query " << q;
@@ -190,14 +190,14 @@ TEST(GatherDeterminism, SingleShardPolicyTransformsPreserveRawOrder) {
 
   SearchOptions raw;
   raw.z = 10;
-  const auto want = snap.rank_batch(texts, raw);
+  const auto want = snap.try_rank_batch(texts, raw).value();
 
   for (gather::MergePolicy policy :
        {gather::MergePolicy::kZScore, gather::MergePolicy::kRRF}) {
     SearchOptions opts;
     opts.z = 10;
     opts.merge = policy;
-    const auto got = snap.rank_batch(texts, opts);
+    const auto got = snap.try_rank_batch(texts, opts).value();
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t q = 0; q < want.size(); ++q) {
       ASSERT_EQ(got[q].size(), want[q].size()) << "query " << q;
@@ -229,8 +229,8 @@ TEST(GatherDeterminism, TermStatsExchangeBuildsAreReproducible) {
   SearchOptions qopts;
   qopts.z = 10;
   qopts.merge = gather::MergePolicy::kZScore;
-  expect_identical_rankings(a.snapshot().rank_batch(texts, qopts),
-                            b.snapshot().rank_batch(texts, qopts),
+  expect_identical_rankings(a.snapshot().try_rank_batch(texts, qopts).value(),
+                            b.snapshot().try_rank_batch(texts, qopts).value(),
                             "exchange-on rebuild");
 
   // Without the exchange the info row reports disabled and refresh is null.

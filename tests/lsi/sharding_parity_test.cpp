@@ -83,7 +83,7 @@ TEST(ShardedParity, SingleShardIsBitIdenticalToBatchedRetriever) {
     const auto want = core::BatchedRetriever(mono.space()).rank(
         core::QueryBatch::from_term_vectors(mono.space(), vectors), qopts);
 
-    const auto got = sharded.snapshot().rank_batch(texts, qopts);
+    const auto got = sharded.snapshot().try_rank_batch(texts, qopts).value();
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t b = 0; b < want.size(); ++b) {
       ASSERT_EQ(got[b].size(), want[b].size()) << "query " << b;
@@ -131,7 +131,7 @@ TEST(ShardedParity, ShardCountsAgreeOnTheTopZDocumentSet) {
     auto sharded = core::ShardedIndex::try_build(corpus.docs, sopts).value();
     const auto snap = sharded.snapshot();
 
-    const auto ranked = snap.rank_batch(texts, qopts);
+    const auto ranked = snap.try_rank_batch(texts, qopts).value();
     ASSERT_EQ(ranked.size(), texts.size());
 
     double overlap_sum = 0.0;
@@ -190,7 +190,8 @@ TEST(ShardedParity, TiedScoresOrderIdenticallyAcrossShardCounts) {
     sopts.index = iopts;
     sopts.split_k_budget = false;
     auto sharded = core::ShardedIndex::try_build(docs, sopts).value();
-    const auto ranked = sharded.snapshot().retrieve("alpha beta", qopts);
+    const auto ranked =
+        sharded.snapshot().try_rank_batch({"alpha beta"}, qopts).value()[0];
     ASSERT_EQ(ranked.size(), docs.size()) << shards << " shards";
     // Within every equal-cosine run, global ids must ascend.
     for (std::size_t i = 1; i < ranked.size(); ++i) {

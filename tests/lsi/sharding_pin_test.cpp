@@ -68,7 +68,7 @@ TEST(ShardedPin, PagingSurvivesConsolidationUnderneath) {
   core::SearchOptions qopts;
   qopts.z = 20;
   const std::string query = corpus.queries.front().text;
-  const auto full = pin->retrieve(query, qopts);
+  const auto full = pin->try_rank_batch({query}, qopts).value()[0];
   ASSERT_GE(full.size(), 8u);
 
   // Page 1 read before the consolidation.
@@ -89,7 +89,7 @@ TEST(ShardedPin, PagingSurvivesConsolidationUnderneath) {
   // Page 2 ranks against the SAME pinned view: identical generations,
   // identical ranking — the retired snapshots are still fully alive.
   EXPECT_EQ(pin->generations(), pinned_gens);
-  const auto replay = pin->retrieve(query, qopts);
+  const auto replay = pin->try_rank_batch({query}, qopts).value()[0];
   ASSERT_EQ(replay.size(), full.size());
   for (std::size_t i = 0; i < full.size(); ++i) {
     EXPECT_EQ(replay[i].doc, full[i].doc) << i;
@@ -102,7 +102,7 @@ TEST(ShardedPin, PagingSurvivesConsolidationUnderneath) {
 
   // The current view does include the late documents (ids past the build).
   qopts.z = 0;
-  const auto now = index.snapshot().retrieve(query, qopts);
+  const auto now = index.snapshot().try_rank_batch({query}, qopts).value()[0];
   EXPECT_GT(now.size(), full.size());
 }
 
@@ -116,11 +116,11 @@ TEST(ShardedPin, HandleOutlivesTheIndexItself) {
   {
     std::optional<core::ShardedIndex> index(build_index(corpus.docs));
     pin = index->pin_snapshot();
-    before = pin->retrieve(query, qopts);
+    before = pin->try_rank_batch({query}, qopts).value()[0];
     index->shutdown();
     index.reset();  // the index is GONE; the pin must not care
   }
-  const auto after = pin->retrieve(query, qopts);
+  const auto after = pin->try_rank_batch({query}, qopts).value()[0];
   ASSERT_EQ(after.size(), before.size());
   for (std::size_t i = 0; i < after.size(); ++i) {
     EXPECT_EQ(after[i].doc, before[i].doc);
@@ -141,8 +141,8 @@ TEST(ShardedPin, PinnedViewEqualsPlainSnapshot) {
   core::SearchOptions qopts;
   qopts.z = 10;
   const std::string query = corpus.queries.front().text;
-  const auto a = pin->retrieve(query, qopts);
-  const auto b = plain.retrieve(query, qopts);
+  const auto a = pin->try_rank_batch({query}, qopts).value()[0];
+  const auto b = plain.try_rank_batch({query}, qopts).value()[0];
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].doc, b[i].doc);

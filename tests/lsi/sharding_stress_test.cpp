@@ -106,7 +106,7 @@ TEST(ShardedStress, ScatterGatherRacesWithIngest) {
 
         core::SearchOptions qopts;
         qopts.z = 10;
-        const auto ranked = snap.rank_batch(texts, qopts);
+        const auto ranked = snap.try_rank_batch(texts, qopts).value();
         ASSERT_EQ(ranked.size(), texts.size());
         for (const auto& lane : ranked) {
           ASSERT_LE(lane.size(), qopts.z);

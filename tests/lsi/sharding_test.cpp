@@ -287,7 +287,10 @@ TEST(ShardedIndex, QueryResolvesGlobalIdsAndLabels) {
 
   core::SearchOptions opts;
   opts.z = 3;
-  const auto hits = snap.query("latent semantic indexing retrieval", opts);
+  const auto hits =
+      snap.try_gather_batch({"latent semantic indexing retrieval"}, opts)
+          .value()[0]
+          .hits;
   ASSERT_FALSE(hits.empty());
   ASSERT_LE(hits.size(), 3u);
   for (const auto& hit : hits) {
@@ -311,12 +314,12 @@ TEST(ShardedIndex, RankBatchMatchesSingleQueries) {
   core::SearchOptions opts;
   opts.z = 5;
   core::QueryStats stats;
-  const auto batched = snap.rank_batch(texts, opts, &stats);
+  const auto batched = snap.try_rank_batch(texts, opts, &stats).value();
   ASSERT_EQ(batched.size(), texts.size());
   EXPECT_EQ(stats.batch_size, static_cast<index_t>(texts.size()));
   EXPECT_GT(stats.docs_scored, 0);
   for (std::size_t b = 0; b < texts.size(); ++b) {
-    const auto single = snap.retrieve(texts[b], opts);
+    const auto single = snap.try_rank_batch({texts[b]}, opts).value()[0];
     ASSERT_EQ(batched[b].size(), single.size());
     for (std::size_t i = 0; i < single.size(); ++i) {
       EXPECT_EQ(batched[b][i].doc, single[i].doc);
@@ -325,7 +328,7 @@ TEST(ShardedIndex, RankBatchMatchesSingleQueries) {
   }
 
   // Empty batch: clean empty result, no work.
-  EXPECT_TRUE(snap.rank_batch({}, opts).empty());
+  EXPECT_TRUE(snap.try_rank_batch({}, opts).value().empty());
 }
 
 TEST(ShardedIndex, IngestRoutesAndAssignsFreshGlobalIds) {

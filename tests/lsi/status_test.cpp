@@ -1,7 +1,6 @@
 // lsi::Status / lsi::Expected semantics and their propagation through the
 // canonical entry points: try_build_semantic_space, LsiIndex::try_build,
-// IndexOptions::Validate, and the io layer — plus one test keeping the
-// deprecated throwing wrappers honest for their final PR.
+// IndexOptions::Validate, and the io layer.
 
 #include <gtest/gtest.h>
 
@@ -153,19 +152,5 @@ TEST(Io, RoundTripThroughTheStatusApi) {
   EXPECT_EQ(loaded->vocabulary.size(), db.vocabulary.size());
   EXPECT_EQ(loaded->space.k(), 2u);
 }
-
-// The deprecated throwing signatures stay behaviorally identical until their
-// removal next PR; the pragma scopes the intentional use.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedWrappers, StillThrowTheOldWay) {
-  EXPECT_THROW(core::build_semantic_space(la::CscMatrix(), 2),
-               std::runtime_error);
-  std::istringstream garbage("nope");
-  EXPECT_THROW(core::load_database(garbage), std::runtime_error);
-  auto space = core::build_semantic_space(data::table3_counts(), 2);
-  EXPECT_EQ(space.k(), 2u);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace

@@ -102,4 +102,47 @@ TEST(Schema, AcceptsMinimalDocument) {
                   .ok());
 }
 
+TEST(SearchSchema, AcceptsTheOneShapeAndRejectsDrift) {
+  const char* hit =
+      R"({"doc":3,"label":"D3","score":0.9,"cosine":0.9,"shard":1,)"
+      R"("duplicates":[7]})";
+  const std::string plain = std::string(R"({"results":[)") + hit +
+                            R"(],"facets":[{"term":"t","weight":0.5}],)"
+                            R"("generations":[1,1]})";
+  EXPECT_TRUE(obs::validate_search_json(plain, false).ok());
+  EXPECT_FALSE(obs::validate_search_json(plain, true).ok())
+      << "a session body needs its paging fields";
+  const std::string paged =
+      plain.substr(0, plain.size() - 1) +
+      R"(,"session":"s1","cursor":1,"total":4,"more":true})";
+  EXPECT_TRUE(obs::validate_search_json(paged, true).ok());
+  EXPECT_FALSE(obs::validate_search_json(paged, false).ok())
+      << "paging fields outside a session are drift";
+
+  const struct {
+    const char* label;
+    const char* text;
+  } drifted[] = {
+      {"not json", "{"},
+      {"missing facets", R"({"results":[],"generations":[]})"},
+      {"hit without label",
+       R"({"results":[{"doc":3,"score":0.9,"cosine":0.9,"shard":1,)"
+       R"("duplicates":[]}],"facets":[],"generations":[]})"},
+      {"hit with an extra key",
+       R"({"results":[{"doc":3,"label":"D3","score":0.9,"cosine":0.9,)"
+       R"("shard":1,"duplicates":[],"rank":1}],"facets":[],)"
+       R"("generations":[]})"},
+      {"string score",
+       R"({"results":[{"doc":3,"label":"D3","score":"0.9","cosine":0.9,)"
+       R"("shard":1,"duplicates":[]}],"facets":[],"generations":[]})"},
+      {"facet without weight",
+       R"({"results":[],"facets":[{"term":"t"}],"generations":[]})"},
+      {"non-numeric generation",
+       R"({"results":[],"facets":[],"generations":["1"]})"},
+  };
+  for (const auto& c : drifted) {
+    EXPECT_FALSE(obs::validate_search_json(c.text, false).ok()) << c.label;
+  }
+}
+
 }  // namespace

@@ -161,7 +161,7 @@ TEST_F(ServerReplicationTest, IngestAcksDuringEjectionAndReplayCatchesUp) {
   // Read-your-writes against the degraded set: the search view pins healthy
   // replicas, which hold the new documents.
   const ClientResponse found = client.request(
-      "GET", "/search?q=" + encode_query(body0) + "&labels=1&top=5");
+      "GET", "/search?q=" + encode_query(body0) + "&top=5");
   EXPECT_EQ(found.status, 200);
   EXPECT_NE(found.body.find("\"label\":\"fresh-"), std::string::npos)
       << found.body;

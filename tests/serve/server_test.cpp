@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "lsi/lsi.hpp"
+#include "obs/schema.hpp"
 #include "serve/server.hpp"
 #include "synth/corpus.hpp"
 #include "test_client.hpp"
@@ -116,9 +117,66 @@ TEST_F(ServerTest, SessionlessSearchRanksDocs) {
 TEST_F(ServerTest, SearchWithLabelsResolvesThem) {
   TestClient client(server_->port());
   const ClientResponse resp = client.request(
-      "GET", "/search?q=" + encode_query(query_text()) + "&labels=1&top=3");
+      "GET", "/search?q=" + encode_query(query_text()) + "&top=3");
   ASSERT_EQ(resp.status, 200) << resp.body;
   EXPECT_NE(resp.body.find("\"label\":\""), std::string::npos);
+}
+
+/// The "results" array of a /search body, verbatim.
+std::string results_of(const std::string& body) {
+  const std::size_t begin = body.find("\"results\":");
+  const std::size_t end = body.find(",\"facets\":");
+  if (begin == std::string::npos || end == std::string::npos) return {};
+  return body.substr(begin, end - begin);
+}
+
+TEST_F(ServerTest, OneResponseSchemaForEveryOptionWithAndWithoutSession) {
+  TestClient client(server_->port());
+  const std::string q = "/search?q=" + encode_query(query_text());
+  const struct {
+    const char* knobs;
+    const char* top;
+  } rows[] = {
+      {"", "&top=5"},
+      {"&exact=1", "&top=5"},
+      {"&merge=zscore", "&top=5"},
+      {"&merge=rrf", "&top=5"},
+      // Collapse draws duplicates from each shard's top-`depth` candidates,
+      // and a session ranks at depth max_ranking (1000 here), so its first
+      // page equals a sessionless answer of that depth (docs/SERVING.md).
+      {"&collapse=0.9", "&top=1000"},
+      {"&facets=3", "&top=5"},
+  };
+  for (const auto& row : rows) {
+    const std::string knobs = std::string(row.knobs) + row.top;
+    const ClientResponse plain = client.request("GET", q + knobs);
+    ASSERT_EQ(plain.status, 200) << knobs;
+    const Status plain_ok = obs::validate_search_json(plain.body, false);
+    EXPECT_TRUE(plain_ok.ok()) << knobs << ": " << plain_ok.to_string();
+
+    const ClientResponse created = client.request("POST", "/session");
+    ASSERT_EQ(created.status, 201);
+    const std::string token = json_string_field(created.body, "session");
+    const ClientResponse paged =
+        client.request("GET", q + knobs + "&session=" + token);
+    ASSERT_EQ(paged.status, 200) << knobs;
+    const Status paged_ok = obs::validate_search_json(paged.body, true);
+    EXPECT_TRUE(paged_ok.ok()) << knobs << ": " << paged_ok.to_string();
+
+    // The session's first page is the sessionless answer.
+    ASSERT_FALSE(results_of(plain.body).empty()) << plain.body;
+    EXPECT_EQ(results_of(paged.body), results_of(plain.body))
+        << knobs << "\nsession:     " << paged.body
+        << "\nsessionless: " << plain.body;
+    const bool want_facets = std::string(row.knobs) == "&facets=3";
+    for (const std::string* body : {&plain.body, &paged.body}) {
+      EXPECT_EQ(body->find("\"facets\":[{\"term\":") != std::string::npos,
+                want_facets)
+          << knobs << ": " << *body;
+    }
+    EXPECT_EQ(client.request("DELETE", "/session?session=" + token).status,
+              200);
+  }
 }
 
 TEST_F(ServerTest, SearchWithoutQueryIs400) {
@@ -426,6 +484,11 @@ TEST_F(ServerTest, InvalidKnobCombinationsAnswer400WithPreciseMessages) {
       {"&recall=1.5", "recall must be a number in (0, 1]"},
       {"&recall=x", "recall must be a number in (0, 1]"},
       {"&deadline_ms=0", "deadline_ms must be a positive integer"},
+      {"&deadline_ms=99999999999999999999",
+       "deadline_ms must be a positive integer"},
+      {"&deadline_ms=10000000000000", "deadline_ms must be a positive integer"},
+      {"&top=0", "top must be a positive integer"},
+      {"&top=abc", "top must be a positive integer"},
   };
   for (const auto& c : cases) {
     const ClientResponse resp = client.request("GET", q + c.params);
@@ -531,7 +594,7 @@ TEST_F(AnnServerTest, FullProbeSearchBitIdenticalToExactOverHttp) {
   TestClient client(server_->port());
   for (const auto& q : corpus_.queries) {
     const std::string base =
-        "/search?q=" + encode_query(q.text) + "&top=10&labels=1";
+        "/search?q=" + encode_query(q.text) + "&top=10";
     const ClientResponse exact = client.request("GET", base + "&exact=1");
     const ClientResponse pruned =
         client.request("GET", base + "&nprobe=1048576");
