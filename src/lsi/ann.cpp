@@ -53,24 +53,27 @@ index_t nearest_centroid(const double* row, const la::DenseMatrix& centroids) {
   return best;
 }
 
-/// Assigns documents [0, n) (or a tail [from, n)) to their nearest centroid,
+/// Assigns documents [from, n) to their nearest centroid (assign[j - from]),
 /// in parallel over disjoint chunks — deterministic: centroids are read-only
 /// and every chunk writes only its own assign slots.
-void assign_documents(const SemanticSpace& space,
-                      const la::DenseMatrix& centroids, std::size_t from,
-                      std::vector<index_t>& assign) {
+std::vector<index_t> assign_documents(const SemanticSpace& space,
+                                      const la::DenseMatrix& centroids,
+                                      std::size_t from) {
   const std::size_t n = space.num_docs();
   const index_t k = space.k();
+  std::vector<index_t> assign(n - from);
   util::parallel_for_chunks(
       from, n,
       [&](std::size_t lo, std::size_t hi) {
         std::vector<double> buf;
         gather_scaled_rows(space, lo, hi, buf);
         for (std::size_t j = lo; j < hi; ++j) {
-          assign[j] = nearest_centroid(buf.data() + (j - lo) * k, centroids);
+          assign[j - from] =
+              nearest_centroid(buf.data() + (j - lo) * k, centroids);
         }
       },
       /*grain=*/kAssignChunk);
+  return assign;
 }
 
 }  // namespace
@@ -262,7 +265,32 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const SemanticSpace& space,
           const double* row = x.data() + t * k;
           index_t best = 0;
           double bd = -std::numeric_limits<double>::infinity();
-          for (index_t c = 0; c < c_count; ++c) {
+          // Four centroids per pass over the row, each with its own
+          // sequential accumulator: the same dot values as one centroid at
+          // a time, compared in the same ascending order, with a quarter of
+          // the row reloads and four independent add chains.
+          index_t c = 0;
+          for (; c + 4 <= c_count; c += 4) {
+            const double* c0 = centroids.col(c).data();
+            const double* c1 = centroids.col(c + 1).data();
+            const double* c2 = centroids.col(c + 2).data();
+            const double* c3 = centroids.col(c + 3).data();
+            double d[4] = {0.0, 0.0, 0.0, 0.0};
+            for (index_t i = 0; i < k; ++i) {
+              const double r = row[i];
+              d[0] += c0[i] * r;
+              d[1] += c1[i] * r;
+              d[2] += c2[i] * r;
+              d[3] += c3[i] * r;
+            }
+            for (index_t q = 0; q < 4; ++q) {
+              if (d[q] > bd) {
+                bd = d[q];
+                best = c + q;
+              }
+            }
+          }
+          for (; c < c_count; ++c) {
             const double* cc = centroids.col(c).data();
             double dot = 0.0;
             for (index_t i = 0; i < k; ++i) dot += cc[i] * row[i];
@@ -312,9 +340,7 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const SemanticSpace& space,
   }
 
   // Final assignment over ALL documents, then CSR regroup + row packing.
-  std::vector<index_t> assign(n);
-  assign_documents(space, centroids, 0, assign);
-  ann->regroup(space, assign);
+  ann->regroup(space, assign_documents(space, centroids, 0));
 
   obs::count("ann.builds");
   obs::gauge("ann.centroids", static_cast<double>(c_count));
@@ -328,23 +354,69 @@ std::shared_ptr<const AnnIndex> AnnIndex::extend(
   assert(space.k() == k_);
   LSI_OBS_SPAN(span, "ann.extend");
 
-  // Recover the existing assignment from the CSR lists, assign only the
-  // appended rows, regroup the union.
-  std::vector<index_t> assign(n);
-  const index_t c_count = num_centroids();
-  for (index_t c = 0; c < c_count; ++c) {
-    for (index_t pos = offsets_[c]; pos < offsets_[c + 1]; ++pos) {
-      assign[docs_[pos]] = c;
-    }
-  }
-  assign_documents(space, centroids_, num_docs_, assign);
-
   auto ann = std::shared_ptr<AnnIndex>(new AnnIndex());
   ann->opts_ = opts_;
   ann->k_ = k_;
   ann->generation_ = generation_;  // the partition is unchanged
   ann->centroids_ = centroids_;
-  ann->regroup(space, assign);
+
+  // Only the appended rows are assigned; existing documents keep theirs.
+  const std::size_t old_n = num_docs_;
+  const std::vector<index_t> tail = assign_documents(space, centroids_, old_n);
+  const index_t c_count = num_centroids();
+  const Bf16DocStore* store = space.compressed_docs();
+  if (has_bf16() != (store != nullptr)) {
+    // The bf16 mirror appears or disappears: there are no old packed words
+    // to copy (or the old ones must go), so repack everything from V.
+    std::vector<index_t> assign(n);
+    for (index_t c = 0; c < c_count; ++c) {
+      for (index_t pos = offsets_[c]; pos < offsets_[c + 1]; ++pos) {
+        assign[docs_[pos]] = c;
+      }
+    }
+    std::copy(tail.begin(), tail.end(), assign.begin() + old_n);
+    ann->regroup(space, assign);
+    obs::count("ann.extends");
+    return ann;
+  }
+
+  // Each posting list grows only at its end (new local ids exceed every old
+  // one, so lists stay ascending): copy the old segments contiguously into
+  // their shifted offsets, then pack just the appended documents. V's old
+  // rows and the store's old words are untouched by appends, so the result
+  // is bit-identical to a full regroup of the same assignment.
+  const index_t k = k_;
+  ann->offsets_.assign(c_count + 1, 0);
+  for (const index_t c : tail) ++ann->offsets_[c + 1];
+  for (index_t c = 0; c < c_count; ++c) {
+    ann->offsets_[c + 1] += ann->offsets_[c] + (offsets_[c + 1] - offsets_[c]);
+  }
+  ann->docs_.resize(n);
+  ann->rows_.resize(n * k);
+  if (store != nullptr) ann->rows16_.resize(n * k);
+  std::vector<index_t> cursor(c_count);
+  for (index_t c = 0; c < c_count; ++c) {
+    const std::size_t from = offsets_[c];
+    const std::size_t len = offsets_[c + 1] - from;
+    const std::size_t to = ann->offsets_[c];
+    std::copy_n(docs_.data() + from, len, ann->docs_.data() + to);
+    std::copy_n(rows_.data() + from * k, len * k, ann->rows_.data() + to * k);
+    if (store != nullptr) {
+      std::copy_n(rows16_.data() + from * k, len * k,
+                  ann->rows16_.data() + to * k);
+    }
+    cursor[c] = to + len;
+  }
+  for (std::size_t t = 0; t < tail.size(); ++t) {
+    const std::size_t j = old_n + t;
+    const std::size_t pos = cursor[tail[t]]++;
+    ann->docs_[pos] = j;
+    for (index_t i = 0; i < k; ++i) {
+      ann->rows_[pos * k + i] = space.v(j, i);
+      if (store != nullptr) ann->rows16_[pos * k + i] = store->col(i)[j];
+    }
+  }
+  ann->num_docs_ = n;
 
   obs::count("ann.extends");
   return ann;

@@ -1,5 +1,6 @@
 #include "lsi/concurrent.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "lsi/batched_retrieval.hpp"
@@ -196,15 +197,24 @@ void ConcurrentIndexer::writer_drain() {
   }
 }
 
-void ConcurrentIndexer::ingest_batch(std::vector<text::Document>& batch) {
-  std::size_t unpublished = 0;
+void ConcurrentIndexer::ingest_batch(std::span<const text::Document> batch) {
+  bool unpublished = false;
   {
     LSI_OBS_SPAN(span, "concurrent.ingest");
-    for (text::Document& doc : batch) {
-      (void)LSI_FAILPOINT("concurrent.fold", opts_.failpoint_tag);
-      master_.add(doc);  // immediate fold-in (Equation 7)
-      ingested_.fetch_add(1, std::memory_order_relaxed);
-      ++unpublished;
+    while (!batch.empty()) {
+      // Fold each run up to the next consolidation boundary with one call
+      // (Equation 7 over the whole run: one V append, one norm extension).
+      std::size_t run = batch.size();
+      if (opts_.consolidate_every > 0) {
+        run = std::min(run, opts_.consolidate_every - master_.pending());
+      }
+      for (std::size_t d = 0; d < run; ++d) {
+        (void)LSI_FAILPOINT("concurrent.fold", opts_.failpoint_tag);
+      }
+      master_.add(batch.first(run));
+      ingested_.fetch_add(run, std::memory_order_relaxed);
+      batch = batch.subspan(run);
+      unpublished = true;
       if (opts_.consolidate_every > 0 &&
           master_.pending() >= opts_.consolidate_every) {
         consolidate_now();
@@ -213,11 +223,11 @@ void ConcurrentIndexer::ingest_batch(std::vector<text::Document>& batch) {
         // point, so replicas fed the same document sequence build identical
         // structures no matter how their batches happened to be chopped.
         publish();
-        unpublished = 0;
+        unpublished = false;
       }
     }
   }
-  if (unpublished > 0) publish();
+  if (unpublished) publish();
 }
 
 void ConcurrentIndexer::consolidate_now() {
@@ -239,9 +249,14 @@ void ConcurrentIndexer::publish() {
   LSI_OBS_SPAN(span, "concurrent.publish");
   // Copy-on-publish: the writer's master space stays private and mutable,
   // readers get an immutable copy whose norm caches are warm by
-  // construction. The copy inherits the master's caches, which folding
-  // keeps extended incrementally, so the prewarm below is usually free.
-  auto space = std::make_shared<SemanticSpace>(master_.index().space());
+  // construction. The master is warmed first, so the copy inherits full
+  // caches: a full fill happens only on the first publish after the build
+  // or a consolidation, and between those, fold-ins extend the master's
+  // caches in O(p k) (extend_doc_norms). The master's prewarm is a no-op
+  // then, and so is the copy's.
+  const SemanticSpace& master_space = master_.index().space();
+  master_space.prewarm_doc_norms();
+  auto space = std::make_shared<SemanticSpace>(master_space);
   space->prewarm_doc_norms();
   auto labels = std::make_shared<const std::vector<std::string>>(
       master_.index().doc_labels());

@@ -24,7 +24,7 @@
 //   * Writers are serialized on one background thread (a dedicated
 //     util::ThreadPool of size 1). add()/try_add() enqueue documents into a
 //     bounded util::BoundedQueue; the writer drains them in arrival order,
-//     folds each into its private master index (Equation 7), consolidates
+//     folds them into its private master index (Equation 7), consolidates
 //     via SVD-update when the fold-in budget is exhausted (Section 4.3),
 //     and publishes a fresh snapshot with one pointer swap under the
 //     snapshot mutex.
@@ -45,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <condition_variable>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -265,12 +266,14 @@ class ConcurrentIndexer {
   void schedule_writer();
   /// Writer-thread main: drains the queue in batches until no work remains.
   void writer_drain();
-  /// Folds a batch in arrival order, applying the consolidation policy.
-  void ingest_batch(std::vector<text::Document>& batch);
+  /// Folds a batch in arrival order, one fold-in per run between
+  /// consolidation boundaries, applying the consolidation policy.
+  void ingest_batch(std::span<const text::Document> batch);
   /// SVD-update of the pending fold-ins (writer thread only).
   void consolidate_now();
-  /// Copies the master state into a fresh immutable snapshot, prewarms the
-  /// doc-norm caches, and atomically swaps it in (writer thread only).
+  /// Prewarms the master's doc-norm caches, copies the master state into a
+  /// fresh immutable snapshot (which inherits the warm caches), and
+  /// atomically swaps it in (writer thread only).
   void publish();
   /// Blocks until the queue is empty and the writer is idle.
   void wait_idle();

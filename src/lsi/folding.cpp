@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "lsi/retrieval.hpp"
 #include "obs/trace.hpp"
 
 namespace lsi::core {
@@ -13,14 +12,22 @@ void fold_in_documents(SemanticSpace& space, const la::CscMatrix& d) {
   obs::count("foldin.documents_added", d.cols());
   const index_t old_docs = space.num_docs();
   la::DenseMatrix new_rows(d.cols(), space.k());
-  la::Vector dense_col(d.rows());
+  // Equation 7 over each column's nonzeros only: O(nnz k) instead of the
+  // O(m k) of projecting the densified column. Rows are visited in ascending
+  // order, so each coordinate adds the same products in the same order as
+  // project_query's dense dot — the skipped terms are exact zeros, which
+  // never change a sum — and the result is bit-identical to it.
   for (index_t j = 0; j < d.cols(); ++j) {
-    std::fill(dense_col.begin(), dense_col.end(), 0.0);
     auto rows = d.col_rows(j);
     auto vals = d.col_values(j);
-    for (std::size_t p = 0; p < rows.size(); ++p) dense_col[rows[p]] = vals[p];
-    const la::Vector d_hat = project_query(space, dense_col);
-    for (index_t i = 0; i < space.k(); ++i) new_rows(j, i) = d_hat[i];
+    for (index_t i = 0; i < space.k(); ++i) {
+      const auto u_i = space.u.col(i);
+      double acc = 0.0;
+      for (std::size_t p = 0; p < rows.size(); ++p) {
+        acc += u_i[rows[p]] * vals[p];
+      }
+      new_rows(j, i) = space.sigma[i] > 0.0 ? acc / space.sigma[i] : 0.0;
+    }
   }
   space.v.append_rows(new_rows);
   // Folding appends rows and leaves the existing V rows and sigma untouched,

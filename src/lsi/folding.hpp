@@ -5,9 +5,11 @@
 //   d_hat = d^T U_k S_k^{-1}     (Equation 7, new document -> row of V)
 //   t_hat = t   V_k S_k^{-1}     (Equation 8, new term     -> row of U)
 //
-// Folding-in is cheap (2mkp flops for p documents) but appends
-// non-orthogonal rows: the existing structure never moves, and the basis
-// orthogonality degrades (Section 4.3) — orthogonality_loss() measures it.
+// Folding-in is cheap (Table 7: 2mkp flops for p dense documents; the
+// document fold here projects over each column's nonzeros, 2 nnz k) but
+// appends non-orthogonal rows: the existing structure never moves, and the
+// basis orthogonality degrades (Section 4.3) — orthogonality_loss()
+// measures it.
 
 #include "la/sparse.hpp"
 #include "lsi/semantic_space.hpp"
@@ -15,7 +17,10 @@
 namespace lsi::core {
 
 /// Folds the columns of D (m x p, weighted like the training matrix) into
-/// the space as p new documents: V gains p rows; U, S unchanged.
+/// the space as p new documents: V gains p rows; U, S unchanged. Each new
+/// row is bit-identical to project_query() on the densified column (the
+/// sparse projection adds the same nonzero products in the same ascending
+/// row order), and warm doc-norm caches are extended, not refilled.
 void fold_in_documents(SemanticSpace& space, const la::CscMatrix& d);
 
 /// Folds the rows of T (q x n, weighted) into the space as q new terms:

@@ -1,5 +1,7 @@
 #include "lsi/incremental.hpp"
 
+#include <algorithm>
+
 #include "lsi/folding.hpp"
 #include "lsi/update.hpp"
 
@@ -9,24 +11,33 @@ IncrementalIndexer::IncrementalIndexer(LsiIndex index,
                                        const IncrementalOptions& opts)
     : index_(std::move(index)), opts_(opts) {}
 
-bool IncrementalIndexer::add(const text::Document& doc) {
-  const la::Vector weighted = index_.weighted_term_vector(doc.body);
-  pending_docs_.push_back(weighted);
+std::size_t IncrementalIndexer::add(std::span<const text::Document> docs) {
+  std::size_t consolidated = 0;
+  while (!docs.empty()) {
+    std::size_t run = docs.size();
+    if (opts_.consolidate_every > 0) {
+      run = std::min(run, opts_.consolidate_every - pending_docs_.size());
+    }
+    // Immediate availability: fold the run in now, one column per document.
+    la::CooBuilder batch(index_.space().num_terms(), run);
+    for (std::size_t c = 0; c < run; ++c) {
+      la::Vector weighted = index_.weighted_term_vector(docs[c].body);
+      for (index_t i = 0; i < weighted.size(); ++i) {
+        if (weighted[i] != 0.0) batch.add(i, c, weighted[i]);
+      }
+      pending_docs_.push_back(std::move(weighted));
+      index_.mutable_labels().push_back(docs[c].label);
+    }
+    fold_in_documents(index_.mutable_space(), batch.to_csc());
+    docs = docs.subspan(run);
 
-  // Immediate availability: fold the document in now.
-  la::CooBuilder one(index_.space().num_terms(), 1);
-  for (index_t i = 0; i < weighted.size(); ++i) {
-    if (weighted[i] != 0.0) one.add(i, 0, weighted[i]);
+    if (opts_.consolidate_every > 0 &&
+        pending_docs_.size() >= opts_.consolidate_every) {
+      consolidate();
+      ++consolidated;
+    }
   }
-  fold_in_documents(index_.mutable_space(), one.to_csc());
-  index_.mutable_labels().push_back(doc.label);
-
-  if (opts_.consolidate_every > 0 &&
-      pending_docs_.size() >= opts_.consolidate_every) {
-    consolidate();
-    return true;
-  }
-  return false;
+  return consolidated;
 }
 
 void IncrementalIndexer::consolidate() {

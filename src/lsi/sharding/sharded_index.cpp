@@ -19,10 +19,9 @@ namespace {
 
 /// The pool shard fan-out (scatter tasks, parallel shard builds) runs on.
 /// Deliberately NOT util::ThreadPool::global(): the per-shard work itself
-/// calls parallel_for, whose wait_idle blocks until the *global* pool
-/// drains — a global-pool worker waiting for its own pool would deadlock.
-/// Keeping the fan-out on a separate pool makes the nesting a clean
-/// cross-pool wait: scatter workers sleep, global-pool workers progress.
+/// calls parallel_for over the global pool. Keeping the fan-out on a
+/// separate pool leaves every global-pool worker free for those chunks:
+/// scatter workers run their shard's share, global-pool workers help.
 util::ThreadPool& scatter_pool() {
   static util::ThreadPool pool;  // hardware concurrency
   return pool;

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 
 namespace lsi::util {
 
@@ -74,11 +76,36 @@ void parallel_for_chunks(
   }
   const std::size_t chunks = std::min(workers * 4, (n + grain - 1) / grain);
   const std::size_t step = (n + chunks - 1) / chunks;
-  for (std::size_t lo = begin; lo < end; lo += step) {
-    const std::size_t hi = std::min(end, lo + step);
-    pool.submit([&body, lo, hi] { body(lo, hi); });
+  const std::size_t count = (n + step - 1) / step;
+
+  // Per-call completion state: the caller waits for its own chunks only,
+  // never for the whole pool, so concurrent callers do not convoy on each
+  // other. Chunks are claimed from a shared cursor by pool helpers *and* by
+  // the caller, so a call made from inside a pool task (or while every
+  // worker is busy elsewhere) still finishes: whatever the helpers have not
+  // claimed, the caller runs itself. A helper that starts after the last
+  // chunk was claimed touches only this shared state, never `body`.
+  struct Call {
+    std::atomic<std::size_t> next{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t done = 0;
+  };
+  auto call = std::make_shared<Call>();
+  auto run = [call, &body, begin, end, step, count] {
+    for (std::size_t c; (c = call->next.fetch_add(1)) < count;) {
+      const std::size_t lo = begin + c * step;
+      body(lo, std::min(end, lo + step));
+      std::lock_guard<std::mutex> lock(call->mu);
+      if (++call->done == count) call->cv.notify_all();
+    }
+  };
+  for (std::size_t h = 1; h < std::min(count, workers + 1); ++h) {
+    pool.submit(run);
   }
-  pool.wait_idle();
+  run();
+  std::unique_lock<std::mutex> lock(call->mu);
+  call->cv.wait(lock, [&] { return call->done == count; });
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

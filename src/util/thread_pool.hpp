@@ -51,7 +51,10 @@ class ThreadPool {
 
 /// Runs body(i) for i in [begin, end), partitioned into contiguous chunks
 /// across the global pool. Falls back to a serial loop for small ranges or a
-/// single-threaded pool. Blocks until all iterations complete.
+/// single-threaded pool. Blocks until all iterations complete — its own
+/// iterations only: other callers' work in the pool is never waited on, and
+/// the calling thread runs unclaimed chunks itself, so a call from inside a
+/// global-pool task returns too.
 ///
 /// `grain` is the minimum number of iterations worth shipping to a worker;
 /// tune it so each chunk amortizes the dispatch cost.

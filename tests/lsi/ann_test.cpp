@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "la/dense.hpp"
 #include "lsi/ann.hpp"
+#include "lsi/doc_store.hpp"
 #include "lsi/folding.hpp"
 #include "lsi/semantic_space.hpp"
 #include "synth/sparse_random.hpp"
@@ -213,6 +216,102 @@ TEST(AnnIndex, ExtendCoversAppendedRowsAndKeepsGeneration) {
   for (index_t d = 0; d < 40; ++d) {
     EXPECT_EQ(assignment_of(*grown, d), assignment_of(*base, d)) << "doc " << d;
   }
+}
+
+/// Asserts `grown` is exactly what a from-scratch regroup of its assignment
+/// over `space` produces: existing documents keep `base`'s centroid, each
+/// appended document sits at its nearest centroid, posting lists ascend by
+/// local id, and the packed rows (and bf16 words, iff the space carries a
+/// compressed store) are bit copies of V (of the store) in posting order.
+void expect_regroup_of_assignment(const AnnIndex& base, const AnnIndex& grown,
+                                  const SemanticSpace& space) {
+  const index_t n = space.num_docs();
+  const index_t k = space.k();
+  ASSERT_EQ(grown.num_docs(), n);
+  ASSERT_EQ(grown.num_centroids(), base.num_centroids());
+  std::vector<index_t> assign(n, static_cast<index_t>(-1));
+  for (index_t c = 0; c < grown.num_centroids(); ++c) {
+    for (index_t d : grown.cluster_docs(c)) {
+      ASSERT_LT(d, n);
+      ASSERT_EQ(assign[d], static_cast<index_t>(-1)) << "doc " << d;
+      assign[d] = c;
+    }
+  }
+  for (index_t c = 0; c < base.num_centroids(); ++c) {
+    for (index_t d : base.cluster_docs(c)) EXPECT_EQ(assign[d], c) << d;
+  }
+  std::vector<index_t> nearest;
+  for (index_t d = base.num_docs(); d < n; ++d) {
+    grown.select_clusters(space.doc_coords(d), 1, nearest);
+    EXPECT_EQ(assign[d], nearest[0]) << "appended doc " << d;
+  }
+
+  const Bf16DocStore* store = space.compressed_docs();
+  ASSERT_EQ(grown.has_bf16(), store != nullptr);
+  for (index_t c = 0; c < grown.num_centroids(); ++c) {
+    std::vector<index_t> docs;
+    for (index_t d = 0; d < n; ++d) {
+      if (assign[d] == c) docs.push_back(d);
+    }
+    const auto got = grown.cluster_docs(c);
+    ASSERT_EQ(got.size(), docs.size()) << "centroid " << c;
+    EXPECT_TRUE(std::equal(docs.begin(), docs.end(), got.begin()))
+        << "centroid " << c;
+    std::vector<double> rows(docs.size() * k);
+    std::vector<std::uint16_t> rows16(docs.size() * k);
+    for (std::size_t t = 0; t < docs.size(); ++t) {
+      for (index_t i = 0; i < k; ++i) {
+        rows[t * k + i] = space.v(docs[t], i);
+        if (store != nullptr) rows16[t * k + i] = store->col(i)[docs[t]];
+      }
+    }
+    EXPECT_EQ(std::memcmp(rows.data(), grown.cluster_rows(c).data(),
+                          rows.size() * sizeof(double)),
+              0)
+        << "centroid " << c;
+    if (store != nullptr) {
+      EXPECT_EQ(std::memcmp(rows16.data(), grown.cluster_rows_bf16(c).data(),
+                            rows16.size() * sizeof(std::uint16_t)),
+                0)
+          << "centroid " << c;
+    }
+  }
+}
+
+/// Builds an AnnIndex with compression `before`, folds 17 documents in, and
+/// extends it over the space with compression `after`.
+void check_extend_is_regroup(bool before, bool after) {
+  auto a = synth::random_sparse_matrix(70, 60, 0.25, 41);
+  auto space = try_build_semantic_space(a, 7).value();
+  space.set_compress_docs(before);
+  AnnOptions opts = test_options();
+  opts.num_centroids = 5;
+  const auto base = AnnIndex::build(space, opts, 2);
+  ASSERT_NE(base, nullptr);
+  ASSERT_EQ(base->has_bf16(), before);
+
+  fold_in_documents(space, synth::random_sparse_matrix(70, 17, 0.2, 43));
+  space.set_compress_docs(after);
+  const auto grown = base->extend(space);
+  ASSERT_NE(grown, nullptr);
+  EXPECT_EQ(grown->build_generation(), 2u);
+  expect_regroup_of_assignment(*base, *grown, space);
+}
+
+TEST(AnnIndex, ExtendCopyEqualsRegroup) {
+  check_extend_is_regroup(false, false);
+}
+
+TEST(AnnIndex, ExtendCopyEqualsRegroupWithBf16) {
+  check_extend_is_regroup(true, true);
+}
+
+TEST(AnnIndex, ExtendFallsBackToRegroupWhenBf16Appears) {
+  check_extend_is_regroup(false, true);
+}
+
+TEST(AnnIndex, ExtendFallsBackToRegroupWhenBf16Disappears) {
+  check_extend_is_regroup(true, false);
 }
 
 TEST(AnnOptions, ValidateRejectsEmptyTrainingSample) {

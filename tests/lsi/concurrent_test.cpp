@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "lsi/batched_retrieval.hpp"
 #include "lsi/concurrent.hpp"
 #include "obs/trace.hpp"
 #include "synth/corpus.hpp"
+#include "util/failpoint.hpp"
 
 namespace {
 
@@ -33,6 +37,13 @@ core::LsiIndex base_index(const synth::SyntheticCorpus& corpus,
   core::IndexOptions opts;
   opts.k = 12;
   return core::LsiIndex::try_build(head, opts).value();
+}
+
+std::uint64_t counter(const obs::Sink& sink, std::string_view name) {
+  for (const auto& [key, value] : sink.metrics().counters()) {
+    if (key == name) return value;
+  }
+  return 0;
 }
 
 TEST(Concurrent, BaseIndexServableBeforeAnyAdd) {
@@ -157,6 +168,104 @@ TEST(Concurrent, PublishedNormCachesAreWarm) {
   }
   EXPECT_EQ(hits, core::kNumSimilarityModes);
   EXPECT_EQ(misses, 0u);
+}
+
+TEST(Concurrent, FoldInPublishesNeverRefillNormCaches) {
+  auto corpus = small_corpus(9);
+  core::ConcurrentOptions opts;
+  opts.consolidate_every = 0;  // fold-ins only, until consolidate() below
+  core::ConcurrentIndexer indexer(base_index(corpus, 40), opts);
+
+  // The writer's master space is warm from the first publish on, so every
+  // fold-in publish extends its caches by the new rows (one extension per
+  // document per mode) and never recomputes a full norm vector.
+  obs::Sink sink;
+  obs::ScopedSink scoped(&sink);
+  const std::uint64_t publishes_before = indexer.publishes();
+  for (std::size_t d = 40; d < 52; ++d) {
+    ASSERT_TRUE(indexer.add(corpus.docs[d]).ok());
+    if (d % 3 == 2) indexer.flush();
+  }
+  indexer.flush();
+  EXPECT_GE(indexer.publishes() - publishes_before, 4u);
+  EXPECT_EQ(counter(sink, "retrieval.norm_cache.miss"), 0u);
+  EXPECT_EQ(counter(sink, "retrieval.norm_cache.extend"),
+            12 * core::kNumSimilarityModes);
+
+  // A consolidation rotates V: its publish refills each mode exactly once
+  // (on the master; the published copy inherits the warm caches).
+  ASSERT_TRUE(indexer.consolidate().ok());
+  EXPECT_EQ(indexer.consolidations(), 1u);
+  EXPECT_EQ(counter(sink, "retrieval.norm_cache.miss"),
+            core::kNumSimilarityModes);
+}
+
+TEST(Concurrent, BatchChoppingDoesNotChangeTheIndex) {
+  // Replicas see the same document sequence in differently-sized writer
+  // batches; folding a batch in runs between consolidation boundaries must
+  // leave exactly the state one-document batches leave, bit for bit.
+  auto corpus = small_corpus(10);
+  auto& fp = util::Failpoints::instance();
+  fp.disarm_all();
+  core::ConcurrentOptions opts;
+  opts.queue_capacity = 64;
+  opts.consolidate_every = 12;
+  opts.ann.exact_cutoff = 0;  // carry an AnnIndex on this small corpus
+  opts.ann.num_centroids = 4;
+
+  opts.max_batch = 1;
+  core::ConcurrentIndexer single(base_index(corpus, 30), opts);
+  for (std::size_t d = 30; d < 60; ++d) {
+    ASSERT_TRUE(single.add(corpus.docs[d]).ok());
+  }
+  single.flush();
+
+  // Park the batched writer on its first document so the rest queue up:
+  // it then pops 16 at a time, and the batch 31..46 crosses the
+  // consolidation boundary at 42 documents.
+  opts.max_batch = 16;
+  opts.failpoint_tag = "chop";
+  core::ConcurrentIndexer batched(base_index(corpus, 30), opts);
+  fp.arm("concurrent.fold", util::Failpoints::Action::kBlock, "chop");
+  ASSERT_TRUE(batched.add(corpus.docs[30]).ok());
+  ASSERT_TRUE(fp.wait_for_blocked("concurrent.fold", 1,
+                                  std::chrono::seconds(10)));
+  for (std::size_t d = 31; d < 60; ++d) {
+    ASSERT_TRUE(batched.add(corpus.docs[d]).ok());
+  }
+  // Release the writer; a kFail arming keeps counting hits and the fold
+  // site ignores its result, so the count proves one hit per document.
+  fp.arm("concurrent.fold", util::Failpoints::Action::kFail, "chop");
+  batched.flush();
+  EXPECT_EQ(fp.hits("concurrent.fold"), 30u);
+  fp.disarm_all();
+
+  EXPECT_EQ(batched.consolidations(), single.consolidations());
+  EXPECT_LT(batched.publishes(), single.publishes());
+  const auto a = single.snapshot();
+  const auto b = batched.snapshot();
+  const la::DenseMatrix& va = a->space().v;
+  const la::DenseMatrix& vb = b->space().v;
+  ASSERT_EQ(va.rows(), 60u);
+  ASSERT_EQ(vb.rows(), va.rows());
+  ASSERT_EQ(vb.cols(), va.cols());
+  EXPECT_EQ(std::memcmp(va.data(), vb.data(),
+                        va.rows() * va.cols() * sizeof(double)),
+            0);
+  EXPECT_EQ(a->doc_labels(), b->doc_labels());
+
+  ASSERT_NE(a->ann(), nullptr);
+  ASSERT_NE(b->ann(), nullptr);
+  ASSERT_EQ(a->ann()->num_centroids(), b->ann()->num_centroids());
+  for (core::index_t c = 0; c < a->ann()->num_centroids(); ++c) {
+    const auto da = a->ann()->cluster_docs(c);
+    const auto db = b->ann()->cluster_docs(c);
+    ASSERT_EQ(da.size(), db.size()) << "centroid " << c;
+    EXPECT_EQ(std::memcmp(da.data(), db.data(), da.size_bytes()), 0);
+    const auto ra = a->ann()->cluster_rows(c);
+    const auto rb = b->ann()->cluster_rows(c);
+    EXPECT_EQ(std::memcmp(ra.data(), rb.data(), ra.size_bytes()), 0);
+  }
 }
 
 TEST(Concurrent, ShutdownDrainsAcceptedDocuments) {

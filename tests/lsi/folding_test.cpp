@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "data/med_topics.hpp"
 #include "lsi/folding.hpp"
@@ -46,6 +47,33 @@ TEST(FoldDocuments, MatchesEquation7) {
   const auto expect = core::project_query(space, d.col(0));
   for (core::index_t i = 0; i < 3; ++i) {
     EXPECT_NEAR(space.v(9, i), expect[i], 1e-12);
+  }
+}
+
+TEST(FoldDocuments, BatchRowsAreBitIdenticalToDenseProjection) {
+  // The sparse fold adds only the nonzero products, in ascending row order;
+  // the skipped terms are exact zeros, so every coordinate must equal
+  // project_query on the densified column to the last bit.
+  auto a = synth::random_sparse_matrix(60, 40, 0.2, 8);
+  auto space = core::try_build_semantic_space(a, 8).value();
+  const SemanticSpace before = space;
+  la::CooBuilder batch(60, 6);
+  for (core::index_t c = 0; c < 6; ++c) {
+    for (core::index_t i = c; i < 60; i += 5 + c) {
+      batch.add(i, c, std::sin(1.0 + 3.0 * i + c));  // mixed signs
+    }
+  }
+  const la::CscMatrix d = batch.to_csc();
+  fold_in_documents(space, d);
+  ASSERT_EQ(space.num_docs(), 46u);
+  const la::DenseMatrix dense = d.to_dense();
+  for (core::index_t c = 0; c < 6; ++c) {
+    const la::Vector expect = core::project_query(before, dense.col(c));
+    for (core::index_t i = 0; i < space.k(); ++i) {
+      const double got = space.v(40 + c, i);
+      EXPECT_EQ(std::memcmp(&got, &expect[i], sizeof(double)), 0)
+          << "doc " << c << " factor " << i;
+    }
   }
 }
 

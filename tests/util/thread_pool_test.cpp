@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -14,6 +18,8 @@ namespace {
 
 using lsi::util::parallel_for;
 using lsi::util::parallel_for_chunks;
+using lsi::util::ThreadPool;
+using namespace std::chrono_literals;
 
 TEST(ParallelForChunks, EmptyRangeNeverCallsBody) {
   bool called = false;
@@ -81,6 +87,64 @@ TEST(ParallelFor, SingleElementRange) {
     ++count;
   });
   EXPECT_EQ(count, 1);
+}
+
+TEST(ParallelForChunks, WaitsOnlyForItsOwnChunks) {
+  if (ThreadPool::global().thread_count() <= 1) {
+    GTEST_SKIP() << "a single-worker pool runs every call inline";
+  }
+  // The first caller's chunks all park on a latch, occupying every pool
+  // worker; the second caller must still finish, because it waits for its
+  // own chunks only and runs unclaimed ones itself.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  std::atomic<std::size_t> parked{0};
+  auto blocked = std::async(std::launch::async, [&] {
+    parallel_for_chunks(
+        0, 1 << 16,
+        [&](std::size_t, std::size_t) {
+          ++parked;
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait(lock, [&] { return released; });
+        },
+        /*grain=*/1);
+  });
+  while (parked.load() == 0) std::this_thread::sleep_for(1ms);
+
+  std::atomic<std::size_t> visited{0};
+  auto second = std::async(std::launch::async, [&] {
+    parallel_for_chunks(
+        0, 4096,
+        [&](std::size_t lo, std::size_t hi) { visited += hi - lo; },
+        /*grain=*/64);
+  });
+  const bool finished = second.wait_for(10s) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  blocked.get();
+  ASSERT_TRUE(finished) << "second caller waited on the first one's chunks";
+  second.get();
+  EXPECT_EQ(visited.load(), 4096u);
+}
+
+TEST(ParallelForChunks, CallFromInsideAGlobalPoolTaskReturns) {
+  std::promise<std::size_t> result;
+  auto future = result.get_future();
+  ThreadPool::global().submit([&] {
+    std::atomic<std::size_t> visited{0};
+    parallel_for_chunks(
+        0, 4096,
+        [&](std::size_t lo, std::size_t hi) { visited += hi - lo; },
+        /*grain=*/64);
+    result.set_value(visited.load());
+  });
+  ASSERT_EQ(future.wait_for(10s), std::future_status::ready)
+      << "a nested call waited for its own enclosing task";
+  EXPECT_EQ(future.get(), 4096u);
 }
 
 }  // namespace
