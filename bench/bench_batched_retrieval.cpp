@@ -89,7 +89,7 @@ int main() {
   // Reference rankings (also warms the doc-norm cache for both paths).
   std::vector<std::vector<core::ScoredDoc>> reference(total_queries);
   for (std::size_t q = 0; q < total_queries; ++q) {
-    reference[q] = core::retrieve(space, queries[q], opts.query_options());
+    reference[q] = core::retrieve(space, queries[q], opts);
   }
 
   const core::BatchedRetriever retriever(space);
@@ -110,7 +110,7 @@ int main() {
     for (int rep = 0; rep < kReps; ++rep) {
       timer.reset();
       for (std::size_t q = 0; q < total_queries; ++q) {
-        const auto ranked = core::retrieve(space, queries[q], opts.query_options());
+        const auto ranked = core::retrieve(space, queries[q], opts);
         if (!same_ranking(ranked, reference[q])) {
           std::cerr << "single-query run diverged from itself?!\n";
           return 1;

@@ -78,7 +78,7 @@ int main() {
   const double tau = 0.60;
   auto recall_at_tau = [&](const core::LsiIndex& index) {
     std::vector<double> scores;
-    core::QueryOptions qopts;
+    core::SearchOptions qopts;
     qopts.min_cosine = tau;
     for (const auto& q : corpus.queries) {
       std::size_t hits = 0, relevant_present = 0;

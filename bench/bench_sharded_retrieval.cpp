@@ -146,7 +146,7 @@ int main() {
   std::vector<std::set<core::index_t>> mono_sets;
   for (const auto& t : texts) {
     std::set<core::index_t> s;
-    for (const auto& hit : mono.query(t, qopts.query_options(), nullptr)) {
+    for (const auto& hit : mono.query(t, qopts, nullptr)) {
       s.insert(hit.doc);
     }
     mono_sets.push_back(std::move(s));

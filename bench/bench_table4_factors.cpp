@@ -15,7 +15,7 @@ int main() {
 
   for (int k : {2, 4, 8}) {
     auto space = bench::paper_space(k);
-    core::QueryOptions opts;
+    core::SearchOptions opts;
     opts.min_cosine = 0.40;
     auto ranked = core::retrieve(space, bench::paper_query(), opts);
     const auto& paper = data::table4_ranking(k);

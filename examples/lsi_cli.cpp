@@ -240,7 +240,7 @@ int cmd_build(const std::vector<std::string>& args) {
     sopts.z = 10;
     QueryStats stats;
     std::cout << "# probe: " << probe << '\n';
-    for (const auto& hit : index.query(probe, sopts.query_options(), &stats)) {
+    for (const auto& hit : index.query(probe, sopts, &stats)) {
       std::cout << hit.label << '\t' << hit.cosine << '\n';
     }
     record_retrieval_flops(index.space(), 1, stats);

@@ -21,13 +21,13 @@ namespace {
 // bounded top-z selection.
 constexpr auto by_rank = ranks_before<ScoredDoc, ScoredDoc>;
 
-/// Threshold-then-select for one query's score column. The min_cosine
-/// filter runs first, so the bounded heap only ever holds documents that
-/// passed it (threshold before heap selection, per QueryOptions).
+/// Threshold-then-select for one query's score column: `opts.min_cosine`
+/// filters first, so the bounded top-`opts.z` heap only ever holds
+/// documents that passed it.
 std::vector<ScoredDoc> select_ranked(std::span<const double> scores,
-                                     const QueryOptions& opts) {
+                                     const SearchOptions& opts) {
   const std::size_t n = scores.size();
-  const std::size_t z = opts.top_z;
+  const std::size_t z = opts.z;
   std::vector<ScoredDoc> keep;
   if (z > 0 && z < n) {
     // Bounded heap of the z best so far; with comparator ranks_before the
@@ -302,8 +302,7 @@ std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank(
     // made visible to operators rather than silently absorbed.
     obs::count("ann.exact_fallback_queries", batch.size());
   }
-  const QueryOptions qopts = opts.query_options();
-  const la::DenseMatrix c = scores(batch, qopts.mode, stats);
+  const la::DenseMatrix c = scores(batch, opts.mode, stats);
   util::WallTimer select_timer;
   std::vector<std::vector<ScoredDoc>> out(batch.size());
   {
@@ -311,7 +310,7 @@ std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank(
     util::parallel_for(
         0, batch.size(),
         [&](std::size_t b) {
-          out[b] = select_ranked(c.col(b), qopts);
+          out[b] = select_ranked(c.col(b), opts);
           if (moments) (*moments)[b] = moments_of(c.col(b));
         },
         /*grain=*/1);

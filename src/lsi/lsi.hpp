@@ -62,7 +62,6 @@ using core::BatchedRetriever;
 using core::IndexOptions;
 using core::LsiIndex;
 using core::QueryBatch;
-using core::QueryOptions;
 using core::QueryResult;
 using core::QueryStats;
 using core::ScoredDoc;

@@ -19,10 +19,6 @@ Status IndexOptions::Validate() const {
     return Status::InvalidArgument(
         "IndexOptions: parser.min_document_frequency must be at least 1");
   }
-  if (query.min_cosine > 1.0) {
-    return Status::InvalidArgument(
-        "IndexOptions: query.min_cosine above 1 matches nothing");
-  }
   return Status::Ok();
 }
 
@@ -70,9 +66,9 @@ la::Vector LsiIndex::project(std::string_view text) const {
 }
 
 std::vector<QueryResult> LsiIndex::query_projected(
-    const la::Vector& q_hat, const QueryOptions& opts,
+    const la::Vector& q_hat, const SearchOptions& opts,
     QueryStats* stats) const {
-  // Sink precedence: per-call QueryOptions::sink wins (applied inside
+  // Sink precedence: per-call SearchOptions::sink wins (applied inside
   // rank), then the index-level sink installed here, then the ambient one.
   obs::ScopedSink scoped(opts_.sink ? opts_.sink : obs::Sink::active());
   std::vector<QueryResult> out;
@@ -82,32 +78,18 @@ std::vector<QueryResult> LsiIndex::query_projected(
   return out;
 }
 
-std::vector<QueryResult> LsiIndex::query_projected(
-    const la::Vector& q_hat) const {
-  return query_projected(q_hat, opts_.query);
-}
-
 std::vector<QueryResult> LsiIndex::query(std::string_view text,
-                                         const QueryOptions& opts,
+                                         const SearchOptions& opts,
                                          QueryStats* stats) const {
   return query_projected(project(text), opts, stats);
 }
 
-std::vector<QueryResult> LsiIndex::query(std::string_view text) const {
-  return query(text, opts_.query);
-}
-
 std::vector<QueryResult> LsiIndex::query_vector(const la::Vector& raw_tf,
-                                                const QueryOptions& opts,
+                                                const SearchOptions& opts,
                                                 QueryStats* stats) const {
   const la::Vector weighted = weighting::apply_to_vector(
       raw_tf, global_weights_, opts_.scheme.local);
   return query_projected(project_query(space_, weighted), opts, stats);
-}
-
-std::vector<QueryResult> LsiIndex::query_vector(
-    const la::Vector& raw_tf) const {
-  return query_vector(raw_tf, opts_.query);
 }
 
 void LsiIndex::add_documents(const text::Collection& docs, AddMethod method) {

@@ -27,17 +27,16 @@ namespace lsi::core {
 ///   * number of factors: `IndexOptions::k` overrides `BuildOptions::k`
 ///     (which in turn overrides `LanczosOptions::k` inside the builder) —
 ///     `effective_build()` is the resolved value the index actually uses;
-///   * query behavior: `IndexOptions::query` is the default for query calls
-///     that pass no QueryOptions; an explicit per-call QueryOptions replaces
-///     it wholesale (no field-wise merging);
-///   * observability: a per-call `QueryOptions::sink` overrides
+///   * observability: a per-call `SearchOptions::sink` overrides
 ///     `IndexOptions::sink`, which overrides the ambient active sink.
+///
+/// Query behavior is not configured here: every query call takes its own
+/// SearchOptions (default-constructed when omitted).
 struct IndexOptions {
   text::ParserOptions parser;
   weighting::Scheme scheme = weighting::kLogEntropy;
   index_t k = 100;             ///< factors retained (wins over build.k)
   BuildOptions build;          ///< k field overridden by `k`, see above
-  QueryOptions query;          ///< defaults for query calls without options
   /// Store document vectors additionally as bf16 and score the Equation-6
   /// sweep against them (fp32 accumulation, ~half the memory traffic of the
   /// fp64 sweep; docs/KERNELS.md). Rankings are near-identical, not
@@ -92,17 +91,15 @@ class LsiIndex {
 
   /// Ranks documents against free-text. Unknown words are ignored (they are
   /// not indexed terms, exactly like "of children with" in the paper's
-  /// example query). The no-options overload uses IndexOptions::query;
-  /// `stats`, when non-null, accumulates the per-stage breakdown.
-  std::vector<QueryResult> query(std::string_view text) const;
+  /// example query). `opts` supplies z, min_cosine, mode and sink; `stats`,
+  /// when non-null, accumulates the per-stage breakdown.
   std::vector<QueryResult> query(std::string_view text,
-                                 const QueryOptions& opts,
+                                 const SearchOptions& opts = {},
                                  QueryStats* stats = nullptr) const;
 
   /// Ranks documents against an explicit raw term-frequency vector.
-  std::vector<QueryResult> query_vector(const la::Vector& raw_tf) const;
   std::vector<QueryResult> query_vector(const la::Vector& raw_tf,
-                                        const QueryOptions& opts,
+                                        const SearchOptions& opts = {},
                                         QueryStats* stats = nullptr) const;
 
   /// Projects free-text into k-space (for relevance feedback, filtering
@@ -110,9 +107,8 @@ class LsiIndex {
   la::Vector project(std::string_view text) const;
 
   /// Ranks documents against an already-projected k-vector.
-  std::vector<QueryResult> query_projected(const la::Vector& q_hat) const;
   std::vector<QueryResult> query_projected(const la::Vector& q_hat,
-                                           const QueryOptions& opts,
+                                           const SearchOptions& opts = {},
                                            QueryStats* stats = nullptr) const;
 
   /// Adds new documents by folding-in or SVD-updating. Terms not in the

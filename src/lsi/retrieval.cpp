@@ -38,28 +38,26 @@ la::Vector project_term(const SemanticSpace& space,
 
 std::vector<ScoredDoc> rank_documents(const SemanticSpace& space,
                                       std::span<const double> query_khat,
-                                      const QueryOptions& opts,
+                                      const SearchOptions& opts,
                                       QueryStats* stats) {
   assert(query_khat.size() == space.k());
   // Batch-size-1 wrapper over the batched engine — the one scoring path.
   const QueryBatch one = QueryBatch::from_projected(
       space, {la::Vector(query_khat.begin(), query_khat.end())});
-  auto ranked =
-      BatchedRetriever(space).rank(one, SearchOptions::FromQuery(opts), stats);
+  auto ranked = BatchedRetriever(space).rank(one, opts, stats);
   return std::move(ranked.front());
 }
 
 std::vector<ScoredDoc> retrieve(const SemanticSpace& space,
                                 std::span<const double> term_vector,
-                                const QueryOptions& opts,
+                                const SearchOptions& opts,
                                 QueryStats* stats) {
   // Batch-size-1 wrapper over the batched engine, projection included, so
   // streamed single queries and batched queries share every kernel.
   obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
   const QueryBatch one = QueryBatch::from_term_vectors(
       space, {la::Vector(term_vector.begin(), term_vector.end())}, stats);
-  auto ranked =
-      BatchedRetriever(space).rank(one, SearchOptions::FromQuery(opts), stats);
+  auto ranked = BatchedRetriever(space).rank(one, opts, stats);
   return std::move(ranked.front());
 }
 
@@ -77,37 +75,34 @@ double term_similarity(const SemanticSpace& space, index_t a, index_t b) {
 
 std::vector<ScoredDoc> rank_documents_multipoint(
     const SemanticSpace& space, const std::vector<la::Vector>& points,
-    const QueryOptions& opts, MultiPointCombiner combiner) {
+    const SearchOptions& opts, MultiPointCombiner combiner) {
   std::vector<ScoredDoc> out;
   if (points.empty()) return out;
 
-  // Score per point, then combine.
-  std::vector<std::vector<double>> per_point;
-  per_point.reserve(points.size());
-  for (const auto& p : points) {
-    QueryOptions all = opts;
-    all.min_cosine = -1.0;  // filter only after combining
-    all.top_z = 0;
-    std::vector<double> scores(space.num_docs(), 0.0);
-    for (const ScoredDoc& sd : rank_documents(space, p, all)) {
-      scores[sd.doc] = sd.cosine;
-    }
-    per_point.push_back(std::move(scores));
-  }
+  // One sweep scores every point. scores(d, p) accumulates over the factors
+  // in the same order whatever else shares the batch, so each column is
+  // bit-identical to ranking that point alone.
+  obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
+  const la::DenseMatrix scores = BatchedRetriever(space).scores(
+      QueryBatch::from_projected(space, points), opts.mode);
   for (index_t d = 0; d < space.num_docs(); ++d) {
     double combined =
         combiner == MultiPointCombiner::kMax ? -2.0 : 0.0;
-    for (const auto& scores : per_point) {
+    for (index_t p = 0; p < points.size(); ++p) {
+      // A cosine rounded below -1 fails the -1 threshold of a per-point
+      // ranking, which would not list the document: count it as 0, so the
+      // combined score equals combining the per-point rankings.
+      const double s = scores(d, p) >= -1.0 ? scores(d, p) : 0.0;
       if (combiner == MultiPointCombiner::kMax) {
-        combined = std::max(combined, scores[d]);
+        combined = std::max(combined, s);
       } else {
-        combined += scores[d] / static_cast<double>(points.size());
+        combined += s / static_cast<double>(points.size());
       }
     }
     if (combined >= opts.min_cosine) out.push_back({d, combined});
   }
   std::stable_sort(out.begin(), out.end(), ranks_before<ScoredDoc>);
-  if (opts.top_z > 0 && out.size() > opts.top_z) out.resize(opts.top_z);
+  if (opts.z > 0 && out.size() > opts.z) out.resize(opts.z);
   return out;
 }
 

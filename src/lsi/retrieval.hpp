@@ -23,27 +23,13 @@
 #include <span>
 #include <vector>
 
+#include "lsi/search_options.hpp"
 #include "lsi/semantic_space.hpp"
-#include "obs/trace.hpp"
 
 namespace lsi::core {
 
 // SimilarityMode itself lives in semantic_space.hpp (the per-document norm
 // cache is keyed by it); it is re-exported here for all retrieval callers.
-
-struct QueryOptions {
-  SimilarityMode mode = SimilarityMode::kColumnSpace;
-  /// Cosine threshold; -1 returns everything. The threshold is applied
-  /// BEFORE top-z selection: documents below it never enter the candidate
-  /// heap, so `top_z` returns the z best documents *passing the threshold*
-  /// (possibly fewer than z).
-  double min_cosine = -1.0;
-  std::size_t top_z = 0;     ///< keep only the z best (0 = unlimited)
-  /// When non-null, installed as the active observability sink for the
-  /// duration of the retrieval call (the previous sink is restored on
-  /// return); null leaves whatever sink is already active in place.
-  obs::Sink* sink = nullptr;
-};
 
 /// Per-call timing and work counters reported by the retrieval engine.
 /// Fields ACCUMULATE: pass the same struct to QueryBatch::from_term_vectors
@@ -87,20 +73,22 @@ la::Vector project_term(const SemanticSpace& space,
                         std::span<const double> doc_vector);
 
 /// Cosine between the projected query (Equation 6 coordinates) and every
-/// document, ranked descending, filtered per `opts`. Ties broken by document
-/// index for determinism. Thin wrapper over the batched engine
-/// (batched_retrieval.hpp) at batch size 1 — there is exactly one scoring
-/// code path, so single-query and batched rankings are identical by
+/// document, ranked descending, cut by `opts.min_cosine` (applied before
+/// the top-`opts.z` selection) under `opts.mode`. Ties broken by document
+/// index for determinism. A bare SemanticSpace carries no ANN structure, so
+/// the pruning knobs have nothing to steer. Thin wrapper over the batched
+/// engine (batched_retrieval.hpp) at batch size 1 — there is exactly one
+/// scoring code path, so single-query and batched rankings are identical by
 /// construction.
 std::vector<ScoredDoc> rank_documents(const SemanticSpace& space,
                                       std::span<const double> query_khat,
-                                      const QueryOptions& opts = {},
+                                      const SearchOptions& opts = {},
                                       QueryStats* stats = nullptr);
 
 /// One-call retrieval: project `term_vector` and rank.
 std::vector<ScoredDoc> retrieve(const SemanticSpace& space,
                                 std::span<const double> term_vector,
-                                const QueryOptions& opts = {},
+                                const SearchOptions& opts = {},
                                 QueryStats* stats = nullptr);
 
 /// Cosine between two documents in the space (doc-doc similarity, in the
@@ -128,11 +116,12 @@ enum class MultiPointCombiner {
 /// al.'s relevance density method): the query is a *set* of k-vectors
 /// (each an Equation-6 projection) rather than a single centroid — useful
 /// when an information need spans distinct subtopics that would cancel if
-/// averaged. Each document's cosine to every point is combined per
-/// `combiner`; thresholding/top-z as usual.
+/// averaged. Every point is scored in one batched sweep; each document's
+/// cosines are then combined per `combiner`, and `opts.min_cosine` /
+/// `opts.z` cut the combined ranking.
 std::vector<ScoredDoc> rank_documents_multipoint(
     const SemanticSpace& space, const std::vector<la::Vector>& points,
-    const QueryOptions& opts = {},
+    const SearchOptions& opts = {},
     MultiPointCombiner combiner = MultiPointCombiner::kMax);
 
 }  // namespace lsi::core

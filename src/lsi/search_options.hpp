@@ -1,17 +1,8 @@
 #pragma once
-// lsi::SearchOptions — the single request struct for the serving stack.
-//
-// Before this header, every layer of the read path took its own loose knob
-// set: BatchedRetriever::rank took a QueryOptions, ShardedSnapshot::rank_batch
-// took another, and the HTTP daemon re-derived `top`/mode from query params at
-// the door. The ANN pruning knobs (nprobe, recall target, exact-force) made
-// that untenable — a per-request recall/latency trade-off has to travel from
-// the HTTP query string through HttpServer -> ShardedIndex -> BatchedRetriever
-// unchanged. SearchOptions is that one struct, validated once (Validate(),
-// mirroring IndexOptions) and threaded end-to-end. The QueryOptions-taking
-// member signatures are gone; QueryOptions itself survives only as the
-// exact-path knob subset the SemanticSpace scorers speak (query_options()
-// below bridges down to them internally).
+// lsi::SearchOptions — the one request struct of every read path: the HTTP
+// daemon, ShardedSnapshot, BatchedRetriever, LsiIndex and the free
+// rank_documents/retrieve functions all take it. Validated once at the
+// outermost layer (Validate(), mirroring IndexOptions).
 //
 // Candidate-generation policy (docs/ANN.md):
 //
@@ -30,12 +21,14 @@
 // probes every centroid, which is bit-identical to the exact scan).
 
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <string>
 
 #include "lsi/gather/fusion.hpp"
-#include "lsi/retrieval.hpp"
+#include "lsi/semantic_space.hpp"
 #include "lsi/status.hpp"
+#include "obs/trace.hpp"
 
 namespace lsi::core {
 
@@ -111,31 +104,39 @@ struct SearchOptions {
 
   /// First violation found, or OK. Validated once at the outermost layer
   /// (the HTTP daemon answers 400 with this message); inner layers assert.
+  /// Every floating-point knob must be finite: a NaN makes every ordered
+  /// comparison false, so the range checks alone would let it through to
+  /// the integer conversion in AnnIndex::resolve_nprobe, and an infinite
+  /// rrf_k zeroes every RRF score.
   Status Validate() const {
     if (search == SearchMode::kExact && nprobe > 0) {
       return Status::InvalidArgument(
           "nprobe is meaningless with search == kExact (exact scan probes "
           "nothing); drop nprobe or use kPruned");
     }
-    if (recall_target <= 0.0 || recall_target > 1.0) {
+    if (!std::isfinite(recall_target) || recall_target <= 0.0 ||
+        recall_target > 1.0) {
       return Status::InvalidArgument(
           "recall_target must be in (0, 1], got " +
           std::to_string(recall_target));
     }
-    if (min_cosine > 1.0) {
+    if (!std::isfinite(min_cosine) || min_cosine > 1.0) {
       return Status::InvalidArgument(
-          "min_cosine above 1 filters every document, got " +
+          "min_cosine must be a finite value of at most 1 (above 1 filters "
+          "every document), got " +
           std::to_string(min_cosine));
     }
-    if (rrf_k <= 0.0) {
+    if (!std::isfinite(rrf_k) || rrf_k <= 0.0) {
       return Status::InvalidArgument(
-          "rrf_k must be positive (rank-1 score is 1/(rrf_k + 1)), got " +
+          "rrf_k must be positive and finite (rank-1 score is "
+          "1/(rrf_k + 1)), got " +
           std::to_string(rrf_k));
     }
-    if (collapse_cosine > 1.0) {
+    if (!std::isfinite(collapse_cosine) || collapse_cosine > 1.0) {
       return Status::InvalidArgument(
-          "collapse_cosine above 1 collapses nothing by construction; use a "
-          "value in (0, 1] or leave it negative to disable");
+          "collapse_cosine must be finite and at most 1 (above 1 collapses "
+          "nothing by construction); use a value in (0, 1] or leave it "
+          "negative to disable");
     }
     return Status::Ok();
   }
@@ -146,31 +147,6 @@ struct SearchOptions {
     f.policy = merge;
     f.rrf_k = rrf_k;
     return f;
-  }
-
-  /// The exact-path subset as a legacy QueryOptions (for the low-level
-  /// rank_documents/retrieve free functions, which stay on QueryOptions by
-  /// design — they score a bare SemanticSpace, which never carries an ANN
-  /// structure).
-  QueryOptions query_options() const {
-    QueryOptions q;
-    q.mode = mode;
-    q.min_cosine = min_cosine;
-    q.top_z = z;
-    q.sink = sink;
-    return q;
-  }
-
-  /// Lifts a legacy QueryOptions. kAuto, not kExact: a QueryOptions caller
-  /// never expressed a pruning preference, and on snapshots without an ANN
-  /// structure kAuto == exact.
-  static SearchOptions FromQuery(const QueryOptions& q) {
-    SearchOptions s;
-    s.z = q.top_z;
-    s.mode = q.mode;
-    s.min_cosine = q.min_cosine;
-    s.sink = q.sink;
-    return s;
   }
 };
 

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace lsi::obs {
@@ -18,29 +19,6 @@ std::string json_number(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.12g", v);
   return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -57,25 +35,25 @@ StatsDoc StatsDoc::from_sink(std::string name, const Sink& sink) {
 void write_json(std::ostream& os, const StatsDoc& doc) {
   os << "{\n";
   os << "  \"schema\": \"lsi.stats.v1\",\n";
-  os << "  \"name\": \"" << json_escape(doc.name) << "\",\n";
+  os << "  \"name\": \"" << util::json_escape(doc.name) << "\",\n";
 
   os << "  \"params\": {";
   for (std::size_t i = 0; i < doc.params.size(); ++i) {
-    os << (i ? ", " : "") << '"' << json_escape(doc.params[i].first)
+    os << (i ? ", " : "") << '"' << util::json_escape(doc.params[i].first)
        << "\": " << json_number(doc.params[i].second);
   }
   os << "},\n";
 
   os << "  \"counters\": {";
   for (std::size_t i = 0; i < doc.counters.size(); ++i) {
-    os << (i ? ", " : "") << '"' << json_escape(doc.counters[i].first)
+    os << (i ? ", " : "") << '"' << util::json_escape(doc.counters[i].first)
        << "\": " << doc.counters[i].second;
   }
   os << "},\n";
 
   os << "  \"gauges\": {";
   for (std::size_t i = 0; i < doc.gauges.size(); ++i) {
-    os << (i ? ", " : "") << '"' << json_escape(doc.gauges[i].first)
+    os << (i ? ", " : "") << '"' << util::json_escape(doc.gauges[i].first)
        << "\": " << json_number(doc.gauges[i].second);
   }
   os << "},\n";
@@ -84,7 +62,7 @@ void write_json(std::ostream& os, const StatsDoc& doc) {
   for (std::size_t i = 0; i < doc.spans.size(); ++i) {
     const SpanSnapshot& s = doc.spans[i];
     os << (i ? ",\n    " : "\n    ") << "{\"name\": \""
-       << json_escape(s.name) << "\", \"count\": " << s.count
+       << util::json_escape(s.name) << "\", \"count\": " << s.count
        << ", \"total_s\": " << json_number(s.total_seconds)
        << ", \"self_s\": " << json_number(s.self_seconds)
        << ", \"mean_s\": " << json_number(s.latency.mean())
@@ -104,7 +82,7 @@ void write_json(std::ostream& os, const StatsDoc& doc) {
             ? static_cast<double>(f.measured) / static_cast<double>(f.predicted)
             : 0.0;
     os << (i ? ",\n    " : "\n    ") << "{\"name\": \""
-       << json_escape(f.name) << "\", \"predicted\": " << f.predicted
+       << util::json_escape(f.name) << "\", \"predicted\": " << f.predicted
        << ", \"measured\": " << f.measured
        << ", \"measured_over_predicted\": " << json_number(ratio) << "}";
   }

@@ -36,10 +36,6 @@ std::string_view status_reason(int status) noexcept;
 /// Malformed escapes are passed through verbatim rather than rejected.
 std::string url_decode(std::string_view s);
 
-/// Minimal JSON string escaping (quotes, backslash, control characters) for
-/// the daemon's hand-rolled response bodies.
-std::string json_escape(std::string_view s);
-
 /// One parsed request. Header names are lower-cased at parse time; query
 /// parameter keys and values are percent-decoded.
 struct HttpRequest {

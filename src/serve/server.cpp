@@ -9,12 +9,14 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "util/strings.hpp"
 
 namespace lsi::serve {
 
@@ -32,6 +34,19 @@ std::optional<std::size_t> parse_size(std::string_view s) {
   const char* end = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(s.data(), end, value);
   if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// Finite decimal number parameter; nullopt when absent, not entirely a
+/// number, NaN, or infinite (an overflowing literal such as 1e400 included).
+std::optional<double> parse_finite(std::string_view s) {
+  const std::string text(s);
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 
@@ -86,14 +101,12 @@ bool parse_search_knobs(const HttpRequest& request, core::SearchOptions& opts,
     opts.nprobe = *v;
   }
   if (!recall.empty()) {
-    const std::string text(recall);
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !(v > 0.0) || v > 1.0) {
+    const std::optional<double> v = parse_finite(recall);
+    if (!v || *v <= 0.0 || *v > 1.0) {
       error = "recall must be a number in (0, 1]";
       return false;
     }
-    opts.recall_target = v;
+    opts.recall_target = *v;
   }
   if (!deadline_ms.empty()) {
     const std::optional<std::size_t> ms = parse_size(deadline_ms);
@@ -116,25 +129,21 @@ bool parse_search_knobs(const HttpRequest& request, core::SearchOptions& opts,
   }
   if (const std::string_view rrf_k = request.param("rrf_k");
       !rrf_k.empty()) {
-    const std::string text(rrf_k);
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !(v > 0.0)) {
-      error = "rrf_k must be a positive number";
+    const std::optional<double> v = parse_finite(rrf_k);
+    if (!v || *v <= 0.0) {
+      error = "rrf_k must be a positive finite number";
       return false;
     }
-    opts.rrf_k = v;
+    opts.rrf_k = *v;
   }
   if (const std::string_view collapse = request.param("collapse");
       !collapse.empty()) {
-    const std::string text(collapse);
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !(v > 0.0) || v > 1.0) {
+    const std::optional<double> v = parse_finite(collapse);
+    if (!v || *v <= 0.0 || *v > 1.0) {
       error = "collapse must be a cosine threshold in (0, 1]";
       return false;
     }
-    opts.collapse_cosine = v;
+    opts.collapse_cosine = *v;
   }
   if (const std::string_view facets = request.param("facets");
       !facets.empty()) {
@@ -188,7 +197,7 @@ std::string search_json(const core::ShardedSnapshot::GatherResult& result,
     out += "{\"doc\":";
     append_uint(out, hit.doc);
     out += ",\"label\":\"";
-    out += json_escape(hit.label);
+    out += util::json_escape(hit.label);
     out += "\",\"score\":";
     append_double(out, hit.score);
     out += ",\"cosine\":";
@@ -206,7 +215,7 @@ std::string search_json(const core::ShardedSnapshot::GatherResult& result,
   for (std::size_t f = 0; f < result.facets.size(); ++f) {
     if (f) out += ',';
     out += "{\"term\":\"";
-    out += json_escape(result.facets[f].term);
+    out += util::json_escape(result.facets[f].term);
     out += "\",\"weight\":";
     append_double(out, result.facets[f].weight);
     out += '}';
@@ -215,7 +224,7 @@ std::string search_json(const core::ShardedSnapshot::GatherResult& result,
   out += generations_json(generations);
   if (session != nullptr) {
     out += ",\"session\":\"";
-    out += json_escape(session->token);
+    out += util::json_escape(session->token);
     out += "\",\"cursor\":";
     append_uint(out, session->cursor);
     out += ",\"total\":";
@@ -561,7 +570,7 @@ HttpResponse HttpServer::error_response(int status, std::string_view message) {
     resp.set_header("Retry-After", std::to_string(opts_.retry_after_seconds));
   }
   resp.body = "{\"error\":\"";
-  resp.body += json_escape(message);
+  resp.body += util::json_escape(message);
   resp.body += "\"}";
   return resp;
 }
@@ -755,7 +764,7 @@ HttpResponse HttpServer::handle_ingest(const HttpRequest& request) {
       counters_.quorum_503.fetch_add(1, std::memory_order_relaxed);
       obs::count("serve.quorum_503");
       HttpResponse resp = error_response(503, status.message());
-      resp.body = "{\"error\":\"" + json_escape(status.message()) +
+      resp.body = "{\"error\":\"" + util::json_escape(status.message()) +
                   "\",\"accepted\":" + std::to_string(accepted) +
                   ",\"rejected_line\":" + std::to_string(line_no) + "}";
       counters_.docs_ingested.fetch_add(accepted, std::memory_order_relaxed);
@@ -814,7 +823,7 @@ HttpResponse HttpServer::handle_session_create(const HttpRequest&) {
   HttpResponse resp;
   resp.status = 201;
   resp.body = "{\"session\":\"";
-  resp.body += json_escape(session->token);
+  resp.body += util::json_escape(session->token);
   resp.body += "\",\"generations\":";
   resp.body += generations_json(session->pin->generations());
   resp.body += ",\"ttl_seconds\":";

@@ -45,8 +45,8 @@ std::vector<SpellingSuggestion> suggest_corrections(
   for (const auto& g : word_ngrams(input)) {
     if (auto row = model.ngrams.find(g)) q[*row] += 1.0;
   }
-  core::QueryOptions opts;
-  opts.top_z = top;
+  core::SearchOptions opts;
+  opts.z = top;
   std::vector<SpellingSuggestion> out;
   for (const core::ScoredDoc& sd : core::retrieve(model.space, q, opts)) {
     out.push_back({model.lexicon.term(sd.doc), sd.cosine});

@@ -48,4 +48,28 @@ std::string join(const std::vector<std::string>& pieces, std::string_view sep) {
   return out;
 }
 
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static const char* hex = "0123456789abcdef";
+          out += "\\u00";
+          out.push_back(hex[(c >> 4) & 0xf]);
+          out.push_back(hex[c & 0xf]);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
 }  // namespace lsi::util

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
 
   const core::SnapshotQueryContext ctx(db.vocabulary, opts.parser, db.scheme,
                                        db.global_weights);
-  core::QueryOptions qopts;
-  qopts.top_z = 10;
+  core::SearchOptions qopts;
+  qopts.z = 10;
   const auto hits =
       core::retrieve(db.space, ctx.weighted_term_vector(corpus.queries[0].text),
                      qopts);

@@ -98,7 +98,7 @@ TEST(AlignedStorage, IndexFactorsAreAlignedAndRankingsReproducible) {
   // Build-to-build and query-to-query reproducibility on aligned storage:
   // the allocator changes where the bytes live, never what they are.
   auto again = core::LsiIndex::try_build(docs, opts).value();
-  core::QueryOptions qopts;
+  core::SearchOptions qopts;
   for (const char* q : {"human computer interaction", "graph minors trees"}) {
     const auto a = index.query(q, qopts, nullptr);
     const auto b = again.query(q, qopts, nullptr);

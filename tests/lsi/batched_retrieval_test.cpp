@@ -54,7 +54,7 @@ TEST(BatchedRetrieval, BitIdenticalToSingleForEveryMode) {
     ASSERT_EQ(ranked.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
       expect_identical(ranked[q],
-                       retrieve(space, queries[q], opts.query_options()));
+                       retrieve(space, queries[q], opts));
     }
   }
 }
@@ -96,7 +96,7 @@ TEST(BatchedRetrieval, FromProjectedMatchesRankDocuments) {
       QueryBatch::from_projected(space, qhats), opts);
   for (std::size_t q = 0; q < qhats.size(); ++q) {
     expect_identical(ranked[q],
-                     rank_documents(space, qhats[q], opts.query_options()));
+                     rank_documents(space, qhats[q], opts));
   }
 }
 
@@ -140,27 +140,27 @@ TEST(BatchedRetrieval, ThresholdAppliesBeforeTopZ) {
   for (const auto& q : queries) {
     const auto full = retrieve(space, q, {});  // all docs, ranked
     ASSERT_EQ(full.size(), 20u);
-    // Threshold at the 8th-best cosine: the bounded heap (top_z = 4 < number
+    // Threshold at the 8th-best cosine: the bounded heap (z = 4 < number
     // passing) must return the best 4 *of the passing documents* — identical
     // to filtering the full ranking and truncating.
-    QueryOptions opts;
+    SearchOptions opts;
     opts.min_cosine = full[7].cosine;
-    opts.top_z = 4;
+    opts.z = 4;
     std::vector<ScoredDoc> want;
     for (const auto& sd : full) {
-      if (sd.cosine >= opts.min_cosine && want.size() < opts.top_z) {
+      if (sd.cosine >= opts.min_cosine && want.size() < opts.z) {
         want.push_back(sd);
       }
     }
     expect_identical(retrieve(space, q, opts), want);
 
-    // top_z larger than the passing set: returns exactly the passing set.
-    opts.top_z = 15;
+    // z larger than the passing set: returns exactly the passing set.
+    opts.z = 15;
     std::vector<ScoredDoc> passing;
     for (const auto& sd : full) {
       if (sd.cosine >= opts.min_cosine) passing.push_back(sd);
     }
-    ASSERT_LT(passing.size(), opts.top_z);
+    ASSERT_LT(passing.size(), opts.z);
     expect_identical(retrieve(space, q, opts), passing);
   }
 }
@@ -198,7 +198,7 @@ TEST(BatchedRetrieval, BatchLargerThanCollection) {
   ASSERT_EQ(ranked.size(), 40u);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     expect_identical(ranked[q],
-                     retrieve(space, queries[q], opts.query_options()));
+                     retrieve(space, queries[q], opts));
   }
 }
 

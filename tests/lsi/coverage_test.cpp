@@ -18,7 +18,7 @@ namespace {
 
 using namespace lsi;
 using core::index_t;
-using core::QueryOptions;
+using core::SearchOptions;
 using core::SimilarityMode;
 
 core::SemanticSpace paper_space(index_t k = 2) {
@@ -69,7 +69,7 @@ TEST(SimilarityModes, AllProduceValidRankings) {
   const auto q_hat = core::project_query(space, paper_query_raw());
   for (auto mode : {SimilarityMode::kColumnSpace, SimilarityMode::kProjected,
                     SimilarityMode::kPlainV}) {
-    QueryOptions opts;
+    SearchOptions opts;
     opts.mode = mode;
     auto ranked = core::rank_documents(space, q_hat, opts);
     EXPECT_EQ(ranked.size(), 14u);
@@ -85,7 +85,7 @@ TEST(SimilarityModes, AllProduceValidRankings) {
 TEST(SimilarityModes, ModesActuallyDiffer) {
   auto space = paper_space(4);
   const auto q_hat = core::project_query(space, paper_query_raw());
-  QueryOptions a, b;
+  SearchOptions a, b;
   a.mode = SimilarityMode::kColumnSpace;
   b.mode = SimilarityMode::kPlainV;
   auto ra = core::rank_documents(space, q_hat, a);
@@ -101,9 +101,9 @@ TEST(SimilarityModes, ModesActuallyDiffer) {
 TEST(QueryOptionsCombos, ThresholdAndTopZCompose) {
   auto space = paper_space(2);
   const auto q_hat = core::project_query(space, paper_query_raw());
-  QueryOptions opts;
+  SearchOptions opts;
   opts.min_cosine = 0.5;
-  opts.top_z = 3;
+  opts.z = 3;
   auto ranked = core::rank_documents(space, q_hat, opts);
   EXPECT_LE(ranked.size(), 3u);
   for (const auto& sd : ranked) EXPECT_GE(sd.cosine, 0.5);

@@ -62,7 +62,7 @@ TEST(Feedback, PositiveFeedbackPullsTowardRelevantCluster) {
   // query must rise relative to the initial one.
   auto q2 = core::rocchio_feedback(space, q, {7, 8, 11}, {},
                                    {1.0, 1.0, 0.0});
-  core::QueryOptions opts;
+  core::SearchOptions opts;
   auto before = core::rank_documents(space, q, opts);
   auto after = core::rank_documents(space, q2, opts);
   auto cosine_of = [](const std::vector<core::ScoredDoc>& r, index_t doc) {

@@ -92,8 +92,8 @@ TEST(IoGolden, KnownQueryKeepsItsTop10) {
                                        db.scheme, db.global_weights);
   const la::Vector w = ctx.weighted_term_vector(kGoldenQuery);
 
-  core::QueryOptions opts;
-  opts.top_z = 10;
+  core::SearchOptions opts;
+  opts.z = 10;
   const auto hits = core::retrieve(db.space, w, opts);
   ASSERT_EQ(hits.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) {

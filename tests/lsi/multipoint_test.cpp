@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "data/med_topics.hpp"
 #include "lsi/retrieval.hpp"
 #include "lsi/semantic_space.hpp"
@@ -10,7 +12,7 @@ namespace {
 
 using namespace lsi;
 using core::MultiPointCombiner;
-using core::QueryOptions;
+using core::SearchOptions;
 
 core::SemanticSpace paper_space() {
   auto space = core::try_build_semantic_space(data::table3_counts(), 4).value();
@@ -44,8 +46,8 @@ TEST(MultiPoint, MaxCombinerCoversBothInterests) {
   auto hormone = project_terms(space, {11, 6});
   auto fasting = project_terms(space, {9, 14});
 
-  QueryOptions opts;
-  opts.top_z = 6;
+  SearchOptions opts;
+  opts.z = 6;
   auto multi = core::rank_documents_multipoint(space, {hormone, fasting},
                                                opts, MultiPointCombiner::kMax);
   std::set<core::index_t> top;
@@ -85,11 +87,55 @@ TEST(MultiPoint, ThresholdAppliesToCombinedScore) {
   auto space = paper_space();
   auto p1 = project_terms(space, {11});
   auto p2 = project_terms(space, {9});
-  QueryOptions opts;
+  SearchOptions opts;
   opts.min_cosine = 0.7;
   auto multi = core::rank_documents_multipoint(space, {p1, p2}, opts,
                                                MultiPointCombiner::kMax);
   for (const auto& sd : multi) EXPECT_GE(sd.cosine, 0.7);
+}
+
+// The one-sweep multipoint path must reproduce, bit for bit, combining the
+// per-point rank_documents lists (a document missing from a point's list
+// counts as 0) under every combiner and similarity mode.
+TEST(MultiPoint, CombinedScoresBitIdenticalToPerPointRankings) {
+  // Five points: the sweep runs four of them as one grouped stream and the
+  // fifth on its own, and both must match the single-point sweep.
+  auto space = paper_space();
+  const std::vector<la::Vector> points = {
+      project_terms(space, {11, 6}), project_terms(space, {9, 14}),
+      project_terms(space, {0, 1, 3}), project_terms(space, {2, 17}),
+      project_terms(space, {5})};
+  for (const auto mode :
+       {core::SimilarityMode::kColumnSpace, core::SimilarityMode::kProjected,
+        core::SimilarityMode::kPlainV}) {
+    SearchOptions opts;
+    opts.mode = mode;
+    std::vector<std::vector<double>> per_point;
+    for (const auto& p : points) {
+      std::vector<double> scores(space.num_docs(), 0.0);
+      for (const auto& sd : core::rank_documents(space, p, opts)) {
+        scores[sd.doc] = sd.cosine;
+      }
+      per_point.push_back(std::move(scores));
+    }
+    for (const auto combiner :
+         {MultiPointCombiner::kMax, MultiPointCombiner::kSum}) {
+      const auto multi =
+          core::rank_documents_multipoint(space, points, opts, combiner);
+      ASSERT_EQ(multi.size(), space.num_docs());
+      for (const auto& sd : multi) {
+        double want = combiner == MultiPointCombiner::kMax ? -2.0 : 0.0;
+        for (const auto& scores : per_point) {
+          if (combiner == MultiPointCombiner::kMax) {
+            want = std::max(want, scores[sd.doc]);
+          } else {
+            want += scores[sd.doc] / static_cast<double>(points.size());
+          }
+        }
+        EXPECT_EQ(sd.cosine, want) << "doc " << sd.doc;
+      }
+    }
+  }
 }
 
 TEST(MultiPoint, EmptyPointsYieldEmpty) {

@@ -50,8 +50,9 @@ TEST(NeighborIndex, FullProbeEqualsExactSearch) {
 
   auto approx = index.query(q, 10, index.num_clusters());
   auto exact = core::rank_documents(space, core::project_query(space, raw),
-                                    {core::SimilarityMode::kColumnSpace,
-                                     -1.0, 10});
+                                    {.z = 10,
+                                     .mode = core::SimilarityMode::kColumnSpace,
+                                     .min_cosine = -1.0});
   ASSERT_EQ(approx.size(), exact.size());
   for (std::size_t i = 0; i < approx.size(); ++i) {
     EXPECT_EQ(approx[i].doc, exact[i].doc) << "rank " << i;

@@ -25,7 +25,7 @@
 namespace {
 
 using namespace lsi;
-using core::QueryOptions;
+using core::SearchOptions;
 using core::ScoredDoc;
 using core::SemanticSpace;
 
@@ -125,7 +125,7 @@ TEST(Table4, K2TopSetMatchesPaper) {
 
 TEST(Table4, K2ReturnedSetAtThreshold40) {
   auto space = paper_space(2);
-  QueryOptions opts;
+  SearchOptions opts;
   opts.min_cosine = 0.40;
   auto ranked = core::retrieve(space, paper_query(), opts);
   // Paper returns 11 documents; every one of them must be present.
@@ -141,7 +141,7 @@ TEST(Table4, K2ReturnedSetAtThreshold40) {
 TEST(Table4, HigherKSharpensTheReturnedSet) {
   // Paper: k=4 returns 6 docs, k=8 only 3 ({M8, M12, M10}) at cosine .40 —
   // more factors reconstruct A more exactly, so fewer latent matches.
-  QueryOptions opts;
+  SearchOptions opts;
   opts.min_cosine = 0.40;
   auto r2 = core::retrieve(paper_space(2), paper_query(), opts);
   auto r4 = core::retrieve(paper_space(4), paper_query(), opts);

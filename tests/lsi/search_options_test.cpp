@@ -1,10 +1,10 @@
 // SearchOptions unit tests: the Validate() contract the HTTP daemon's 400
-// answers lean on, the internal QueryOptions bridge to the SemanticSpace
-// scorers, and the deadline helpers' edge cases.
+// answers lean on and the deadline helpers' edge cases.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 
 #include "lsi/search_options.hpp"
 
@@ -62,28 +62,28 @@ TEST(SearchOptions, MinCosineAboveOneRejected) {
   EXPECT_TRUE(opts.Validate().ok());
 }
 
-// query_options()/FromQuery stay (they bridge to the SemanticSpace scorers
-// internally) even though the deprecated QueryOptions member overloads are
-// gone; the round trip must keep preserving the exact-path knobs.
-TEST(SearchOptions, QueryOptionsRoundTripPreservesExactPathKnobs) {
-  SearchOptions opts;
-  opts.z = 17;
-  opts.mode = SimilarityMode::kProjected;
-  opts.min_cosine = 0.25;
-  opts.nprobe = 3;  // pruning knobs do not survive the bridge by design
+// A NaN passes every ordered range check, and an infinity passes the
+// one-sided ones; every floating-point knob must reject both.
+TEST(SearchOptions, NonFiniteKnobsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    SearchOptions opts;
+    opts.recall_target = bad;
+    EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument) << bad;
 
-  const QueryOptions q = opts.query_options();
-  EXPECT_EQ(q.top_z, 17u);
-  EXPECT_EQ(q.mode, SimilarityMode::kProjected);
-  EXPECT_DOUBLE_EQ(q.min_cosine, 0.25);
+    opts = SearchOptions{};
+    opts.min_cosine = bad;
+    EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument) << bad;
 
-  const SearchOptions back = SearchOptions::FromQuery(q);
-  EXPECT_EQ(back.z, opts.z);
-  EXPECT_EQ(back.mode, opts.mode);
-  EXPECT_DOUBLE_EQ(back.min_cosine, opts.min_cosine);
-  // A legacy caller never expressed a pruning preference: kAuto, not kExact.
-  EXPECT_EQ(back.search, SearchMode::kAuto);
-  EXPECT_EQ(back.nprobe, 0u);
+    opts = SearchOptions{};
+    opts.rrf_k = bad;
+    EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument) << bad;
+
+    opts = SearchOptions{};
+    opts.collapse_cosine = bad;
+    EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(SearchOptions, DeadlineHelpers) {

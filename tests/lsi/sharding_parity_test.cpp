@@ -114,7 +114,7 @@ TEST(ShardedParity, ShardCountsAgreeOnTheTopZDocumentSet) {
   std::vector<std::set<index_t>> want_sets;
   for (const auto& t : texts) {
     const auto ranked =
-        mono.query(t, qopts.query_options(), nullptr);
+        mono.query(t, qopts, nullptr);
     std::set<index_t> s;
     for (const auto& hit : ranked) s.insert(hit.doc);
     want_sets.push_back(std::move(s));

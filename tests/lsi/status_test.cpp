@@ -93,10 +93,6 @@ TEST(IndexOptionsValidate, CatchesBadFields) {
 
   opts.parser.min_document_frequency = 0;
   EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument);
-  opts.parser.min_document_frequency = 1;
-
-  opts.query.min_cosine = 1.5;
-  EXPECT_EQ(opts.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(LsiIndexTryBuild, EmptyCollectionIsInvalidArgument) {

@@ -282,13 +282,6 @@ TEST(HttpWire, ParseQueryString) {
   EXPECT_EQ(params[3], (std::pair<std::string, std::string>{"", "v"}));
 }
 
-TEST(HttpWire, JsonEscape) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-  EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
-}
-
 TEST(HttpWire, SerializeIdentity) {
   HttpResponse resp;
   resp.status = 200;

@@ -483,6 +483,9 @@ TEST_F(ServerTest, InvalidKnobCombinationsAnswer400WithPreciseMessages) {
       {"&recall=0", "recall must be a number in (0, 1]"},
       {"&recall=1.5", "recall must be a number in (0, 1]"},
       {"&recall=x", "recall must be a number in (0, 1]"},
+      {"&recall=nan", "recall must be a number in (0, 1]"},
+      {"&merge=rrf&rrf_k=inf", "rrf_k must be a positive finite number"},
+      {"&merge=rrf&rrf_k=1e400", "rrf_k must be a positive finite number"},
       {"&deadline_ms=0", "deadline_ms must be a positive integer"},
       {"&deadline_ms=99999999999999999999",
        "deadline_ms must be a positive integer"},

@@ -186,6 +186,13 @@ TEST(Strings, Join) {
   EXPECT_EQ(lsi::util::join({}, ","), "");
 }
 
+TEST(Strings, JsonEscape) {
+  EXPECT_EQ(lsi::util::json_escape("plain"), "plain");
+  EXPECT_EQ(lsi::util::json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(lsi::util::json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+  EXPECT_EQ(lsi::util::json_escape(std::string_view("\x01", 1)), "\\u0001");
+}
+
 TEST(Table, AlignsAndCounts) {
   lsi::util::TextTable t({"doc", "cosine"});
   t.add_row({"M9", "1.00"});
