@@ -240,8 +240,9 @@ void ConcurrentIndexer::consolidate_now() {
   consolidations_.fetch_add(1, std::memory_order_relaxed);
   consolidating_.store(false, std::memory_order_release);
   // Consolidation recomputes the SVD, rotating every document's V_k row;
-  // the cluster partition over the old coordinates is meaningless now.
-  ann_rebuild_ = true;
+  // the cluster partition and the term profiles over the old basis are
+  // meaningless now.
+  basis_rotated_ = true;
 }
 
 void ConcurrentIndexer::publish() {
@@ -264,11 +265,11 @@ void ConcurrentIndexer::publish() {
       publishes_.fetch_add(1, std::memory_order_relaxed) + 1;
   // ANN maintenance mirrors the norm caches: fold-ins only append V rows, so
   // the existing partition is extended over the new tail; a consolidation
-  // rotated V (ann_rebuild_), so the partition is rebuilt from scratch.
+  // rotated V (basis_rotated_), so the partition is rebuilt from scratch.
   // AnnIndex::build returns null below the exact-scan cutoff — queries then
   // fall back to the exact sweep until the corpus grows past it.
   if (opts_.ann.enabled) {
-    if (master_ann_ == nullptr || ann_rebuild_) {
+    if (master_ann_ == nullptr || basis_rotated_) {
       master_ann_ = AnnIndex::build(*space, opts_.ann, generation);
     } else if (master_ann_->num_docs() <
                static_cast<index_t>(space->num_docs())) {
@@ -277,10 +278,17 @@ void ConcurrentIndexer::publish() {
   } else {
     master_ann_ = nullptr;
   }
-  ann_rebuild_ = false;
+  // A term profile depends only on U, sigma and its V row, which fold-ins
+  // leave alone: the cache lives until the next consolidation, so it holds
+  // at most one profile per row of one consolidation generation.
+  if (master_profiles_ == nullptr || basis_rotated_) {
+    master_profiles_ = std::make_shared<gather::ProfileCache>();
+  }
+  basis_rotated_ = false;
   auto snap = std::make_shared<const IndexSnapshot>(
       std::move(space), std::move(labels), ctx_, generation,
-      master_.pending(), IndexSnapshot::clock::now(), master_ann_);
+      master_.pending(), IndexSnapshot::clock::now(), master_ann_,
+      master_profiles_);
   std::shared_ptr<const IndexSnapshot> old;
   {
     // The mutex covers only this swap; the retired snapshot (and anything

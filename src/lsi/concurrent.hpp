@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "lsi/ann.hpp"
+#include "lsi/gather/dedup.hpp"
 #include "lsi/incremental.hpp"
 #include "lsi/lsi_index.hpp"
 #include "lsi/search_options.hpp"
@@ -121,17 +122,21 @@ class IndexSnapshot {
 
   /// Assembled by ConcurrentIndexer::publish (directly constructible for
   /// tests). `space` must already have its doc-norm caches prewarmed if the
-  /// snapshot will be shared across threads.
+  /// snapshot will be shared across threads. `profiles` must only hold
+  /// profiles of this space's U, sigma and V rows; without one the gather
+  /// reconstructs every profile it needs.
   IndexSnapshot(std::shared_ptr<const SemanticSpace> space,
                 std::shared_ptr<const std::vector<std::string>> labels,
                 std::shared_ptr<const SnapshotQueryContext> ctx,
                 std::uint64_t generation, std::size_t unconsolidated,
                 clock::time_point published_at,
-                std::shared_ptr<const AnnIndex> ann = nullptr)
+                std::shared_ptr<const AnnIndex> ann = nullptr,
+                std::shared_ptr<gather::ProfileCache> profiles = nullptr)
       : space_(std::move(space)),
         labels_(std::move(labels)),
         ctx_(std::move(ctx)),
         ann_(std::move(ann)),
+        profiles_(std::move(profiles)),
         generation_(generation),
         unconsolidated_(unconsolidated),
         published_at_(published_at) {}
@@ -149,6 +154,12 @@ class IndexSnapshot {
     return *labels_;
   }
   const SnapshotQueryContext& context() const noexcept { return *ctx_; }
+  /// The term-profile cache the collapse gather reads and fills
+  /// (gather::term_profiles), shared by every snapshot of one consolidation
+  /// generation; null for a hand-built snapshot. Internally synchronized.
+  gather::ProfileCache* profile_cache() const noexcept {
+    return profiles_.get();
+  }
 
   /// Publish sequence number (1 = the base index, strictly increasing).
   std::uint64_t generation() const noexcept { return generation_; }
@@ -180,6 +191,7 @@ class IndexSnapshot {
   std::shared_ptr<const std::vector<std::string>> labels_;
   std::shared_ptr<const SnapshotQueryContext> ctx_;
   std::shared_ptr<const AnnIndex> ann_;
+  std::shared_ptr<gather::ProfileCache> profiles_;
   std::uint64_t generation_;
   std::size_t unconsolidated_;
   clock::time_point published_at_;
@@ -287,11 +299,14 @@ class ConcurrentIndexer {
   std::condition_variable cv_idle_;  ///< signaled when the writer goes idle
   bool writer_active_ = false;       ///< a drain task is queued or running
 
-  /// Writer-thread-only ANN state: the structure the next publish will ship.
-  /// Rebuilt when `ann_rebuild_` is set (consolidation rotated V), extended
-  /// when documents were merely appended (fold-ins), like extend_doc_norms.
+  /// Writer-thread-only state the next publish will ship with its space: the
+  /// ANN structure and the term-profile cache. Both are replaced when
+  /// `basis_rotated_` is set (a consolidation rotated U, sigma and V); across
+  /// fold-ins, which only append V rows, the ANN structure is extended like
+  /// extend_doc_norms and the profile cache is carried over as is.
   std::shared_ptr<const AnnIndex> master_ann_;
-  bool ann_rebuild_ = false;
+  std::shared_ptr<gather::ProfileCache> master_profiles_;
+  bool basis_rotated_ = false;
 
   std::atomic<bool> force_consolidate_{false};
   std::atomic<bool> consolidating_{false};

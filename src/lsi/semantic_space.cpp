@@ -5,6 +5,7 @@
 
 #include "la/jacobi_svd.hpp"
 #include "lsi/doc_store.hpp"
+#include "lsi/gather/facets.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -48,8 +49,16 @@ const std::vector<double>& SemanticSpace::doc_norms(SimilarityMode mode) const {
   return cache;
 }
 
+const std::vector<double>& SemanticSpace::term_norms() const {
+  if (term_norm_cache_.size() != num_terms()) {
+    term_norm_cache_ = gather::term_norms(u, sigma);
+  }
+  return term_norm_cache_;
+}
+
 void SemanticSpace::invalidate_doc_norms() noexcept {
   for (auto& cache : doc_norm_cache_) cache.clear();
+  term_norm_cache_.clear();
   bf16_store_.reset();  // the flag survives; the store rebuilds lazily
 }
 
@@ -57,6 +66,7 @@ void SemanticSpace::prewarm_doc_norms() const {
   for (std::size_t m = 0; m < kNumSimilarityModes; ++m) {
     (void)doc_norms(static_cast<SimilarityMode>(m));
   }
+  (void)term_norms();
   (void)compressed_docs();  // no-op unless compression is enabled
 }
 

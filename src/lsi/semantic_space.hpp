@@ -60,10 +60,16 @@ struct SemanticSpace {
   /// Drops every cached per-mode norm vector (call after mutating v/sigma).
   void invalidate_doc_norms() noexcept;
 
-  /// Eagerly fills the norm cache for every SimilarityMode. After this call,
-  /// doc_norms() is a pure read for any mode, so the space can be shared
-  /// read-only across threads (the snapshot-publish path of
-  /// lsi/concurrent.hpp prewarms every published space — see
+  /// Per-term norms ||sigma .* u_i|| (gather::term_norms), the denominators
+  /// of the facet scorer. Same cache protocol as doc_norms(): filled lazily
+  /// and by prewarm_doc_norms(), dropped by invalidate_doc_norms(), refilled
+  /// when the row count of U changes. Appending documents leaves it valid.
+  const std::vector<double>& term_norms() const;
+
+  /// Eagerly fills the norm cache for every SimilarityMode and the term-norm
+  /// cache. After this call, doc_norms() and term_norms() are pure reads, so
+  /// the space can be shared read-only across threads (the snapshot-publish
+  /// path of lsi/concurrent.hpp prewarms every published space — see
   /// docs/CONCURRENCY.md: caches are made valid *by construction*, never by
   /// locking readers).
   void prewarm_doc_norms() const;
@@ -119,6 +125,8 @@ struct SemanticSpace {
 
   /// One lazily-filled norm vector per SimilarityMode; empty = not computed.
   mutable std::array<std::vector<double>, kNumSimilarityModes> doc_norm_cache_;
+  /// Lazily-filled term_norms(); size != num_terms() = not computed.
+  mutable std::vector<double> term_norm_cache_;
 
   /// Compressed-store request flag + lazily-built immutable store (shared
   /// with copies of this space until a mutation invalidates it).

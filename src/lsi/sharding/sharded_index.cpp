@@ -289,16 +289,35 @@ Expected<std::vector<ShardedSnapshot::GatherResult>> ShardedSnapshot::search(
 
     std::vector<gather::CollapsedHit> collapsed;
     if (collapse) {
-      LSI_OBS_SPAN(collapse_span, "gather.collapse");
-      std::vector<gather::SparseTermVector> profiles;
-      profiles.reserve(fused.size());
-      for (const gather::FusedHit& h : fused) {
-        const IndexSnapshot& snap = *shards_[h.shard].snapshot;
-        const SemanticSpace& sp = snap.space();
-        profiles.push_back(gather::reconstruct_term_profile(
-            sp.u, sp.sigma, sp.v, local_row(h), snap.context().vocabulary()));
+      std::vector<gather::ProfileCache::Profile> profiles(fused.size());
+      {
+        LSI_OBS_SPAN(profile_span, "gather.profile");
+        // One batch per shard: its hits are read from the snapshot's profile
+        // cache and the misses reconstructed together.
+        std::vector<std::vector<std::size_t>> at(n_shards);
+        for (std::size_t i = 0; i < fused.size(); ++i) {
+          at[fused[i].shard].push_back(i);
+        }
+        std::vector<index_t> rows;
+        for (std::size_t s = 0; s < n_shards; ++s) {
+          if (at[s].empty()) continue;
+          rows.clear();
+          for (std::size_t i : at[s]) rows.push_back(local_row(fused[i]));
+          const IndexSnapshot& snap = *shards_[s].snapshot;
+          const SemanticSpace& sp = snap.space();
+          auto got = gather::term_profiles(snap.profile_cache(), sp.u,
+                                           sp.sigma, sp.v, rows,
+                                           snap.context().vocabulary());
+          for (std::size_t j = 0; j < got.size(); ++j) {
+            profiles[at[s][j]] = std::move(got[j]);
+          }
+        }
       }
-      collapsed = gather::collapse_near_duplicates(fused, profiles,
+      LSI_OBS_SPAN(collapse_span, "gather.collapse");
+      std::vector<const gather::SparseTermVector*> views;
+      views.reserve(profiles.size());
+      for (const auto& p : profiles) views.push_back(p.get());
+      collapsed = gather::collapse_near_duplicates(fused, views,
                                                    opts.collapse_cosine);
       if (opts.z > 0 && collapsed.size() > opts.z) collapsed.resize(opts.z);
     }
@@ -322,7 +341,7 @@ Expected<std::vector<ShardedSnapshot::GatherResult>> ShardedSnapshot::search(
         const SemanticSpace& sp = snap.space();
         shard_lists.push_back(gather::shard_facets(
             sp.u, sp.sigma, sp.v, snap.context().vocabulary(),
-            rows_by_shard[s], opts.facets));
+            rows_by_shard[s], opts.facets, sp.term_norms()));
       }
       result.facets = gather::merge_facets(shard_lists, opts.facets);
     }

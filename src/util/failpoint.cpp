@@ -66,10 +66,10 @@ bool Failpoints::hit(const char* site, std::string_view tag) {
   auto it = sites_.find(std::string_view(site));
   if (it == sites_.end()) return false;
   Site& s = it->second;
-  if (s.action == Action::kOff) return false;
   if (!s.tag_filter.empty() && s.tag_filter != tag) return false;
   ++s.hits;
   cv_.notify_all();  // wait_for_hits observers
+  if (s.action == Action::kOff) return false;  // counted, passes through
   if (s.action == Action::kFail) {
     if (s.budget > 0 && --s.budget == 0) {
       s.action = Action::kOff;

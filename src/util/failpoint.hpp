@@ -48,7 +48,7 @@ namespace lsi::util {
 class Failpoints {
  public:
   enum class Action {
-    kOff,    ///< site retained for its hit count only; hits pass through
+    kOff,    ///< site kept only to count matching hits; hits pass through
     kBlock,  ///< matching hits park until the site is disarmed
     kFail,   ///< matching hits return true (the site's local failure)
   };
@@ -63,8 +63,9 @@ class Failpoints {
   void arm(std::string_view site, Action action,
            std::string_view tag_filter = {}, std::uint64_t budget = 0);
 
-  /// Sets `site` to kOff, releasing parked threads. Hit counts survive so a
-  /// test can disarm first and assert counts after.
+  /// Sets `site` to kOff, releasing parked threads. Hit counts survive and
+  /// keep growing with later matching hits, so a test can disarm first and
+  /// still count how often the site is passed.
   void disarm(std::string_view site);
 
   /// Removes every site (counts included) and releases all parked threads.

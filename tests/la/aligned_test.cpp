@@ -83,7 +83,9 @@ TEST(AlignedStorage, IndexFactorsAreAlignedAndRankingsReproducible) {
       "graph minors a survey",
   };
   for (std::size_t d = 0; d < bodies.size(); ++d) {
-    docs.push_back({"c" + std::to_string(d), bodies[d]});
+    std::string label = "c";
+    label += std::to_string(d);
+    docs.push_back({label, bodies[d]});
   }
 
   core::IndexOptions opts;

@@ -79,7 +79,9 @@ TEST_P(LanczosInvariants, RandomSparseMatrixSatisfiesSvdProperties) {
   ASSERT_GT(svd.s[0], 0.0);
   for (std::size_t i = 0; i < svd.s.size(); ++i) {
     EXPECT_GE(svd.s[i], 0.0) << "sigma[" << i << "]";
-    if (i > 0) EXPECT_LE(svd.s[i], svd.s[i - 1]) << "sigma not descending";
+    if (i > 0) {
+      EXPECT_LE(svd.s[i], svd.s[i - 1]) << "sigma not descending";
+    }
   }
 
   // Orthonormality of both bases (full reorthogonalization's contract).

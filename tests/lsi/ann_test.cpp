@@ -93,7 +93,9 @@ TEST(AnnIndex, PostingListsPartitionTheCorpus) {
     for (std::size_t t = 0; t < docs.size(); ++t) {
       EXPECT_TRUE(seen.insert(docs[t]).second)
           << "doc " << docs[t] << " in two posting lists";
-      if (t > 0) EXPECT_LT(docs[t - 1], docs[t]);  // ascending per list
+      if (t > 0) {
+        EXPECT_LT(docs[t - 1], docs[t]);  // ascending per list
+      }
       // Packed rows are bit-exact copies of V's rows.
       for (index_t i = 0; i < ann->k(); ++i) {
         EXPECT_EQ(rows[t * ann->k() + i], space->v(docs[t], i));

@@ -176,7 +176,9 @@ TEST(ShardedParity, TiedScoresOrderIdenticallyAcrossShardCounts) {
       "kappa lambda mu",     "kappa lambda mu",
   };
   for (std::size_t d = 0; d < bodies.size(); ++d) {
-    docs.push_back({"T" + std::to_string(d), bodies[d]});
+    std::string label = "T";
+    label += std::to_string(d);
+    docs.push_back({label, bodies[d]});
   }
 
   core::IndexOptions iopts;

@@ -351,8 +351,12 @@ TEST(ShardedIndex, IngestRoutesAndAssignsFreshGlobalIds) {
     for (std::size_t j = 0; j < labels.size(); ++j) {
       const index_t gid = (*view.global_ids)[j];
       EXPECT_TRUE(gids.insert(gid).second);
-      if (labels[j] == "D8") EXPECT_EQ(gid, 8);
-      if (labels[j] == "D9") EXPECT_EQ(gid, 9);
+      if (labels[j] == "D8") {
+        EXPECT_EQ(gid, 8);
+      }
+      if (labels[j] == "D9") {
+        EXPECT_EQ(gid, 9);
+      }
     }
   }
   EXPECT_EQ(gids.size(), docs.size() + 2);

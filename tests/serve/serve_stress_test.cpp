@@ -100,9 +100,15 @@ TEST(ServeStress, MixedTrafficRacesWriterThreadsAndConsolidation) {
           case 3: {
             std::string tsv;
             for (int d = 0; d < 3; ++d) {
-              tsv += "c" + std::to_string(c) + "i" + std::to_string(i) + "d" +
-                     std::to_string(d) + "\t" +
-                     corpus.docs[(c + i + d) % corpus.docs.size()].body + "\n";
+              tsv.append("c")
+                  .append(std::to_string(c))
+                  .append("i")
+                  .append(std::to_string(i))
+                  .append("d")
+                  .append(std::to_string(d))
+                  .append("\t")
+                  .append(corpus.docs[(c + i + d) % corpus.docs.size()].body)
+                  .append("\n");
             }
             resp = client.request("POST", "/ingest", tsv);
             break;

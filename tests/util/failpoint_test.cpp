@@ -55,7 +55,8 @@ TEST_F(FailpointTest, FailBudgetAutoDisarms) {
   EXPECT_TRUE(LSI_FAILPOINT("test.site", ""));
   EXPECT_TRUE(LSI_FAILPOINT("test.site", ""));
   EXPECT_FALSE(LSI_FAILPOINT("test.site", ""));  // budget exhausted
-  EXPECT_EQ(fp.hits("test.site"), 2u);
+  // The auto-disarmed (kOff) site still counts the pass-through hit.
+  EXPECT_EQ(fp.hits("test.site"), 3u);
 }
 
 TEST_F(FailpointTest, DisarmKeepsCountsForPostmortem) {
@@ -64,10 +65,21 @@ TEST_F(FailpointTest, DisarmKeepsCountsForPostmortem) {
   EXPECT_TRUE(LSI_FAILPOINT("test.site", ""));
   fp.disarm("test.site");
   EXPECT_FALSE(LSI_FAILPOINT("test.site", ""));
-  EXPECT_EQ(fp.hits("test.site"), 1u);
+  EXPECT_EQ(fp.hits("test.site"), 2u);  // the disarmed hit counts too
   fp.disarm_all();
   EXPECT_EQ(fp.hits("test.site"), 0u);
   EXPECT_FALSE(Failpoints::any_armed());
+}
+
+TEST_F(FailpointTest, OffSiteCountsMatchingHitsAndPassesThrough) {
+  auto& fp = Failpoints::instance();
+  fp.arm("test.site", Action::kOff, "s0.r1");
+  EXPECT_TRUE(Failpoints::any_armed());
+  EXPECT_FALSE(LSI_FAILPOINT("test.site", "s0.r1"));
+  EXPECT_FALSE(LSI_FAILPOINT("test.site", "s0.r1"));
+  EXPECT_FALSE(LSI_FAILPOINT("test.site", "s0.r0"));  // filtered: uncounted
+  EXPECT_EQ(fp.hits("test.site"), 2u);
+  EXPECT_TRUE(fp.wait_for_hits("test.site", 2, 10s));
 }
 
 TEST_F(FailpointTest, BlockParksUntilDisarm) {
