@@ -1,8 +1,10 @@
 // Batched vs single-query retrieval throughput on a MED-scale collection
 // (Section 4.4's serving scenario: a stream of queries against a fixed
-// semantic space). The single-query loop pays per-query projection,
-// allocation, and V_k traffic; the batched engine projects the whole block
-// with one blocked GEMM and sweeps each V_k panel once for all queries.
+// semantic space). Both loops enter through the sparse query API
+// (QueryBatch::from_sparse, what the daemon's scatter calls) and project
+// each query over its few nonzeros; the single-query loop then pays
+// per-query allocation and V_k traffic, while the batched engine sweeps each
+// V_k panel once for all queries.
 //
 // The space is drawn randomly at MED dimensions (m = 5831 terms, n = 1033
 // documents, k = 100 factors): retrieval throughput depends only on the
@@ -10,6 +12,7 @@
 // batched run is checked for exact agreement with the single-query rankings
 // before its timing is reported.
 
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <vector>
@@ -38,16 +41,25 @@ core::SemanticSpace med_scale_space(core::index_t m, core::index_t n,
   return space;
 }
 
-/// Sparse MED-style queries densified to weighted m-vectors.
-std::vector<la::Vector> make_queries(core::index_t m, std::size_t count,
-                                     util::Rng& rng) {
-  std::vector<la::Vector> queries(count, la::Vector(m, 0.0));
+/// Sparse MED-style queries: up to 8 distinct terms, weights in {1, 2, 3}.
+std::vector<la::SparseVector> make_queries(core::index_t m, std::size_t count,
+                                           util::Rng& rng) {
+  std::vector<la::SparseVector> queries(count);
   for (auto& q : queries) {
-    for (int t = 0; t < 8; ++t) {
-      q[rng.uniform_index(m)] = 1.0 + static_cast<double>(rng.uniform_index(3));
+    for (int t = 0; t < 8; ++t) q.rows.push_back(rng.uniform_index(m));
+    std::sort(q.rows.begin(), q.rows.end());
+    q.rows.erase(std::unique(q.rows.begin(), q.rows.end()), q.rows.end());
+    for (std::size_t p = 0; p < q.rows.size(); ++p) {
+      q.values.push_back(1.0 + static_cast<double>(rng.uniform_index(3)));
     }
   }
   return queries;
+}
+
+std::uint64_t total_nnz(const std::vector<la::SparseVector>& queries) {
+  std::uint64_t nnz = 0;
+  for (const auto& q : queries) nnz += q.nnz();
+  return nnz;
 }
 
 bool same_ranking(const std::vector<core::ScoredDoc>& a,
@@ -76,7 +88,8 @@ int main() {
   const std::size_t total_queries = quick ? 64 : 512;
   util::Rng rng(42);
   const core::SemanticSpace space = med_scale_space(m, n, k, rng);
-  const std::vector<la::Vector> queries = make_queries(m, total_queries, rng);
+  const std::vector<la::SparseVector> queries =
+      make_queries(m, total_queries, rng);
   stats.param("m", static_cast<double>(m));
   stats.param("n", static_cast<double>(n));
   stats.param("k", static_cast<double>(k));
@@ -86,13 +99,17 @@ int main() {
   core::SearchOptions opts;
   opts.z = 10;
 
+  const core::BatchedRetriever retriever(space);
+  const auto single = [&](const la::SparseVector& q) {
+    return retriever.rank(core::QueryBatch::from_sparse(space, {q}), opts)
+        .front();
+  };
   // Reference rankings (also warms the doc-norm cache for both paths).
   std::vector<std::vector<core::ScoredDoc>> reference(total_queries);
   for (std::size_t q = 0; q < total_queries; ++q) {
-    reference[q] = core::retrieve(space, queries[q], opts);
+    reference[q] = single(queries[q]);
   }
 
-  const core::BatchedRetriever retriever(space);
   util::TextTable table({"batch", "single q/s", "batched q/s", "speedup",
                          "model Mflop/query"});
   double speedup_at_32 = 0.0;
@@ -110,8 +127,7 @@ int main() {
     for (int rep = 0; rep < kReps; ++rep) {
       timer.reset();
       for (std::size_t q = 0; q < total_queries; ++q) {
-        const auto ranked = core::retrieve(space, queries[q], opts);
-        if (!same_ranking(ranked, reference[q])) {
+        if (!same_ranking(single(queries[q]), reference[q])) {
           std::cerr << "single-query run diverged from itself?!\n";
           return 1;
         }
@@ -123,9 +139,9 @@ int main() {
       std::size_t checked = 0;
       for (std::size_t lo = 0; lo < total_queries; lo += batch_size) {
         const std::size_t hi = std::min(total_queries, lo + batch_size);
-        const std::vector<la::Vector> block(queries.begin() + lo,
-                                            queries.begin() + hi);
-        const auto batch = core::QueryBatch::from_term_vectors(space, block);
+        const std::vector<la::SparseVector> block(queries.begin() + lo,
+                                                  queries.begin() + hi);
+        const auto batch = core::QueryBatch::from_sparse(space, block);
         const auto ranked = retriever.rank(batch, opts);
         for (std::size_t b = 0; b < ranked.size(); ++b, ++checked) {
           if (!same_ranking(ranked[b], reference[lo + b])) {
@@ -148,6 +164,9 @@ int main() {
     fp.n = n;
     fp.k = k;
     fp.b = batch_size;
+    // Every batch size projects the same queries, so the per-query model
+    // uses the average nonzeros over all of them.
+    fp.nnz_q = total_nnz(queries) * batch_size / total_queries;
     const double mflop_per_query =
         static_cast<double>(core::flops_batch_project(fp) +
                             core::flops_batch_score(fp)) /
@@ -176,10 +195,10 @@ int main() {
   {
     obs::ScopedSink scoped(&stats.sink());
     const std::size_t bsz = std::min<std::size_t>(32, total_queries);
-    const std::vector<la::Vector> block(queries.begin(),
-                                        queries.begin() + bsz);
+    const std::vector<la::SparseVector> block(queries.begin(),
+                                              queries.begin() + bsz);
     core::QueryStats qs;
-    const auto batch = core::QueryBatch::from_term_vectors(space, block, &qs);
+    const auto batch = core::QueryBatch::from_sparse(space, block, &qs);
     const auto ranked = retriever.rank(batch, opts, &qs);
     if (ranked.size() != bsz) return 1;
     core::FlopModelParams fp;
@@ -187,6 +206,7 @@ int main() {
     fp.n = n;
     fp.k = k;
     fp.b = bsz;
+    fp.nnz_q = total_nnz(block);
     stats.flop_row("retrieval.batch32",
                    core::flops_batch_project(fp) + core::flops_batch_score(fp),
                    qs.flops);

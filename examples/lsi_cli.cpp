@@ -163,15 +163,17 @@ bool has_flag(const std::vector<std::string>& args, const std::string& flag) {
 }
 
 /// Appends the retrieval predicted-vs-measured flop rows for a batch of b
-/// queries just ranked against `space` (model: lsi/flops.hpp).
+/// queries holding nnz_q weighted nonzeros in all, just ranked against
+/// `space` (model: lsi/flops.hpp).
 void record_retrieval_flops(const SemanticSpace& space, std::uint64_t b,
-                            const QueryStats& stats) {
+                            std::uint64_t nnz_q, const QueryStats& stats) {
   if (!g_sink) return;
   core::FlopModelParams fp;
   fp.m = space.num_terms();
   fp.n = space.num_docs();
   fp.k = space.k();
   fp.b = b;
+  fp.nnz_q = nnz_q;
   // Predict only the stages the stats actually measured: projection is
   // absent when the query entered pre-projected (project_seconds == 0), and
   // the norm-cache fill is modeled separately (flops_doc_norm_cache). The
@@ -243,19 +245,24 @@ int cmd_build(const std::vector<std::string>& args) {
     for (const auto& hit : index.query(probe, sopts, &stats)) {
       std::cout << hit.label << '\t' << hit.cosine << '\n';
     }
-    record_retrieval_flops(index.space(), 1, stats);
+    record_retrieval_flops(index.space(), 1,
+                           index.weighted_terms(probe).nnz(), stats);
   }
   return 0;
 }
 
-/// Weighted query vector against a reloaded database.
-la::Vector query_vector(const LsiDatabase& db, const std::string& text) {
-  TermDocumentMatrix shim;
-  shim.vocabulary = db.vocabulary;  // text_to_term_vector needs the vocab
-  la::Vector raw = text::text_to_term_vector(shim, text);
+/// Weighted sparse query vector against a reloaded database.
+la::SparseVector query_terms(const LsiDatabase& db, const std::string& text) {
   std::vector<double> g = db.global_weights;
   if (g.empty()) g.assign(db.vocabulary.size(), 1.0);
-  return weighting::apply_to_vector(raw, g, db.scheme.local);
+  return weighting::apply_to_sparse(text::term_counts(db.vocabulary, text), g,
+                                    db.scheme.local);
+}
+
+std::uint64_t total_nnz(const std::vector<la::SparseVector>& terms) {
+  std::uint64_t nnz = 0;
+  for (const la::SparseVector& t : terms) nnz += t.nnz();
+  return nnz;
 }
 
 int cmd_query(const std::vector<std::string>& args) {
@@ -310,12 +317,11 @@ int cmd_query(const std::vector<std::string>& args) {
     while (std::getline(is, line)) {
       if (!line.empty()) texts.push_back(line);
     }
-    std::vector<la::Vector> vectors;
-    vectors.reserve(texts.size());
-    for (const auto& t : texts) vectors.push_back(query_vector(db, t));
+    std::vector<la::SparseVector> terms;
+    terms.reserve(texts.size());
+    for (const auto& t : texts) terms.push_back(query_terms(db, t));
     QueryStats stats;
-    const auto batch =
-        QueryBatch::from_term_vectors(*space, vectors, &stats);
+    const auto batch = QueryBatch::from_sparse(*space, terms, &stats);
     const auto ranked = retriever.rank(batch, sopts, &stats);
     for (std::size_t b = 0; b < ranked.size(); ++b) {
       std::cout << "# query " << (b + 1) << ": " << texts[b] << '\n';
@@ -324,18 +330,18 @@ int cmd_query(const std::vector<std::string>& args) {
       }
     }
     stat_param("batch_size", static_cast<double>(texts.size()));
-    record_retrieval_flops(*space, texts.size(), stats);
+    record_retrieval_flops(*space, texts.size(), total_nnz(terms), stats);
     return 0;
   }
 
   QueryStats stats;
-  const auto batch = QueryBatch::from_term_vectors(
-      *space, {query_vector(db, args[1])}, &stats);
+  const std::vector<la::SparseVector> terms = {query_terms(db, args[1])};
+  const auto batch = QueryBatch::from_sparse(*space, terms, &stats);
   const auto ranked = retriever.rank(batch, sopts, &stats);
   for (const auto& sd : ranked.front()) {
     std::cout << db.doc_labels[sd.doc] << '\t' << sd.cosine << '\n';
   }
-  record_retrieval_flops(*space, 1, stats);
+  record_retrieval_flops(*space, 1, total_nnz(terms), stats);
   return 0;
 }
 
@@ -363,15 +369,15 @@ int cmd_add(const std::vector<std::string>& args) {
   if (args.size() < 2) return usage();
   auto db = try_load_database_file(args[0]).value();
   const auto docs = read_tsv(args[1]);
-  la::CooBuilder builder(db.space.num_terms(), docs.size());
-  for (std::size_t d = 0; d < docs.size(); ++d) {
-    const auto w = query_vector(db, docs[d].body);
-    for (core::index_t i = 0; i < w.size(); ++i) {
-      if (w[i] != 0.0) builder.add(i, d, w[i]);
-    }
-    db.doc_labels.push_back(docs[d].label);
+  std::vector<la::SparseVector> cols;
+  cols.reserve(docs.size());
+  for (const auto& doc : docs) {
+    cols.push_back(query_terms(db, doc.body));
+    db.doc_labels.push_back(doc.label);
   }
-  fold_in_documents(db.space, builder.to_csc());
+  const la::CscMatrix d =
+      la::CscMatrix::from_columns(db.space.num_terms(), cols);
+  fold_in_documents(db.space, d);
   try_save_database_file(args[0], db).or_throw();
   std::cout << "folded in " << docs.size() << " documents; database now "
             << db.doc_labels.size() << " documents\n";
@@ -380,8 +386,9 @@ int cmd_add(const std::vector<std::string>& args) {
     fp.m = db.space.num_terms();
     fp.k = db.space.k();
     fp.p = docs.size();
+    // The fold projects each column over its nonzeros: 2 nnz(D) k.
     g_flops.push_back({"foldin.documents", core::flops_fold_documents(fp),
-                       2 * fp.m * fp.k * fp.p});
+                       2 * d.nnz() * fp.k});
   }
   return 0;
 }

@@ -6,7 +6,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "la/kernels.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lsi::la {
@@ -131,53 +130,6 @@ DenseMatrix multiply_at_b(const DenseMatrix& a, const DenseMatrix& b) {
         for (index_t i = 0; i < a.cols(); ++i) cj[i] = dot(a.col(i), bj);
       },
       /*grain=*/8);
-  return c;
-}
-
-DenseMatrix multiply_at_b_blocked(const DenseMatrix& a, const DenseMatrix& b,
-                                  index_t col_panel) {
-  assert(a.rows() == b.rows());
-  const index_t m = a.rows();
-  const index_t p = a.cols();
-  DenseMatrix c(p, b.cols());
-  if (m == 0 || p == 0 || b.cols() == 0) return c;
-  if (col_panel == 0) col_panel = 1;
-  // Rows of the shared dimension per block: a.col(i)'s active block (a few
-  // KB) stays in L1 while the inner loop sweeps the panel's B columns, and
-  // the panel's B column blocks stay in L2 across all p columns of A.
-  constexpr index_t kRowBlock = 512;
-  // Register tile of 4 output columns (kern::Ops::at_b_tile4): every ai load
-  // feeds four accumulation streams. Within one kernel the tile's
-  // accumulation chain is fixed and at_b_tile1 computes exactly one
-  // at_b_tile4 stream, so results are bit-identical for every panel width,
-  // batch size, and thread count — the invariant batched-vs-single parity
-  // relies on (tests/la/kernel_dispatch_test.cpp).
-  const kern::Ops& kern_ops = kern::active();
-  util::parallel_for_chunks(
-      0, b.cols(),
-      [&](std::size_t jlo, std::size_t jhi) {
-        for (index_t rlo = 0; rlo < m; rlo += kRowBlock) {
-          const index_t rhi = std::min(m, rlo + kRowBlock);
-          for (index_t i = 0; i < p; ++i) {
-            const double* ai = a.col(i).data();
-            index_t j = jlo;
-            for (; j + 4 <= jhi; j += 4) {
-              double tile[4];
-              kern_ops.at_b_tile4(ai, b.col(j).data(), b.col(j + 1).data(),
-                                  b.col(j + 2).data(), b.col(j + 3).data(),
-                                  rlo, rhi, tile);
-              c(i, j) += tile[0];
-              c(i, j + 1) += tile[1];
-              c(i, j + 2) += tile[2];
-              c(i, j + 3) += tile[3];
-            }
-            for (; j < jhi; ++j) {
-              c(i, j) += kern_ops.at_b_tile1(ai, b.col(j).data(), rlo, rhi);
-            }
-          }
-        }
-      },
-      /*grain=*/col_panel);
   return c;
 }
 

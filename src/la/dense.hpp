@@ -100,18 +100,6 @@ DenseMatrix multiply(const DenseMatrix& a, const DenseMatrix& b);
 /// C = A^T * B without forming A^T.
 DenseMatrix multiply_at_b(const DenseMatrix& a, const DenseMatrix& b);
 
-/// C = A^T * B via the blocked kernel behind batched query projection:
-/// columns of C are processed in `col_panel`-wide panels across the thread
-/// pool, and within a panel the shared dimension is walked in cache-sized
-/// blocks so each block of A is reused for every column of the panel. The
-/// inner kernel register-tiles four columns of B per A column (each load of
-/// A feeds four FMA streams) with a fixed two-way accumulator split per
-/// stream, so results differ from multiply_at_b by rounding only — but are
-/// bit-identical across every panel width, batch size, and thread count,
-/// which is what batched-vs-single retrieval parity relies on.
-DenseMatrix multiply_at_b_blocked(const DenseMatrix& a, const DenseMatrix& b,
-                                  index_t col_panel = 16);
-
 /// C = A * B^T without forming B^T.
 DenseMatrix multiply_a_bt(const DenseMatrix& a, const DenseMatrix& b);
 

@@ -3,8 +3,10 @@
 // (docs/KERNELS.md). One process-global Ops table is selected at first use —
 // CPUID by default, overridable with the LSI_KERNEL environment variable or
 // kern::force() (the CLI's --kernel flag) — and every hot loop that routes
-// through it (the blocked GEMM register tile, the batched score sweep, the
-// Lanczos reorthogonalization) calls through plain function pointers.
+// through it (the batched score sweep, the Lanczos reorthogonalization) calls
+// through plain function pointers. The Eq. 6 projection is not one of them:
+// it gathers a query's few nonzero rows of U_k in a scalar loop
+// (core::project_sparse), so projected queries are kernel-invariant.
 //
 // Precision policy (enforced by tests/la/kernel_parity_test.cpp):
 //
@@ -14,12 +16,10 @@
 //     is built only from these, which is why batched-vs-single,
 //     exact-vs-full-probe, concurrent and replicated parity hold under any
 //     kernel.
-//   * reduction kernels (dot, at_b_tile1, at_b_tile4) may reassociate the
-//     sum (wider accumulators, FMA), so results differ across kernels within
-//     a small ULP bound — but each kernel is DETERMINISTIC: for a given
-//     input length the accumulation tree is fixed, independent of panel
-//     width, batch size, or thread count (at_b_tile1 computes exactly one
-//     stream of at_b_tile4's chain).
+//   * the reduction kernel (dot) may reassociate the sum (wider
+//     accumulators, FMA), so results differ across kernels within a small
+//     ULP bound — but each kernel is DETERMINISTIC: for a given input length
+//     the accumulation tree is fixed.
 //
 // Scalar norms (la::norm2, the doc-norm caches) intentionally stay outside
 // this table: cached norms must be identical no matter which kernel is
@@ -36,17 +36,9 @@ namespace lsi::la::kern {
 struct Ops {
   const char* name;
 
-  // --- reduction kernels (reassociation allowed, ULP-bounded) ---
+  // --- reduction kernel (reassociation allowed, ULP-bounded) ---
   /// sum_i x[i] * y[i].
   double (*dot)(const double* x, const double* y, std::size_t n);
-  /// One inner register tile of C = A^T B: out[t] = sum_{r in [lo,hi)}
-  /// a[r] * bt[r] for the four B columns b0..b3.
-  void (*at_b_tile4)(const double* a, const double* b0, const double* b1,
-                     const double* b2, const double* b3, std::size_t lo,
-                     std::size_t hi, double out[4]);
-  /// Single-column remainder tile; bit-identical to one at_b_tile4 stream.
-  double (*at_b_tile1)(const double* a, const double* b, std::size_t lo,
-                       std::size_t hi);
 
   // --- elementwise kernels (fixed order, bit-identical across kernels) ---
   /// y[i] += a * x[i].

@@ -7,11 +7,9 @@
 //   * axpy / axpy4 / axpy_bf16 / axpy4_bf16 are elementwise (packed multiply
 //     then packed add, one rounding each — the same two roundings the scalar
 //     code performs per element), so they are bit-identical to portable.
-//   * dot / at_b_tile4 / at_b_tile1 use 4-lane FMA accumulators with a fixed
-//     lane-reduction order ((l0+l2) + (l1+l3)); results differ from portable
-//     within the ULP bound stated in docs/KERNELS.md, but are deterministic
-//     per length, and at_b_tile1 runs exactly one stream of at_b_tile4's
-//     chain, so tile results never depend on panel width or batch size.
+//   * dot uses 4-lane FMA accumulators with a fixed lane-reduction order
+//     ((l0+l2) + (l1+l3)); results differ from portable within the ULP bound
+//     stated in docs/KERNELS.md, but are deterministic per length.
 
 #include "la/kernels.hpp"
 
@@ -45,53 +43,6 @@ double dot_avx2(const double* x, const double* y, std::size_t n) {
   }
   double s = reduce4(_mm256_add_pd(acc0, acc1));
   for (; i < n; ++i) s += x[i] * y[i];
-  return s;
-}
-
-void at_b_tile4_avx2(const double* ai, const double* b0, const double* b1,
-                     const double* b2, const double* b3, std::size_t rlo,
-                     std::size_t rhi, double out[4]) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  std::size_t r = rlo;
-  for (; r + 4 <= rhi; r += 4) {
-    const __m256d va = _mm256_loadu_pd(ai + r);
-    acc0 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b0 + r), acc0);
-    acc1 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b1 + r), acc1);
-    acc2 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b2 + r), acc2);
-    acc3 = _mm256_fmadd_pd(va, _mm256_loadu_pd(b3 + r), acc3);
-  }
-  double s0 = reduce4(acc0);
-  double s1 = reduce4(acc1);
-  double s2 = reduce4(acc2);
-  double s3 = reduce4(acc3);
-  for (; r < rhi; ++r) {
-    const double a = ai[r];
-    s0 += a * b0[r];
-    s1 += a * b1[r];
-    s2 += a * b2[r];
-    s3 += a * b3[r];
-  }
-  out[0] = s0;
-  out[1] = s1;
-  out[2] = s2;
-  out[3] = s3;
-}
-
-double at_b_tile1_avx2(const double* ai, const double* bj, std::size_t rlo,
-                       std::size_t rhi) {
-  // Exactly one stream of at_b_tile4's chain, so remainder columns get the
-  // same bits they would get inside a full 4-wide tile.
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t r = rlo;
-  for (; r + 4 <= rhi; r += 4) {
-    acc = _mm256_fmadd_pd(_mm256_loadu_pd(ai + r), _mm256_loadu_pd(bj + r),
-                          acc);
-  }
-  double s = reduce4(acc);
-  for (; r < rhi; ++r) s += ai[r] * bj[r];
   return s;
 }
 
@@ -222,9 +173,8 @@ void cos_norm_f32_avx2(double qn, const float* acc, const double* dn,
 }
 
 constexpr Ops kAvx2Ops = {
-    "avx2",          dot_avx2,   at_b_tile4_avx2, at_b_tile1_avx2,
-    axpy_avx2,       axpy4_avx2, axpy_bf16_avx2,  axpy4_bf16_avx2,
-    cos_norm_avx2,   cos_norm_f32_avx2,
+    "avx2",         dot_avx2,           axpy_avx2,     axpy4_avx2,
+    axpy_bf16_avx2, axpy4_bf16_avx2,    cos_norm_avx2, cos_norm_f32_avx2,
 };
 
 }  // namespace

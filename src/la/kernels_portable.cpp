@@ -1,15 +1,8 @@
 // Portable kernel: the scalar code every hot path ran before dispatch
 // existed, moved here verbatim so its results stay bit-identical to the
-// pre-kernel library. The SSE2 block below is part of "portable" — it is
-// baseline x86-64, documented bit-identical to the scalar remainder, and was
-// already inside multiply_at_b_blocked before the kernel layer split it out.
+// pre-kernel library.
 
 #include "la/kernels.hpp"
-
-#if defined(__SSE2__) || defined(_M_X64)
-#define LSI_KERN_SSE2 1
-#include <emmintrin.h>
-#endif
 
 namespace lsi::la::kern {
 
@@ -19,78 +12,6 @@ double dot_portable(const double* x, const double* y, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
   return acc;
-}
-
-void at_b_tile4_portable(const double* ai, const double* b0, const double* b1,
-                         const double* b2, const double* b3, std::size_t rlo,
-                         std::size_t rhi, double out[4]) {
-  // Register tile of 4 output columns: every ai load feeds four streams, and
-  // each stream keeps two partial sums (even/odd shared-dim positions) to
-  // break the dependency chain. The per-element accumulation order — even
-  // partials, odd partials, combined once per call — is the same in the
-  // 4-wide body and the single-column tile, so results are bit-identical
-  // for every panel width, batch size, and thread count.
-  double s00, s01, s10, s11, s20, s21, s30, s31;
-  std::size_t r = rlo;
-#if defined(LSI_KERN_SSE2)
-  // Packed lanes hold the even/odd partial sums; elementwise packed mul/add
-  // rounds exactly like the scalar code below, so both bodies produce the
-  // same bits.
-  __m128d acc0 = _mm_setzero_pd();
-  __m128d acc1 = _mm_setzero_pd();
-  __m128d acc2 = _mm_setzero_pd();
-  __m128d acc3 = _mm_setzero_pd();
-  for (; r + 2 <= rhi; r += 2) {
-    const __m128d va = _mm_loadu_pd(ai + r);
-    acc0 = _mm_add_pd(acc0, _mm_mul_pd(va, _mm_loadu_pd(b0 + r)));
-    acc1 = _mm_add_pd(acc1, _mm_mul_pd(va, _mm_loadu_pd(b1 + r)));
-    acc2 = _mm_add_pd(acc2, _mm_mul_pd(va, _mm_loadu_pd(b2 + r)));
-    acc3 = _mm_add_pd(acc3, _mm_mul_pd(va, _mm_loadu_pd(b3 + r)));
-  }
-  s00 = _mm_cvtsd_f64(acc0);
-  s01 = _mm_cvtsd_f64(_mm_unpackhi_pd(acc0, acc0));
-  s10 = _mm_cvtsd_f64(acc1);
-  s11 = _mm_cvtsd_f64(_mm_unpackhi_pd(acc1, acc1));
-  s20 = _mm_cvtsd_f64(acc2);
-  s21 = _mm_cvtsd_f64(_mm_unpackhi_pd(acc2, acc2));
-  s30 = _mm_cvtsd_f64(acc3);
-  s31 = _mm_cvtsd_f64(_mm_unpackhi_pd(acc3, acc3));
-#else
-  s00 = s01 = s10 = s11 = s20 = s21 = s30 = s31 = 0.0;
-  for (; r + 2 <= rhi; r += 2) {
-    const double a0 = ai[r], a1 = ai[r + 1];
-    s00 += a0 * b0[r];
-    s01 += a1 * b0[r + 1];
-    s10 += a0 * b1[r];
-    s11 += a1 * b1[r + 1];
-    s20 += a0 * b2[r];
-    s21 += a1 * b2[r + 1];
-    s30 += a0 * b3[r];
-    s31 += a1 * b3[r + 1];
-  }
-#endif
-  for (; r < rhi; ++r) {
-    s00 += ai[r] * b0[r];
-    s10 += ai[r] * b1[r];
-    s20 += ai[r] * b2[r];
-    s30 += ai[r] * b3[r];
-  }
-  out[0] = s00 + s01;
-  out[1] = s10 + s11;
-  out[2] = s20 + s21;
-  out[3] = s30 + s31;
-}
-
-double at_b_tile1_portable(const double* ai, const double* bj, std::size_t rlo,
-                           std::size_t rhi) {
-  double s0 = 0.0, s1 = 0.0;
-  std::size_t r = rlo;
-  for (; r + 2 <= rhi; r += 2) {
-    s0 += ai[r] * bj[r];
-    s1 += ai[r + 1] * bj[r + 1];
-  }
-  for (; r < rhi; ++r) s0 += ai[r] * bj[r];
-  return s0 + s1;
 }
 
 void axpy_portable(double a, const double* x, double* y, std::size_t n) {
@@ -143,10 +64,9 @@ void cos_norm_f32_portable(double qn, const float* acc, const double* dn,
 }
 
 constexpr Ops kPortableOps = {
-    "portable",        dot_portable,       at_b_tile4_portable,
-    at_b_tile1_portable, axpy_portable,    axpy4_portable,
-    axpy_bf16_portable, axpy4_bf16_portable,
-    cos_norm_portable, cos_norm_f32_portable,
+    "portable",         dot_portable,        axpy_portable,
+    axpy4_portable,     axpy_bf16_portable,  axpy4_bf16_portable,
+    cos_norm_portable,  cos_norm_f32_portable,
 };
 
 }  // namespace

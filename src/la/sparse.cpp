@@ -8,6 +8,39 @@
 
 namespace lsi::la {
 
+SparseVector SparseVector::from_dense(std::span<const double> x) {
+  SparseVector out;
+  for (index_t i = 0; i < x.size(); ++i) {
+    if (x[i] == 0.0) continue;
+    out.rows.push_back(i);
+    out.values.push_back(x[i]);
+  }
+  return out;
+}
+
+Vector SparseVector::to_dense(index_t size) const {
+  Vector out(size, 0.0);
+  for (std::size_t p = 0; p < rows.size(); ++p) {
+    assert(rows[p] < size);
+    out[rows[p]] = values[p];
+  }
+  return out;
+}
+
+void multiply_transpose(const DenseMatrix& a, std::span<const index_t> rows,
+                        std::span<const double> values, std::span<double> y) {
+  assert(rows.size() == values.size() && y.size() == a.cols());
+  assert(rows.empty() || rows.back() < a.rows());
+  for (index_t i = 0; i < a.cols(); ++i) {
+    const auto a_i = a.col(i);
+    double acc = 0.0;
+    for (std::size_t p = 0; p < rows.size(); ++p) {
+      acc += a_i[rows[p]] * values[p];
+    }
+    y[i] = acc;
+  }
+}
+
 void CooBuilder::add(index_t i, index_t j, double v) {
   assert(i < rows_ && j < cols_);
   is_.push_back(i);
@@ -72,6 +105,27 @@ CscMatrix CscMatrix::from_dense(const DenseMatrix& a, double drop_tol) {
     }
   }
   return b.to_csc();
+}
+
+CscMatrix CscMatrix::from_columns(index_t rows,
+                                  std::span<const SparseVector> cols) {
+  std::vector<index_t> col_ptr(cols.size() + 1, 0);
+  for (std::size_t j = 0; j < cols.size(); ++j) {
+    col_ptr[j + 1] = col_ptr[j] + cols[j].nnz();
+  }
+  std::vector<index_t> row_idx;
+  std::vector<double> values;
+  row_idx.reserve(col_ptr.back());
+  values.reserve(col_ptr.back());
+  for (const SparseVector& c : cols) {
+    assert(c.rows.size() == c.values.size());
+    assert(std::is_sorted(c.rows.begin(), c.rows.end()));
+    assert(c.rows.empty() || c.rows.back() < rows);
+    row_idx.insert(row_idx.end(), c.rows.begin(), c.rows.end());
+    values.insert(values.end(), c.values.begin(), c.values.end());
+  }
+  return CscMatrix(rows, cols.size(), std::move(col_ptr), std::move(row_idx),
+                   std::move(values));
 }
 
 double CscMatrix::density() const noexcept {

@@ -1,7 +1,9 @@
 #pragma once
 // Sparse matrices in the two formats LSI needs:
 //   * CooBuilder   — incremental triplet assembly while parsing documents;
-//   * CscMatrix    — compressed sparse column, the operational format.
+//   * CscMatrix    — compressed sparse column, the operational format;
+// plus SparseVector, one column on its own: the form a query or an ingested
+// document takes from the tokenizer to the Equation 6/7 projection.
 //
 // Term-document matrices store documents as columns, so CSC gives O(nnz_j)
 // access to each document and a cache-friendly A*x; A^T*x traverses columns
@@ -17,6 +19,29 @@
 #include "la/vector_ops.hpp"
 
 namespace lsi::la {
+
+/// A sparse vector: strictly ascending indices `rows` with the parallel
+/// nonzero `values`, the layout of one CscMatrix column.
+struct SparseVector {
+  std::vector<index_t> rows;
+  std::vector<double> values;
+
+  std::size_t nnz() const noexcept { return rows.size(); }
+
+  /// The nonzeros of a dense vector, in ascending order.
+  static SparseVector from_dense(std::span<const double> x);
+
+  /// Dense copy of length `size` (every row must be below it).
+  Vector to_dense(index_t size) const;
+};
+
+/// y = A^T x for a sparse x given by its ascending `rows` and `values`:
+/// y[i] = sum_p a(rows[p], i) * values[p], summed in ascending p. O(nnz
+/// a.cols()), and bit-identical to multiply_transpose on the densified x:
+/// the skipped products are exact zeros, which never change a sum. `y` has
+/// length a.cols().
+void multiply_transpose(const DenseMatrix& a, std::span<const index_t> rows,
+                        std::span<const double> values, std::span<double> y);
 
 /// Triplet accumulator. Duplicate (i, j) entries are summed on conversion.
 class CooBuilder {
@@ -46,6 +71,12 @@ class CscMatrix {
             std::vector<index_t> row_idx, std::vector<double> values);
 
   static CscMatrix from_dense(const DenseMatrix& a, double drop_tol = 0.0);
+
+  /// Stacks sparse vectors as the columns of a rows x cols.size() matrix.
+  /// Each column is copied as is, so it must already be sorted, unique and
+  /// free of explicit zeros (what CooBuilder::to_csc would produce).
+  static CscMatrix from_columns(index_t rows,
+                                std::span<const SparseVector> cols);
 
   index_t rows() const noexcept { return rows_; }
   index_t cols() const noexcept { return cols_; }

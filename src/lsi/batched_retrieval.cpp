@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <string>
+#include <type_traits>
 
 #include "la/kernels.hpp"
 #include "lsi/doc_store.hpp"
@@ -15,6 +16,13 @@
 namespace lsi::core {
 
 namespace {
+
+/// L1 budget of one sweep sub-tile's accumulators (tile x B of them), half
+/// of a typical 32 KiB L1d so the V column segments streaming past fit too.
+constexpr std::size_t kSweepTileBytes = 16 * 1024;
+/// Floor on the sub-tile height, so very large batches still run the
+/// elementwise kernels over vector-length stretches.
+constexpr std::size_t kMinSweepTile = 16;
 
 // ranks_before (lsi/ranking.hpp) is the total order every ranking obeys:
 // higher cosine first, then lower document index. Also the heap ordering for
@@ -99,6 +107,57 @@ Expected<QueryBatch> QueryBatch::try_from_projected(
   return from_projected(space, qhats);
 }
 
+Expected<QueryBatch> QueryBatch::try_from_sparse(
+    const SemanticSpace& space,
+    const std::vector<la::SparseVector>& term_vectors, QueryStats* stats) {
+  for (std::size_t b = 0; b < term_vectors.size(); ++b) {
+    const la::SparseVector& t = term_vectors[b];
+    const auto bad = [&](const std::string& why) {
+      return Status::InvalidArgument("sparse term vector " +
+                                     std::to_string(b) + " " + why);
+    };
+    if (t.rows.size() != t.values.size()) {
+      return bad("has " + std::to_string(t.rows.size()) + " rows but " +
+                 std::to_string(t.values.size()) + " values");
+    }
+    for (std::size_t p = 0; p < t.rows.size(); ++p) {
+      if (t.rows[p] >= space.num_terms()) {
+        return bad("has row " + std::to_string(t.rows[p]) + ", space has " +
+                   std::to_string(space.num_terms()) + " terms");
+      }
+      if (p > 0 && t.rows[p] <= t.rows[p - 1]) {
+        return bad("rows are not strictly ascending at position " +
+                   std::to_string(p));
+      }
+    }
+  }
+  return from_sparse(space, term_vectors, stats);
+}
+
+QueryBatch QueryBatch::from_sparse(
+    const SemanticSpace& space,
+    const std::vector<la::SparseVector>& term_vectors, QueryStats* stats) {
+  util::WallTimer timer;
+  LSI_OBS_SPAN(span, "retrieval.project");
+  QueryBatch batch;
+  batch.qhat_ = la::DenseMatrix(space.k(), term_vectors.size());
+  std::uint64_t nnz = 0;
+  for (index_t b = 0; b < term_vectors.size(); ++b) {
+    const la::SparseVector& t = term_vectors[b];
+    project_sparse(space, t.rows, t.values, batch.qhat_.col(b));
+    nnz += t.nnz();
+  }
+  if (stats) {
+    const std::uint64_t k = space.k();
+    const std::uint64_t b = term_vectors.size();
+    stats->flops += 2 * nnz * k + k * b;  // gathered dots + S^{-1} scaling
+    const double elapsed = timer.seconds();
+    stats->project_seconds += elapsed;
+    stats->total_seconds += elapsed;
+  }
+  return batch;
+}
+
 Expected<QueryBatch> QueryBatch::try_from_term_vectors(
     const SemanticSpace& space, const std::vector<la::Vector>& term_vectors,
     QueryStats* stats) {
@@ -116,34 +175,13 @@ Expected<QueryBatch> QueryBatch::try_from_term_vectors(
 QueryBatch QueryBatch::from_term_vectors(
     const SemanticSpace& space, const std::vector<la::Vector>& term_vectors,
     QueryStats* stats) {
-  util::WallTimer timer;
-  LSI_OBS_SPAN(span, "retrieval.project");
-  la::DenseMatrix q(space.num_terms(), term_vectors.size());
-  for (index_t b = 0; b < term_vectors.size(); ++b) {
-    assert(term_vectors[b].size() == space.num_terms());
-    auto col = q.col(b);
-    for (index_t i = 0; i < space.num_terms(); ++i) col[i] = term_vectors[b][i];
+  std::vector<la::SparseVector> sparse;
+  sparse.reserve(term_vectors.size());
+  for (const la::Vector& t : term_vectors) {
+    assert(t.size() == space.num_terms());
+    sparse.push_back(la::SparseVector::from_dense(t));
   }
-  QueryBatch batch;
-  batch.qhat_ = la::multiply_at_b_blocked(space.u, q);  // k x B
-  // S_k^{-1} row scaling; zero singular values map to zero (pseudo-inverse
-  // semantics, matching project_query).
-  for (index_t b = 0; b < batch.qhat_.cols(); ++b) {
-    auto col = batch.qhat_.col(b);
-    for (index_t i = 0; i < space.k(); ++i) {
-      col[i] = space.sigma[i] > 0.0 ? col[i] / space.sigma[i] : 0.0;
-    }
-  }
-  if (stats) {
-    const std::uint64_t m = space.num_terms();
-    const std::uint64_t k = space.k();
-    const std::uint64_t b = term_vectors.size();
-    stats->flops += 2 * m * k * b + k * b;  // GEMM + S^{-1} row scaling
-    const double elapsed = timer.seconds();
-    stats->project_seconds += elapsed;
-    stats->total_seconds += elapsed;
-  }
-  return batch;
+  return from_sparse(space, sparse, stats);
 }
 
 la::DenseMatrix BatchedRetriever::scores(const QueryBatch& batch,
@@ -205,79 +243,80 @@ la::DenseMatrix BatchedRetriever::scores(const QueryBatch& batch,
     return c;
   }
   // One V_k-panel sweep: factor i's document column is loaded once per
-  // panel and reused by every query. Each scores(j, b) accumulates over i
-  // ascending, independent of panel bounds and batch size, so per-query
-  // results do not depend on who else shares the batch. The accumulation
-  // runs on the dispatched elementwise kernels (la/kernels.hpp): axpy4
-  // drives four query streams off one load of vi, and because elementwise
-  // kernels are bit-identical across kernels and to the scalar loop, every
-  // parity contract (batched-vs-single, pruned full-probe, concurrent,
-  // replicated) holds under any kernel.
+  // sub-tile and reused by every query. Each scores(j, b) accumulates over i
+  // ascending, independent of chunk and tile bounds and of the batch size,
+  // so per-query results do not depend on who else shares the batch. The
+  // accumulation runs on the dispatched elementwise kernels
+  // (la/kernels.hpp): axpy4 drives four query streams off one load of vi,
+  // and because elementwise kernels are bit-identical across kernels and to
+  // the scalar loop, every parity contract (batched-vs-single, pruned
+  // full-probe, concurrent, replicated) holds under any kernel.
   const la::kern::Ops& kern_ops = la::kern::active();
   if (bf16) obs::count("retrieval.bf16_queries", bsz);
+  // acc[b * stride + t] += w(i, b) * col(i)[lo + t] for t < len, i ascending,
+  // queries with a zero weight skipped, four query streams per load of v_i.
+  const auto accumulate = [&](auto* acc, std::size_t stride, auto col,
+                              std::size_t lo, std::size_t len, auto axpy,
+                              auto axpy4) {
+    using Acc = std::remove_pointer_t<decltype(acc)>;
+    for (index_t i = 0; i < k; ++i) {
+      const auto* vi = col(i) + lo;
+      Acc a4[4];
+      Acc* y4[4];
+      int lanes = 0;
+      for (index_t b = 0; b < bsz; ++b) {
+        const double wib = w(i, b);
+        if (wib == 0.0) continue;
+        a4[lanes] = static_cast<Acc>(wib);
+        y4[lanes] = acc + b * stride;
+        if (++lanes == 4) {
+          axpy4(a4, vi, y4[0], y4[1], y4[2], y4[3], len);
+          lanes = 0;
+        }
+      }
+      for (int t = 0; t < lanes; ++t) axpy(a4[t], vi, y4[t], len);
+    }
+  };
+  // Each chunk is swept in document sub-tiles sized so that the tile x B
+  // accumulators stay in L1 while all k factors pass over them; a whole
+  // chunk's (512 x 32 doubles is 128 KiB) would be re-read from L2 once per
+  // factor. At B = 1 the tile is the chunk.
+  const std::size_t tile_rows = std::max<std::size_t>(
+      kMinSweepTile,
+      kSweepTileBytes / ((bf16 ? sizeof(float) : sizeof(double)) * bsz));
   util::parallel_for_chunks(
       0, n,
-      [&](std::size_t lo, std::size_t hi) {
-        const std::size_t len = hi - lo;
-        if (bf16) {
-          // Reduced-precision sweep: stream the bf16 columns, accumulate in
-          // fp32 (chunk-local buffer), normalize in double. The zero-skip
-          // still tests the DOUBLE weight, so the bf16 path scores exactly
-          // the terms the fp64 path scores.
-          std::vector<float> acc(len * static_cast<std::size_t>(bsz), 0.0f);
-          for (index_t i = 0; i < k; ++i) {
-            const std::uint16_t* vi = bf16->col(i) + lo;
-            float a4[4];
-            float* y4[4];
-            int lanes = 0;
+      [&](std::size_t chunk_lo, std::size_t chunk_hi) {
+        const std::size_t tile = bsz == 1 ? chunk_hi - chunk_lo : tile_rows;
+        std::vector<float> acc32(bf16 ? tile * bsz : 0);
+        for (std::size_t lo = chunk_lo; lo < chunk_hi; lo += tile) {
+          const std::size_t len = std::min(tile, chunk_hi - lo);
+          if (bf16) {
+            // Reduced-precision sweep: stream the bf16 columns, accumulate
+            // in a tile-local fp32 buffer, widen and normalize in double.
+            // The zero-skip still tests the DOUBLE weight, so the bf16 path
+            // scores exactly the terms the fp64 path scores.
+            std::fill(acc32.begin(), acc32.end(), 0.0f);
+            accumulate(acc32.data(), len,
+                       [&](index_t i) { return bf16->col(i); }, lo, len,
+                       kern_ops.axpy_bf16, kern_ops.axpy4_bf16);
             for (index_t b = 0; b < bsz; ++b) {
-              const double wib = w(i, b);
-              if (wib == 0.0) continue;
-              a4[lanes] = static_cast<float>(wib);
-              y4[lanes] = acc.data() + static_cast<std::size_t>(b) * len;
-              if (++lanes == 4) {
-                kern_ops.axpy4_bf16(a4, vi, y4[0], y4[1], y4[2], y4[3], len);
-                lanes = 0;
-              }
+              kern_ops.cos_norm_f32(query_norm[b], acc32.data() + b * len,
+                                    doc_norm.data() + lo, c.col(b).data() + lo,
+                                    len);
             }
-            for (int t = 0; t < lanes; ++t) {
-              kern_ops.axpy_bf16(a4[t], vi, y4[t], len);
-            }
+            continue;
           }
+          accumulate(c.data() + lo, n,
+                     [&](index_t i) { return space_.v.col(i).data(); }, lo,
+                     len, kern_ops.axpy, kern_ops.axpy4);
+          // Normalize the tile in place: cosine = dot / (|q'| * |d'|), with
+          // la::cosine's zero-norm guard. cos_norm is correctly rounded in
+          // every kernel, so the cosines stay bit-identical under dispatch.
           for (index_t b = 0; b < bsz; ++b) {
-            kern_ops.cos_norm_f32(query_norm[b],
-                                  acc.data() + static_cast<std::size_t>(b) * len,
-                                  doc_norm.data() + lo, c.col(b).data() + lo,
-                                  len);
+            kern_ops.cos_norm(query_norm[b], doc_norm.data() + lo,
+                              c.col(b).data() + lo, len);
           }
-          return;
-        }
-        for (index_t i = 0; i < k; ++i) {
-          const double* vi = space_.v.col(i).data() + lo;
-          // Group the nonzero-weight queries into batches of four streams;
-          // per (j, b) the chain is still "+= w(i,b) * vi[j]" in ascending
-          // i, exactly as before.
-          double a4[4];
-          double* y4[4];
-          int lanes = 0;
-          for (index_t b = 0; b < bsz; ++b) {
-            const double wib = w(i, b);
-            if (wib == 0.0) continue;
-            a4[lanes] = wib;
-            y4[lanes] = c.col(b).data() + lo;
-            if (++lanes == 4) {
-              kern_ops.axpy4(a4, vi, y4[0], y4[1], y4[2], y4[3], len);
-              lanes = 0;
-            }
-          }
-          for (int t = 0; t < lanes; ++t) kern_ops.axpy(a4[t], vi, y4[t], len);
-        }
-        // Normalize the panel in place: cosine = dot / (|q'| * |d'|), with
-        // la::cosine's zero-norm guard. cos_norm is correctly rounded in
-        // every kernel, so the cosines stay bit-identical under dispatch.
-        for (index_t b = 0; b < bsz; ++b) {
-          kern_ops.cos_norm(query_norm[b], doc_norm.data() + lo,
-                            c.col(b).data() + lo, len);
         }
       },
       /*grain=*/512);

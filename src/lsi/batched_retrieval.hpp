@@ -1,17 +1,22 @@
 #pragma once
 // Batched multi-query retrieval — the serving hot path. At TREC scale
 // (Section 4.4) retrieval cost is dominated by projecting and scoring
-// *streams* of queries against a fixed semantic space, so the engine treats
-// B queries as one blocked matrix problem instead of B vector problems:
+// *streams* of queries against a fixed semantic space, so the engine scores
+// B queries in one sweep instead of B sweeps:
 //
-//   1. projection: Q_hat = S_k^{-1} (U_k^T Q) for all B queries via one
-//      blocked GEMM (la::multiply_at_b_blocked) — the batched Equation 6;
+//   1. projection: q_hat = S_k^{-1} (U_k^T q) for each query over its
+//      nonzeros only (core::project_sparse, 2 nnz k flops) — Equation 6 on
+//      the few words a query holds, not on an m-vector. The loop is scalar
+//      and kernel-free, so the projected batch has the same bits under
+//      every LSI_KERNEL;
 //   2. scoring: one sweep over V_k's column panels accumulates
 //          scores(j, b) += w(i, b) * V(j, i)
 //      for every document j and query b, where w folds the query- and
 //      document-side sigma scalings of the SimilarityMode into the k x B
 //      weight matrix, so the inner loop reads V_k's raw entries with
-//      stride 1 and each V panel is reused by all B queries;
+//      stride 1 and each V panel is reused by all B queries; panels are
+//      cut into document sub-tiles sized from B so the tile x B
+//      accumulators stay in L1 across the k factors;
 //   3. normalization divides by per-query norms (computed once per batch)
 //      and per-document norms (cached on SemanticSpace per mode);
 //   4. selection keeps the top z per query with a bounded heap instead of
@@ -27,6 +32,7 @@
 #include <vector>
 
 #include "la/dense.hpp"
+#include "la/sparse.hpp"
 #include "lsi/ann.hpp"
 #include "lsi/retrieval.hpp"
 #include "lsi/search_options.hpp"
@@ -50,13 +56,29 @@ class QueryBatch {
   static Expected<QueryBatch> try_from_projected(
       const SemanticSpace& space, const std::vector<la::Vector>& qhats);
 
-  /// Projects B raw (weighted) m-vectors at once: the batched Equation 6,
-  /// Q_hat = S_k^{-1} (U_k^T Q), via the blocked GEMM. Runs under the
+  /// Projects B weighted sparse term vectors (rows strictly ascending, below
+  /// space.num_terms(); what SnapshotQueryContext::weighted_terms returns):
+  /// Equation 6 per query over its nonzeros (project_sparse). Runs under the
   /// "retrieval.project" span; `stats`, when non-null, accumulates the
-  /// projection time and flops (see QueryStats). Every vector must have
-  /// length space.num_terms() (assert in debug; use try_from_term_vectors
-  /// for a checked Status instead). An empty `term_vectors` is valid and
-  /// yields an empty batch that ranks to an empty result list.
+  /// projection time and 2 nnz k + k B flops (nnz summed over the batch).
+  /// Malformed vectors assert in debug; use try_from_sparse for a checked
+  /// Status instead. An empty `term_vectors` is valid and yields an empty
+  /// batch that ranks to an empty result list.
+  static QueryBatch from_sparse(
+      const SemanticSpace& space,
+      const std::vector<la::SparseVector>& term_vectors,
+      QueryStats* stats = nullptr);
+
+  /// Checked variant: kInvalidArgument when a vector's rows and values
+  /// differ in length, or its rows are unsorted, repeated or out of range.
+  static Expected<QueryBatch> try_from_sparse(
+      const SemanticSpace& space,
+      const std::vector<la::SparseVector>& term_vectors,
+      QueryStats* stats = nullptr);
+
+  /// from_sparse over the nonzeros of B dense weighted m-vectors (an O(m)
+  /// scan each). Every vector must have length space.num_terms() (assert in
+  /// debug; use try_from_term_vectors for a checked Status instead).
   static QueryBatch from_term_vectors(
       const SemanticSpace& space,
       const std::vector<la::Vector>& term_vectors,

@@ -19,16 +19,21 @@ SnapshotQueryContext::SnapshotQueryContext(const text::Vocabulary& vocabulary,
                                            const text::ParserOptions& parser,
                                            const weighting::Scheme& scheme,
                                            std::vector<double> global_weights)
-    : parser_(parser),
+    : vocabulary_(vocabulary),
+      parser_(parser),
       scheme_(scheme),
-      global_weights_(std::move(global_weights)) {
-  vocab_shim_.vocabulary = vocabulary;
+      global_weights_(std::move(global_weights)) {}
+
+la::SparseVector SnapshotQueryContext::weighted_terms(
+    std::string_view text) const {
+  return weighting::apply_to_sparse(
+      text::term_counts(vocabulary_, text, parser_), global_weights_,
+      scheme_.local);
 }
 
 la::Vector SnapshotQueryContext::weighted_term_vector(
     std::string_view text) const {
-  const la::Vector raw = text::text_to_term_vector(vocab_shim_, text, parser_);
-  return weighting::apply_to_vector(raw, global_weights_, scheme_.local);
+  return weighted_terms(text).to_dense(vocabulary_.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -38,13 +43,9 @@ la::Vector SnapshotQueryContext::weighted_term_vector(
 std::vector<QueryResult> IndexSnapshot::query(std::string_view text,
                                               const SearchOptions& opts,
                                               QueryStats* stats) const {
-  // Projects with the single-query kernel (project_query), exactly like
-  // LsiIndex::query, so concurrent-vs-sequential rankings stay bit-identical;
-  // the batched from_term_vectors GEMM accumulates in a different order.
   obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
-  const la::Vector q_hat =
-      project_query(*space_, ctx_->weighted_term_vector(text));
-  const QueryBatch one = QueryBatch::from_projected(*space_, {q_hat});
+  const QueryBatch one =
+      QueryBatch::from_sparse(*space_, {ctx_->weighted_terms(text)}, stats);
   auto ranked = BatchedRetriever(space_, ann_).rank(one, opts, stats);
   std::vector<QueryResult> out;
   for (const ScoredDoc& sd : ranked.front()) {

@@ -96,16 +96,18 @@ class SnapshotQueryContext {
                        const weighting::Scheme& scheme,
                        std::vector<double> global_weights);
 
-  /// Weighted m-vector for free text, consistent with the index scheme
-  /// (unknown words are dropped, exactly like LsiIndex::query).
+  /// Weighted sparse term vector for free text, consistent with the index
+  /// scheme (unknown words are dropped, exactly like LsiIndex::query):
+  /// text::term_counts then weighting::apply_to_sparse, O(tokens + nnz).
+  la::SparseVector weighted_terms(std::string_view text) const;
+
+  /// weighted_terms densified to an m-vector.
   la::Vector weighted_term_vector(std::string_view text) const;
 
-  const text::Vocabulary& vocabulary() const noexcept {
-    return vocab_shim_.vocabulary;
-  }
+  const text::Vocabulary& vocabulary() const noexcept { return vocabulary_; }
 
  private:
-  text::TermDocumentMatrix vocab_shim_;  ///< only .vocabulary is populated
+  text::Vocabulary vocabulary_;
   text::ParserOptions parser_;
   weighting::Scheme scheme_;
   std::vector<double> global_weights_;

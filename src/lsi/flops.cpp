@@ -53,7 +53,7 @@ std::uint64_t flops_recompute(const FlopModelParams& x) {
 }
 
 std::uint64_t flops_batch_project(const FlopModelParams& x) {
-  return 2 * x.m * x.k * x.b + x.k * x.b;
+  return 2 * x.nnz_q * x.k + x.k * x.b;
 }
 
 std::uint64_t flops_batch_score(const FlopModelParams& x) {

@@ -38,6 +38,7 @@ struct FlopModelParams {
   std::uint64_t iterations = 0;  ///< Lanczos iterations I
   std::uint64_t triplets = 0;    ///< accepted triplets trp
   std::uint64_t b = 0;           ///< queries in a batch (batched retrieval)
+  std::uint64_t nnz_q = 0;       ///< nonzeros of the b weighted queries
 };
 
 /// Folding-in p documents: 2mkp.
@@ -67,8 +68,9 @@ std::uint64_t flops_recompute(const FlopModelParams& x);
 
 // --- Batched retrieval (the serving hot path; see batched_retrieval.hpp).
 
-/// Projecting a batch of b queries, Q_hat = S_k^{-1} (U_k^T Q): 2mkb for
-/// the blocked GEMM plus kb for the diagonal rescaling.
+/// Projecting a batch of b queries, Q_hat = S_k^{-1} (U_k^T Q), over their
+/// nonzeros: 2 nnz(Q) k for the gathered dots plus kb for the diagonal
+/// rescaling.
 std::uint64_t flops_batch_project(const FlopModelParams& x);
 
 /// Scoring b projected queries against all n documents: 3kb to build the

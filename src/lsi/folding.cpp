@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "lsi/retrieval.hpp"
 #include "obs/trace.hpp"
 
 namespace lsi::core {
@@ -12,22 +13,13 @@ void fold_in_documents(SemanticSpace& space, const la::CscMatrix& d) {
   obs::count("foldin.documents_added", d.cols());
   const index_t old_docs = space.num_docs();
   la::DenseMatrix new_rows(d.cols(), space.k());
-  // Equation 7 over each column's nonzeros only: O(nnz k) instead of the
-  // O(m k) of projecting the densified column. Rows are visited in ascending
-  // order, so each coordinate adds the same products in the same order as
-  // project_query's dense dot — the skipped terms are exact zeros, which
-  // never change a sum — and the result is bit-identical to it.
+  // Equation 7 over each column's nonzeros only (project_sparse): O(nnz k)
+  // instead of the O(m k) of projecting the densified column, and
+  // bit-identical to project_query on it.
+  la::Vector row(space.k());
   for (index_t j = 0; j < d.cols(); ++j) {
-    auto rows = d.col_rows(j);
-    auto vals = d.col_values(j);
-    for (index_t i = 0; i < space.k(); ++i) {
-      const auto u_i = space.u.col(i);
-      double acc = 0.0;
-      for (std::size_t p = 0; p < rows.size(); ++p) {
-        acc += u_i[rows[p]] * vals[p];
-      }
-      new_rows(j, i) = space.sigma[i] > 0.0 ? acc / space.sigma[i] : 0.0;
-    }
+    project_sparse(space, d.col_rows(j), d.col_values(j), row);
+    for (index_t i = 0; i < space.k(); ++i) new_rows(j, i) = row[i];
   }
   space.v.append_rows(new_rows);
   // Folding appends rows and leaves the existing V rows and sigma untouched,

@@ -6,7 +6,8 @@
 //   t_hat = t   V_k S_k^{-1}     (Equation 8, new term     -> row of U)
 //
 // Folding-in is cheap (Table 7: 2mkp flops for p dense documents; the
-// document fold here projects over each column's nonzeros, 2 nnz k) but
+// document fold here runs core::project_sparse, the query projection's own
+// loop, over each column's nonzeros: 2 nnz k) but
 // appends non-orthogonal rows: the existing structure never moves, and the
 // basis orthogonality degrades (Section 4.3) — orthogonality_loss()
 // measures it.
@@ -18,9 +19,9 @@ namespace lsi::core {
 
 /// Folds the columns of D (m x p, weighted like the training matrix) into
 /// the space as p new documents: V gains p rows; U, S unchanged. Each new
-/// row is bit-identical to project_query() on the densified column (the
-/// sparse projection adds the same nonzero products in the same ascending
-/// row order), and warm doc-norm caches are extended, not refilled.
+/// row is project_sparse() of its column, bit-identical to a dense scalar
+/// projection of the densified column, and warm doc-norm caches are
+/// extended, not refilled.
 void fold_in_documents(SemanticSpace& space, const la::CscMatrix& d);
 
 /// Folds the rows of T (q x n, weighted) into the space as q new terms:

@@ -19,16 +19,15 @@ std::size_t IncrementalIndexer::add(std::span<const text::Document> docs) {
       run = std::min(run, opts_.consolidate_every - pending_docs_.size());
     }
     // Immediate availability: fold the run in now, one column per document.
-    la::CooBuilder batch(index_.space().num_terms(), run);
+    const std::size_t first = pending_docs_.size();
     for (std::size_t c = 0; c < run; ++c) {
-      la::Vector weighted = index_.weighted_term_vector(docs[c].body);
-      for (index_t i = 0; i < weighted.size(); ++i) {
-        if (weighted[i] != 0.0) batch.add(i, c, weighted[i]);
-      }
-      pending_docs_.push_back(std::move(weighted));
+      pending_docs_.push_back(index_.weighted_terms(docs[c].body));
       index_.mutable_labels().push_back(docs[c].label);
     }
-    fold_in_documents(index_.mutable_space(), batch.to_csc());
+    fold_in_documents(index_.mutable_space(),
+                      la::CscMatrix::from_columns(
+                          index_.space().num_terms(),
+                          std::span(pending_docs_).subspan(first)));
     docs = docs.subspan(run);
 
     if (opts_.consolidate_every > 0 &&
@@ -56,13 +55,8 @@ void IncrementalIndexer::consolidate() {
   space.v = std::move(v_trunc);
   space.invalidate_doc_norms();
 
-  la::CooBuilder batch(space.num_terms(), p);
-  for (std::size_t c = 0; c < p; ++c) {
-    for (index_t i = 0; i < pending_docs_[c].size(); ++i) {
-      if (pending_docs_[c][i] != 0.0) batch.add(i, c, pending_docs_[c][i]);
-    }
-  }
-  const la::CscMatrix d = batch.to_csc();
+  const la::CscMatrix d =
+      la::CscMatrix::from_columns(space.num_terms(), pending_docs_);
   if (opts_.exact_update) {
     update_documents_exact(space, d);
   } else {

@@ -4,9 +4,10 @@
 // frequently").
 //
 // Strategy: arriving documents are folded in immediately (cheap: Table 7
-// prices it at 2mk flops per document, the sparse fold here at 2 nnz k),
-// and the decomposition is *consolidated* by an SVD-update over the
-// accumulated batch once the number of folded-but-not-consolidated
+// prices it at 2mk flops per document; here a document is tokenized straight
+// into its sparse weighted column and folded at 2 nnz k, never touching an
+// m-vector), and the decomposition is *consolidated* by an SVD-update over
+// the accumulated batch once the number of folded-but-not-consolidated
 // documents exceeds a budget. This bounds both the per-arrival latency and
 // the basis distortion folding-in accrues (Section 4.3).
 
@@ -52,9 +53,10 @@ class IncrementalIndexer {
  private:
   LsiIndex index_;
   IncrementalOptions opts_;
-  /// Weighted term vectors of folded-but-unconsolidated documents; kept so
-  /// consolidation can rebuild their coordinates through the SVD-update.
-  std::vector<la::Vector> pending_docs_;
+  /// Weighted sparse term vectors of folded-but-unconsolidated documents;
+  /// kept so consolidation can rebuild their coordinates through the
+  /// SVD-update. They are the columns of the update's D as they are.
+  std::vector<la::SparseVector> pending_docs_;
   std::size_t consolidations_ = 0;
 };
 

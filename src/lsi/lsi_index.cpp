@@ -55,14 +55,18 @@ Expected<LsiIndex> LsiIndex::try_build(const text::Collection& docs,
   return index;
 }
 
+la::SparseVector LsiIndex::weighted_terms(std::string_view text) const {
+  return weighting::apply_to_sparse(
+      text::term_counts(tdm_.vocabulary, text, opts_.parser), global_weights_,
+      opts_.scheme.local);
+}
+
 la::Vector LsiIndex::weighted_term_vector(std::string_view text) const {
-  const la::Vector raw = text::text_to_term_vector(tdm_, text, opts_.parser);
-  return weighting::apply_to_vector(raw, global_weights_,
-                                    opts_.scheme.local);
+  return weighted_terms(text).to_dense(tdm_.vocabulary.size());
 }
 
 la::Vector LsiIndex::project(std::string_view text) const {
-  return project_query(space_, weighted_term_vector(text));
+  return project_query(space_, weighted_terms(text));
 }
 
 std::vector<QueryResult> LsiIndex::query_projected(
@@ -94,15 +98,13 @@ std::vector<QueryResult> LsiIndex::query_vector(const la::Vector& raw_tf,
 
 void LsiIndex::add_documents(const text::Collection& docs, AddMethod method) {
   obs::ScopedSink scoped(opts_.sink ? opts_.sink : obs::Sink::active());
-  la::CooBuilder builder(space_.num_terms(), docs.size());
-  for (std::size_t d = 0; d < docs.size(); ++d) {
-    const la::Vector w = weighted_term_vector(docs[d].body);
-    for (index_t i = 0; i < w.size(); ++i) {
-      if (w[i] != 0.0) builder.add(i, d, w[i]);
-    }
-    labels_.push_back(docs[d].label);
+  std::vector<la::SparseVector> cols;
+  cols.reserve(docs.size());
+  for (const text::Document& doc : docs) {
+    cols.push_back(weighted_terms(doc.body));
+    labels_.push_back(doc.label);
   }
-  const la::CscMatrix d = builder.to_csc();
+  const la::CscMatrix d = la::CscMatrix::from_columns(space_.num_terms(), cols);
   if (method == AddMethod::kFoldIn) {
     fold_in_documents(space_, d);
   } else {

@@ -138,7 +138,11 @@ class LsiIndex {
   }
   const IndexOptions& options() const noexcept { return opts_; }
 
-  /// Weighted term vector for free text, consistent with the index scheme.
+  /// Weighted sparse term vector for free text, consistent with the index
+  /// scheme (text::term_counts then weighting::apply_to_sparse).
+  la::SparseVector weighted_terms(std::string_view text) const;
+
+  /// weighted_terms densified to an m-vector.
   la::Vector weighted_term_vector(std::string_view text) const;
 
  private:

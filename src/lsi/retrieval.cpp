@@ -20,12 +20,25 @@ void scale_by_sigma_inverse(la::Vector& x, const std::vector<double>& sigma) {
 
 }  // namespace
 
+void project_sparse(const SemanticSpace& space, std::span<const index_t> rows,
+                    std::span<const double> values, std::span<double> out) {
+  la::multiply_transpose(space.u, rows, values, out);
+  for (index_t i = 0; i < space.k(); ++i) {
+    out[i] = space.sigma[i] > 0.0 ? out[i] / space.sigma[i] : 0.0;
+  }
+}
+
+la::Vector project_query(const SemanticSpace& space,
+                         const la::SparseVector& terms) {
+  la::Vector q_hat(space.k());
+  project_sparse(space, terms.rows, terms.values, q_hat);
+  return q_hat;
+}
+
 la::Vector project_query(const SemanticSpace& space,
                          std::span<const double> term_vector) {
   assert(term_vector.size() == space.num_terms());
-  la::Vector q_hat = la::multiply_transpose(space.u, term_vector);
-  scale_by_sigma_inverse(q_hat, space.sigma);
-  return q_hat;
+  return project_query(space, la::SparseVector::from_dense(term_vector));
 }
 
 la::Vector project_term(const SemanticSpace& space,

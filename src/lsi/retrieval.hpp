@@ -23,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "la/sparse.hpp"
 #include "lsi/search_options.hpp"
 #include "lsi/semantic_space.hpp"
 
@@ -62,8 +63,24 @@ struct ScoredDoc {
   double cosine = 0.0;
 };
 
-/// Equation 6: projects a (weighted) m-vector of term frequencies into the
-/// k-space. Also the folding-in formula for documents (Equation 7).
+/// Equation 6 (and Equation 7, folding in a document) over the nonzeros of
+/// a weighted term vector: out = S_k^{-1} U_k^T q via the sparse
+/// la::multiply_transpose (factor i sums u(rows[p], i) * values[p] in
+/// ascending p), with zero singular values mapping to zero (pseudo-inverse).
+/// `rows` must be ascending and below num_terms(); `out` has length k().
+/// O(nnz k). The one projection loop: fold-in, project_query and QueryBatch
+/// all run it (the SVD-update's U_k^T D runs the same product), and it uses
+/// no dispatched kernel, so its bits do not depend on LSI_KERNEL. It matches
+/// a dense scalar dot over the whole m-vector bit for bit.
+void project_sparse(const SemanticSpace& space, std::span<const index_t> rows,
+                    std::span<const double> values, std::span<double> out);
+
+/// Equation 6: projects a weighted sparse term vector into the k-space.
+la::Vector project_query(const SemanticSpace& space,
+                         const la::SparseVector& terms);
+
+/// Equation 6 on a (weighted) dense m-vector: project_sparse over its
+/// nonzeros.
 la::Vector project_query(const SemanticSpace& space,
                          std::span<const double> term_vector);
 

@@ -206,14 +206,13 @@ std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
     }
     LSI_OBS_SPAN(shard_span, "sharding.shard_rank");
     const IndexSnapshot& snap = *shards_[s].snapshot;
-    std::vector<la::Vector> vectors;
-    vectors.reserve(bsz);
+    std::vector<la::SparseVector> terms;
+    terms.reserve(bsz);
     for (const std::string& text : texts) {
-      vectors.push_back(snap.context().weighted_term_vector(text));
+      terms.push_back(snap.context().weighted_terms(text));
     }
     QueryStats* qs = shard_stats ? &(*shard_stats)[s] : nullptr;
-    const QueryBatch batch =
-        QueryBatch::from_term_vectors(snap.space(), vectors, qs);
+    const QueryBatch batch = QueryBatch::from_sparse(snap.space(), terms, qs);
     per_shard[s] = BatchedRetriever(snap.space_ptr(), snap.ann())
                        .rank(batch, shard_opts, qs,
                              moments ? &(*moments)[s] : nullptr);

@@ -35,19 +35,12 @@ void update_documents(SemanticSpace& space, const la::CscMatrix& d) {
   LSI_OBS_SPAN(span, "update.documents");
   obs::count("update.documents_added", p);
 
-  // F = (S_k | U_k^T D), a k x (k+p) dense matrix.
+  // F = (S_k | U_k^T D), a k x (k+p) dense matrix; U_k^T D over each
+  // column's nonzeros, O(nnz(D) k).
   la::DenseMatrix utd(k, p);
-  {
-    la::Vector col(d.rows());
-    la::Vector proj(k);
-    for (index_t j = 0; j < p; ++j) {
-      std::fill(col.begin(), col.end(), 0.0);
-      auto rows = d.col_rows(j);
-      auto vals = d.col_values(j);
-      for (std::size_t q = 0; q < rows.size(); ++q) col[rows[q]] = vals[q];
-      proj = la::multiply_transpose(space.u, col);
-      for (index_t i = 0; i < k; ++i) utd(i, j) = proj[i];
-    }
+  for (index_t j = 0; j < p; ++j) {
+    la::multiply_transpose(space.u, d.col_rows(j), d.col_values(j),
+                           utd.col(j));
   }
   la::DenseMatrix f = diag_of(space.sigma);
   f.append_cols(utd);

@@ -103,19 +103,37 @@ TermDocumentMatrix build_term_document_matrix(const Collection& docs,
   return out;
 }
 
+lsi::la::SparseVector term_counts(const Vocabulary& vocabulary,
+                                  std::string_view body,
+                                  const ParserOptions& opts) {
+  std::vector<lsi::la::index_t> hits;
+  for (const auto& token : content_tokens(body, opts)) {
+    auto row = vocabulary.find(token);
+    if (!row && opts.fold_plurals && token.size() >= 4 &&
+        token.back() == 's') {
+      row = vocabulary.find(std::string_view(token.data(), token.size() - 1));
+    }
+    if (row) hits.push_back(*row);
+  }
+  // Sorting the hits groups each term's occurrences; each run's length is
+  // its raw tf.
+  std::sort(hits.begin(), hits.end());
+  lsi::la::SparseVector out;
+  for (std::size_t p = 0; p < hits.size();) {
+    std::size_t q = p + 1;
+    while (q < hits.size() && hits[q] == hits[p]) ++q;
+    out.rows.push_back(hits[p]);
+    out.values.push_back(static_cast<double>(q - p));
+    p = q;
+  }
+  return out;
+}
+
 lsi::la::Vector text_to_term_vector(const TermDocumentMatrix& tdm,
                                     std::string_view body,
                                     const ParserOptions& opts) {
-  lsi::la::Vector q(tdm.vocabulary.size(), 0.0);
-  for (const auto& token : content_tokens(body, opts)) {
-    auto row = tdm.vocabulary.find(token);
-    if (!row && opts.fold_plurals && token.size() >= 4 &&
-        token.back() == 's') {
-      row = tdm.vocabulary.find(token.substr(0, token.size() - 1));
-    }
-    if (row) q[*row] += 1.0;
-  }
-  return q;
+  return term_counts(tdm.vocabulary, body, opts)
+      .to_dense(tdm.vocabulary.size());
 }
 
 std::map<std::string, double> document_term_counts(std::string_view body,

@@ -51,10 +51,17 @@ struct TermDocumentMatrix {
 TermDocumentMatrix build_term_document_matrix(const Collection& docs,
                                               const ParserOptions& opts = {});
 
-/// Tokenizes a query/document against an existing vocabulary and returns the
-/// m x 1 raw term-frequency vector (Section 2.2: q is "the vector of words
-/// in the user's query"). Unknown terms are ignored, mirroring the paper's
-/// treatment of non-indexed query words.
+/// Tokenizes a query/document against an existing vocabulary and returns its
+/// raw term frequencies as (row, tf) pairs, rows ascending and unique
+/// (Section 2.2: q is "the vector of words in the user's query" — a handful
+/// of nonzeros among m terms). Unknown terms are ignored, mirroring the
+/// paper's treatment of non-indexed query words; with fold_plurals an
+/// unknown "xs" counts as "x" when the vocabulary holds "x".
+lsi::la::SparseVector term_counts(const Vocabulary& vocabulary,
+                                  std::string_view body,
+                                  const ParserOptions& opts = {});
+
+/// term_counts densified to the m x 1 raw term-frequency vector.
 lsi::la::Vector text_to_term_vector(const TermDocumentMatrix& tdm,
                                     std::string_view body,
                                     const ParserOptions& opts = {});

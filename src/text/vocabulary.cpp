@@ -18,7 +18,7 @@ lsi::la::index_t Vocabulary::add(std::string term) {
 }
 
 std::optional<lsi::la::index_t> Vocabulary::find(std::string_view term) const {
-  auto it = index_.find(std::string(term));
+  auto it = index_.find(term);
   if (it == index_.end()) return std::nullopt;
   return it->second;
 }

@@ -1,6 +1,7 @@
 #pragma once
 // Bidirectional term <-> row-index mapping for a term-document matrix.
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,8 +30,19 @@ class Vocabulary {
   lsi::la::index_t size() const noexcept { return terms_.size(); }
 
  private:
+  /// Hashes std::string and std::string_view alike, so find() can look a
+  /// view up without building a string (heterogeneous lookup).
+  struct TermHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> terms_;
-  std::unordered_map<std::string, lsi::la::index_t> index_;
+  std::unordered_map<std::string, lsi::la::index_t, TermHash,
+                     std::equal_to<>>
+      index_;
 };
 
 }  // namespace lsi::text

@@ -1,5 +1,6 @@
 #include "weighting/weighting.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -149,16 +150,30 @@ lsi::la::CscMatrix apply_with_global(const lsi::la::CscMatrix& counts,
       });
 }
 
+lsi::la::SparseVector apply_to_sparse(const lsi::la::SparseVector& tf,
+                                      const std::vector<double>& g,
+                                      LocalWeight l) {
+  double max_tf = 0.0;
+  for (double v : tf.values) max_tf = std::max(max_tf, v);
+  lsi::la::SparseVector out;
+  out.rows.reserve(tf.nnz());
+  out.values.reserve(tf.nnz());
+  for (std::size_t p = 0; p < tf.nnz(); ++p) {
+    if (tf.values[p] <= 0.0) continue;
+    assert(tf.rows[p] < g.size());
+    const double w = local_weight(l, tf.values[p], max_tf) * g[tf.rows[p]];
+    if (w == 0.0) continue;
+    out.rows.push_back(tf.rows[p]);
+    out.values.push_back(w);
+  }
+  return out;
+}
+
 lsi::la::Vector apply_to_vector(const lsi::la::Vector& tf,
                                 const std::vector<double>& g, LocalWeight l) {
   assert(tf.size() == g.size());
-  double max_tf = 0.0;
-  for (double v : tf) max_tf = std::max(max_tf, v);
-  lsi::la::Vector out(tf.size(), 0.0);
-  for (std::size_t i = 0; i < tf.size(); ++i) {
-    if (tf[i] > 0.0) out[i] = local_weight(l, tf[i], max_tf) * g[i];
-  }
-  return out;
+  return apply_to_sparse(lsi::la::SparseVector::from_dense(tf), g, l)
+      .to_dense(tf.size());
 }
 
 std::vector<Scheme> all_schemes() {

@@ -63,7 +63,16 @@ lsi::la::CscMatrix apply_with_global(const lsi::la::CscMatrix& counts,
 
 /// Weights a raw query/document term-frequency vector consistently with the
 /// collection weighting: element i becomes L(tf_i) * G(i) using the
-/// *collection's* global weights (queries carry no global statistics).
+/// *collection's* global weights (queries carry no global statistics). Only
+/// the positive entries are visited, so the cost is O(nnz); kAugmented's
+/// max_tf over them equals the max over the dense vector. Entries whose
+/// weight is exactly zero (e.g. G(i) = 0) are dropped, so the result holds
+/// nonzeros only, like a CscMatrix column.
+lsi::la::SparseVector apply_to_sparse(const lsi::la::SparseVector& tf,
+                                      const std::vector<double>& g,
+                                      LocalWeight l);
+
+/// apply_to_sparse on a dense m-vector, densified back.
 lsi::la::Vector apply_to_vector(const lsi::la::Vector& tf,
                                 const std::vector<double>& g, LocalWeight l);
 

@@ -145,57 +145,6 @@ TEST(Dense, OrthonormalityErrorOfIdentity) {
   EXPECT_NEAR(orthonormality_error(DenseMatrix::identity(5)), 0.0, 1e-15);
 }
 
-TEST(Dense, BlockedAtBMatchesReference) {
-  // Shared dimension longer than the 512-row block so several blocks are
-  // accumulated, with odd sizes hitting every remainder path.
-  auto a = random_matrix(1030, 7, 10);
-  auto b = random_matrix(1030, 13, 11);
-  EXPECT_NEAR(max_abs_diff(multiply_at_b_blocked(a, b), multiply_at_b(a, b)),
-              0.0, 1e-10);
-}
-
-TEST(Dense, BlockedAtBBitIdenticalAcrossPanelWidths) {
-  auto a = random_matrix(517, 5, 12);
-  auto b = random_matrix(517, 11, 13);
-  const auto ref = multiply_at_b_blocked(a, b, 16);
-  for (index_t panel : {1u, 2u, 3u, 4u, 7u, 11u, 64u}) {
-    const auto c = multiply_at_b_blocked(a, b, panel);
-    ASSERT_TRUE(c.same_shape(ref));
-    for (index_t j = 0; j < c.cols(); ++j) {
-      for (index_t i = 0; i < c.rows(); ++i) {
-        EXPECT_EQ(c(i, j), ref(i, j)) << "panel " << panel;  // exact bits
-      }
-    }
-  }
-}
-
-TEST(Dense, BlockedAtBBitIdenticalForColumnSubsets) {
-  // The batched-retrieval parity guarantee: a column of B produces the same
-  // bits whether multiplied alone or inside a wider batch.
-  auto a = random_matrix(700, 6, 14);
-  auto b = random_matrix(700, 9, 15);
-  const auto full = multiply_at_b_blocked(a, b);
-  for (index_t j = 0; j < b.cols(); ++j) {
-    DenseMatrix single(b.rows(), 1);
-    auto src = b.col(j);
-    auto dst = single.col(0);
-    for (index_t i = 0; i < b.rows(); ++i) dst[i] = src[i];
-    const auto c = multiply_at_b_blocked(a, single);
-    for (index_t i = 0; i < a.cols(); ++i) {
-      EXPECT_EQ(c(i, 0), full(i, j)) << "column " << j;
-    }
-  }
-}
-
-TEST(Dense, BlockedAtBEmptyShapes) {
-  EXPECT_TRUE(multiply_at_b_blocked(DenseMatrix{}, DenseMatrix{}).empty());
-  auto a = random_matrix(5, 3, 16);
-  DenseMatrix no_cols(5, 0);
-  const auto c = multiply_at_b_blocked(a, no_cols);
-  EXPECT_EQ(c.rows(), 3u);
-  EXPECT_EQ(c.cols(), 0u);
-}
-
 TEST(Dense, ToStringContainsEntries) {
   auto a = DenseMatrix::from_rows({{1.5}});
   EXPECT_NE(to_string(a).find("1.5"), std::string::npos);

@@ -1,29 +1,16 @@
 // Runtime kernel dispatch tests (docs/KERNELS.md): name resolution,
 // LSI_KERNEL environment semantics, graceful fallback when the ISA is
-// absent, force() round-trips, and the regression that the blocked GEMM
-// stays bit-identical across panel widths and chunkings under every kernel.
+// absent, and force() round-trips.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
-#include "la/dense.hpp"
 #include "la/kernels.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
 using namespace lsi::la;
-
-DenseMatrix random_matrix(index_t m, index_t n, std::uint64_t seed) {
-  lsi::util::Rng rng(seed);
-  DenseMatrix a(m, n);
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = 0; i < m; ++i) a(i, j) = rng.normal();
-  }
-  return a;
-}
 
 /// Every forced-kernel test restores "auto" so in-process test order never
 /// leaks a forced kernel into other tests.
@@ -130,105 +117,6 @@ TEST(KernelDispatch, ForceUnknownNameChangesNothing) {
   ASSERT_TRUE(kern::force("portable"));
   EXPECT_FALSE(kern::force("quantum"));
   EXPECT_STREQ(kern::active().name, "portable");
-}
-
-// --- blocked GEMM invariance per kernel -------------------------------------
-
-/// Serial reference for C = A^T B built from the SAME kernel's register
-/// tiles, with the same two-level structure as multiply_at_b_blocked (tile4
-/// column groups + tile1 remainder, 512-row blocks) but no threading and no
-/// panel decomposition. Any dependence of the parallel implementation on
-/// panel width, chunk boundaries, or thread count shows up as a mismatch.
-DenseMatrix reference_at_b(const kern::Ops& ops, const DenseMatrix& a,
-                           const DenseMatrix& b) {
-  constexpr std::size_t kRowBlock = 512;
-  DenseMatrix c(a.cols(), b.cols());
-  for (std::size_t lo = 0; lo < a.rows(); lo += kRowBlock) {
-    const std::size_t hi = std::min<std::size_t>(lo + kRowBlock, a.rows());
-    for (index_t i = 0; i < a.cols(); ++i) {
-      const double* ai = a.col(i).data();
-      index_t j = 0;
-      for (; j + 4 <= b.cols(); j += 4) {
-        double tile[4];
-        ops.at_b_tile4(ai, b.col(j).data(), b.col(j + 1).data(),
-                       b.col(j + 2).data(), b.col(j + 3).data(), lo, hi,
-                       tile);
-        for (int t = 0; t < 4; ++t) c(i, j + t) += tile[t];
-      }
-      for (; j < b.cols(); ++j) {
-        c(i, j) += ops.at_b_tile1(ai, b.col(j).data(), lo, hi);
-      }
-    }
-  }
-  return c;
-}
-
-TEST(KernelDispatch, BlockedGemmBitIdenticalAcrossPanelWidths) {
-  ForceGuard guard;
-  std::vector<std::string> names{"portable"};
-  if (kern::cpu_has_avx2() && kern::avx2() != nullptr) {
-    names.push_back("avx2");
-  }
-  const auto a = random_matrix(613, 13, 7);  // crosses a 512-row block edge
-  const auto b = random_matrix(613, 9, 8);
-  for (const auto& name : names) {
-    ASSERT_TRUE(kern::force(name));
-    const DenseMatrix want = reference_at_b(kern::active(), a, b);
-    for (index_t panel : {1, 2, 3, 4, 5, 7, 16, 64}) {
-      const DenseMatrix got = multiply_at_b_blocked(a, b, panel);
-      ASSERT_EQ(got.rows(), want.rows());
-      ASSERT_EQ(got.cols(), want.cols());
-      for (index_t i = 0; i < got.rows(); ++i) {
-        for (index_t j = 0; j < got.cols(); ++j) {
-          ASSERT_EQ(want(i, j), got(i, j))
-              << name << " panel=" << panel << " (" << i << "," << j << ")";
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelDispatch, BlockedGemmExhaustiveTinyShapes) {
-  // Every (m, p, q) in [0, 17]^3: the empty/degenerate shapes must neither
-  // crash nor disagree with the serial tile reference under any kernel.
-  ForceGuard guard;
-  std::vector<std::string> names{"portable"};
-  if (kern::cpu_has_avx2() && kern::avx2() != nullptr) {
-    names.push_back("avx2");
-  }
-  for (const auto& name : names) {
-    ASSERT_TRUE(kern::force(name));
-    for (index_t m = 0; m <= 17; ++m) {
-      for (index_t p = 0; p <= 17; ++p) {
-        for (index_t q = 0; q <= 17; ++q) {
-          const auto a = random_matrix(m, p, 17 * m + p);
-          const auto b = random_matrix(m, q, 31 * m + q);
-          const DenseMatrix got = multiply_at_b_blocked(a, b);
-          const DenseMatrix want = reference_at_b(kern::active(), a, b);
-          for (index_t i = 0; i < p; ++i) {
-            for (index_t j = 0; j < q; ++j) {
-              ASSERT_EQ(want(i, j), got(i, j))
-                  << name << " m=" << m << " p=" << p << " q=" << q;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelDispatch, BlockedGemmMatchesUnblockedWithinTolerance) {
-  // Cross-check against the simple multiply_at_b: same math, different
-  // association, so only a small relative tolerance is claimed.
-  ForceGuard guard;
-  const auto a = random_matrix(257, 11, 21);
-  const auto b = random_matrix(257, 6, 22);
-  const DenseMatrix plain = multiply_at_b(a, b);
-  for (const char* name : {"portable", "avx2"}) {
-    ASSERT_TRUE(kern::force(name));
-    const DenseMatrix blocked = multiply_at_b_blocked(a, b);
-    EXPECT_LT(max_abs_diff(plain, blocked), 1e-11) << name;
-  }
 }
 
 }  // namespace

@@ -7,10 +7,8 @@
 // The contracts are the precision policy of la/kernels.hpp:
 //   * elementwise kernels (axpy, axpy4, axpy_bf16, axpy4_bf16) must be
 //     BIT-IDENTICAL to the scalar mul-then-add loop, for every kernel;
-//   * reduction kernels (dot, at_b_tile4, at_b_tile1) may reassociate, so
-//     they are checked against a compensated reference within a stated ULP
-//     bound — and at_b_tile1 must be bit-identical to one at_b_tile4 stream
-//     (the property batched-vs-single GEMM parity rides on).
+//   * the reduction kernel (dot) may reassociate, so it is checked against
+//     a compensated reference within a stated ULP bound.
 
 #include <gtest/gtest.h>
 
@@ -259,57 +257,11 @@ TEST(KernelParity, DotFuzzLargeShapes) {
   }
 }
 
-TEST(KernelParity, Tile1IsOneTile4Stream) {
-  // at_b_tile1 must compute exactly one stream of at_b_tile4's chain: the
-  // remainder columns of the blocked GEMM then agree bit-for-bit with the
-  // grouped columns, making the result independent of panel width.
-  for (const kern::Ops* ops : registered_kernels()) {
-    for (std::size_t m : {0ul, 1ul, 2ul, 3ul, 7ul, 8ul, 9ul, 17ul, 515ul}) {
-      const auto a = random_vec(m, 1100 + m);
-      std::vector<std::vector<double>> b(4);
-      for (int t = 0; t < 4; ++t) b[t] = random_vec(m, 1200 + m + t);
-      for (std::size_t lo : {std::size_t{0}, m / 2}) {
-        double tile[4];
-        ops->at_b_tile4(a.data(), b[0].data(), b[1].data(), b[2].data(),
-                        b[3].data(), lo, m, tile);
-        for (int t = 0; t < 4; ++t) {
-          const double lone = ops->at_b_tile1(a.data(), b[t].data(), lo, m);
-          ASSERT_EQ(tile[t], lone)
-              << ops->name << " m=" << m << " lo=" << lo << " t=" << t;
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelParity, TileReductionsWithinUlpBound) {
-  for (const kern::Ops* ops : registered_kernels()) {
-    for (std::size_t m = 0; m <= 17; ++m) {
-      const auto a = random_vec(m, 1300 + m);
-      std::vector<std::vector<double>> b(4);
-      for (int t = 0; t < 4; ++t) b[t] = random_vec(m, 1400 + m + t);
-      double tile[4];
-      ops->at_b_tile4(a.data(), b[0].data(), b[1].data(), b[2].data(),
-                      b[3].data(), 0, m, tile);
-      for (int t = 0; t < 4; ++t) {
-        const double want = kahan_dot(a.data(), b[t].data(), m);
-        ASSERT_NEAR(tile[t], want, reduction_tol(a.data(), b[t].data(), m))
-            << ops->name << " m=" << m << " t=" << t;
-      }
-    }
-  }
-}
-
 TEST(KernelParity, EmptyAndDegenerateRangesAreZero) {
   const auto a = random_vec(16, 1);
   const auto b = random_vec(16, 2);
   for (const kern::Ops* ops : registered_kernels()) {
     EXPECT_EQ(ops->dot(a.data(), b.data(), 0), 0.0) << ops->name;
-    EXPECT_EQ(ops->at_b_tile1(a.data(), b.data(), 5, 5), 0.0) << ops->name;
-    double tile[4] = {1, 1, 1, 1};
-    ops->at_b_tile4(a.data(), b.data(), b.data(), b.data(), b.data(), 7, 7,
-                    tile);
-    for (int t = 0; t < 4; ++t) EXPECT_EQ(tile[t], 0.0) << ops->name;
     // n == 0 elementwise calls must not touch the output.
     double y = 42.0;
     ops->axpy(2.0, a.data(), &y, 0);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "la/sparse.hpp"
 #include "util/rng.hpp"
 
@@ -171,6 +174,54 @@ TEST(Operators, DenseOperatorMatchesDense) {
   EXPECT_DOUBLE_EQ(yt[0], 1.0);
   EXPECT_DOUBLE_EQ(yt[1], 4.0);
   EXPECT_DOUBLE_EQ(yt[2], -2.0);
+}
+
+TEST(SparseVectorOps, MultiplyTransposeBitIdenticalToDense) {
+  // A^T x over the nonzeros of x must equal the dense product to the last
+  // bit: the sparse sum adds the same products in the same row order.
+  const CscMatrix sparse_a = random_sparse(37, 6, 1.0, 41);
+  const DenseMatrix a = sparse_a.to_dense();
+  for (const CscMatrix& xs : {random_sparse(37, 4, 0.2, 42),
+                              random_sparse(37, 2, 1.0, 43)}) {
+    for (index_t j = 0; j < xs.cols(); ++j) {
+      const Vector x = SparseVector{{xs.col_rows(j).begin(),
+                                     xs.col_rows(j).end()},
+                                    {xs.col_values(j).begin(),
+                                     xs.col_values(j).end()}}
+                           .to_dense(37);
+      const Vector want = multiply_transpose(a, x);
+      Vector got(a.cols());
+      multiply_transpose(a, xs.col_rows(j), xs.col_values(j), got);
+      const SparseVector back = SparseVector::from_dense(x);
+      EXPECT_EQ(back.rows.size(), xs.col_rows(j).size());
+      for (index_t i = 0; i < a.cols(); ++i) {
+        EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(double)), 0)
+            << "column " << j << " factor " << i;
+      }
+    }
+  }
+  Vector empty(a.cols(), 7.0);
+  multiply_transpose(a, {}, {}, empty);
+  for (double v : empty) EXPECT_EQ(v, 0.0);
+}
+
+TEST(SparseVectorOps, FromColumnsStacksColumnsAsIs) {
+  const CscMatrix a = random_sparse(9, 5, 0.4, 44);
+  std::vector<SparseVector> cols(a.cols());
+  for (index_t j = 0; j < a.cols(); ++j) {
+    cols[j] = {{a.col_rows(j).begin(), a.col_rows(j).end()},
+               {a.col_values(j).begin(), a.col_values(j).end()}};
+  }
+  const CscMatrix b = CscMatrix::from_columns(a.rows(), cols);
+  EXPECT_EQ(b.rows(), a.rows());
+  EXPECT_EQ(b.cols(), a.cols());
+  EXPECT_TRUE(std::equal(b.col_ptr().begin(), b.col_ptr().end(),
+                         a.col_ptr().begin(), a.col_ptr().end()));
+  EXPECT_TRUE(std::equal(b.row_idx().begin(), b.row_idx().end(),
+                         a.row_idx().begin(), a.row_idx().end()));
+  EXPECT_TRUE(std::equal(b.values().begin(), b.values().end(),
+                         a.values().begin(), a.values().end()));
+  EXPECT_EQ(CscMatrix::from_columns(4, {}).cols(), 0u);
 }
 
 }  // namespace
