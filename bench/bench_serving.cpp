@@ -13,8 +13,9 @@
 //                  non-2xx answers. Quick mode (LSI_BENCH_QUICK) shrinks
 //                  the sweep to smoke scale and skips the gate.
 //   --smoke        scripted functional drive — ingest, search, session
-//                  paging, stats, drain — failing on any non-2xx answer or
-//                  any /search body off the one documented schema.
+//                  paging, stats, drain — failing on any non-2xx answer,
+//                  any body that is not well-formed JSON, or any /search
+//                  body off the one documented schema.
 //                  With --port it drives an EXTERNAL daemon (the CI
 //                  serve-smoke job runs `lsi_cli serve` under ASan and
 //                  points this mode at it); without, an in-process one.
@@ -277,6 +278,15 @@ bool search_ok(const Response& resp, bool session) {
   return s.ok();
 }
 
+/// `status` with a well-formed JSON body, so a malformed body fails the
+/// smoke whatever its status.
+bool json_ok(const Response& resp, int status) {
+  if (resp.status != status) return false;
+  const Status s = obs::validate_json(resp.body);
+  if (!s.ok()) std::cerr << "malformed JSON: " << s.to_string() << "\n";
+  return s.ok();
+}
+
 int run_smoke(std::uint16_t port, const std::string& query, bool expect_429,
               bool kill_replica, bool do_shutdown) {
   Client client(port);
@@ -285,10 +295,10 @@ int run_smoke(std::uint16_t port, const std::string& query, bool expect_429,
     return 1;
   }
   Response resp = client.request("GET", "/healthz");
-  if (resp.status != 200) return fail("healthz", resp);
+  if (!json_ok(resp, 200)) return fail("healthz", resp);
 
   resp = client.request("POST", "/session");
-  if (resp.status != 201) return fail("session create", resp);
+  if (!json_ok(resp, 201)) return fail("session create", resp);
   const std::string token = find_string(resp.body, "session");
 
   // Ingest a handful of documents with read-your-writes. One document per
@@ -299,7 +309,7 @@ int run_smoke(std::uint16_t port, const std::string& query, bool expect_429,
     resp = client.request("POST", "/ingest?session=" + token + "&wait=1",
                           "smoke" + std::to_string(i) + "\t" + query +
                               " padding words\n");
-    if (resp.status != 202) return fail("ingest", resp);
+    if (!json_ok(resp, 202)) return fail("ingest", resp);
   }
 
   // Search + page three times through the session cursor.
@@ -318,7 +328,7 @@ int run_smoke(std::uint16_t port, const std::string& query, bool expect_429,
   if (!search_ok(resp, false)) return fail("rich search", resp);
 
   resp = client.request("GET", "/stats");
-  if (resp.status != 200) return fail("stats", resp);
+  if (!json_ok(resp, 200)) return fail("stats", resp);
 
   if (expect_429) {
     // The scripted 429: one bulk POST large enough that the routed shard's
@@ -329,7 +339,7 @@ int run_smoke(std::uint16_t port, const std::string& query, bool expect_429,
       bulk += "bulk" + std::to_string(i) + "\t" + query + " flood\n";
     }
     resp = client.request("POST", "/ingest", bulk);
-    if (resp.status != 429) return fail("scripted 429", resp);
+    if (!json_ok(resp, 429)) return fail("scripted 429", resp);
     std::cout << "smoke: scripted 429 delivered (" << resp.body << ")\n";
   }
 
@@ -342,18 +352,18 @@ int run_smoke(std::uint16_t port, const std::string& query, bool expect_429,
     resp = client.request("POST", "/replica/eject?shard=0&replica=1");
     if (resp.status != 200) return fail("replica eject", resp);
     resp = client.request("GET", "/healthz");
-    if (resp.status != 200 || find_string(resp.body, "status") != "degraded") {
+    if (!json_ok(resp, 200) || find_string(resp.body, "status") != "degraded") {
       return fail("degraded healthz", resp);
     }
     resp = client.request("GET", "/search?q=" + encode(query) + "&top=3");
     if (!search_ok(resp, false)) return fail("degraded search", resp);
     resp = client.request("POST", "/ingest?wait=1",
                           "failover\t" + query + " during ejection\n");
-    if (resp.status != 202) return fail("degraded ingest", resp);
+    if (!json_ok(resp, 202)) return fail("degraded ingest", resp);
     resp = client.request("POST", "/replica/readmit?shard=0&replica=1");
     if (resp.status != 200) return fail("replica readmit", resp);
     resp = client.request("GET", "/healthz");
-    if (resp.status != 200 || find_string(resp.body, "status") != "ok") {
+    if (!json_ok(resp, 200) || find_string(resp.body, "status") != "ok") {
       return fail("recovered healthz", resp);
     }
     std::cout << "smoke: replica kill survived — degraded /healthz, live "
@@ -361,7 +371,7 @@ int run_smoke(std::uint16_t port, const std::string& query, bool expect_429,
   }
 
   resp = client.request("DELETE", "/session?session=" + token);
-  if (resp.status != 200) return fail("session delete", resp);
+  if (!json_ok(resp, 200)) return fail("session delete", resp);
 
   if (do_shutdown) {
     resp = client.request("POST", "/shutdown");

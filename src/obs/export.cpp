@@ -1,24 +1,18 @@
 #include "obs/export.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <ostream>
-#include <sstream>
 
-#include "util/strings.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace lsi::obs {
 
 namespace {
 
-/// Locale-independent shortest-roundtrip-ish double formatting; JSON has no
-/// inf/nan, so those degrade to 0.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
+double measured_over_predicted(const FlopComparison& f) {
+  return f.predicted > 0 ? static_cast<double>(f.measured) /
+                               static_cast<double>(f.predicted)
+                         : 0.0;
 }
 
 }  // namespace
@@ -32,69 +26,38 @@ StatsDoc StatsDoc::from_sink(std::string name, const Sink& sink) {
   return doc;
 }
 
-void write_json(std::ostream& os, const StatsDoc& doc) {
-  os << "{\n";
-  os << "  \"schema\": \"lsi.stats.v1\",\n";
-  os << "  \"name\": \"" << util::json_escape(doc.name) << "\",\n";
-
-  os << "  \"params\": {";
-  for (std::size_t i = 0; i < doc.params.size(); ++i) {
-    os << (i ? ", " : "") << '"' << util::json_escape(doc.params[i].first)
-       << "\": " << json_number(doc.params[i].second);
-  }
-  os << "},\n";
-
-  os << "  \"counters\": {";
-  for (std::size_t i = 0; i < doc.counters.size(); ++i) {
-    os << (i ? ", " : "") << '"' << util::json_escape(doc.counters[i].first)
-       << "\": " << doc.counters[i].second;
-  }
-  os << "},\n";
-
-  os << "  \"gauges\": {";
-  for (std::size_t i = 0; i < doc.gauges.size(); ++i) {
-    os << (i ? ", " : "") << '"' << util::json_escape(doc.gauges[i].first)
-       << "\": " << json_number(doc.gauges[i].second);
-  }
-  os << "},\n";
-
-  os << "  \"spans\": [";
-  for (std::size_t i = 0; i < doc.spans.size(); ++i) {
-    const SpanSnapshot& s = doc.spans[i];
-    os << (i ? ",\n    " : "\n    ") << "{\"name\": \""
-       << util::json_escape(s.name) << "\", \"count\": " << s.count
-       << ", \"total_s\": " << json_number(s.total_seconds)
-       << ", \"self_s\": " << json_number(s.self_seconds)
-       << ", \"mean_s\": " << json_number(s.latency.mean())
-       << ", \"p50_s\": " << json_number(s.latency.quantile(0.50))
-       << ", \"p95_s\": " << json_number(s.latency.quantile(0.95))
-       << ", \"p99_s\": " << json_number(s.latency.quantile(0.99))
-       << ", \"min_s\": " << json_number(s.latency.min)
-       << ", \"max_s\": " << json_number(s.latency.max) << "}";
-  }
-  os << (doc.spans.empty() ? "" : "\n  ") << "],\n";
-
-  os << "  \"flops\": [";
-  for (std::size_t i = 0; i < doc.flops.size(); ++i) {
-    const FlopComparison& f = doc.flops[i];
-    const double ratio =
-        f.predicted > 0
-            ? static_cast<double>(f.measured) / static_cast<double>(f.predicted)
-            : 0.0;
-    os << (i ? ",\n    " : "\n    ") << "{\"name\": \""
-       << util::json_escape(f.name) << "\", \"predicted\": " << f.predicted
-       << ", \"measured\": " << f.measured
-       << ", \"measured_over_predicted\": " << json_number(ratio) << "}";
-  }
-  os << (doc.flops.empty() ? "" : "\n  ") << "]\n";
-  os << "}\n";
-}
-
 std::string to_json(const StatsDoc& doc) {
-  std::ostringstream os;
-  write_json(os, doc);
-  return os.str();
+  util::JsonWriter json;
+  json.begin_object().key("schema").value("lsi.stats.v1")
+      .key("name").value(doc.name).key("params").begin_object();
+  for (const auto& [name, v] : doc.params) json.key(name).value(v);
+  json.end_object().key("counters").begin_object();
+  for (const auto& [name, v] : doc.counters) json.key(name).value(v);
+  json.end_object().key("gauges").begin_object();
+  for (const auto& [name, v] : doc.gauges) json.key(name).value(v);
+  json.end_object().key("spans").begin_array();
+  for (const SpanSnapshot& s : doc.spans) {
+    json.begin_object().key("name").value(s.name).key("count").value(s.count)
+        .key("total_s").value(s.total_seconds)
+        .key("self_s").value(s.self_seconds)
+        .key("mean_s").value(s.latency.mean())
+        .key("p50_s").value(s.latency.quantile(0.50))
+        .key("p95_s").value(s.latency.quantile(0.95))
+        .key("p99_s").value(s.latency.quantile(0.99))
+        .key("min_s").value(s.latency.min).key("max_s").value(s.latency.max)
+        .end_object();
+  }
+  json.end_array().key("flops").begin_array();
+  for (const FlopComparison& f : doc.flops) {
+    json.begin_object().key("name").value(f.name)
+        .key("predicted").value(f.predicted).key("measured").value(f.measured)
+        .key("measured_over_predicted").value(measured_over_predicted(f))
+        .end_object();
+  }
+  return std::move(json.end_array().end_object()).take() + '\n';
 }
+
+void write_json(std::ostream& os, const StatsDoc& doc) { os << to_json(doc); }
 
 void write_csv(std::ostream& os, const StatsDoc& doc) {
   if (!doc.params.empty()) {
@@ -135,12 +98,9 @@ void write_csv(std::ostream& os, const StatsDoc& doc) {
     util::TextTable t({"flops", "predicted", "measured",
                        "measured_over_predicted"});
     for (const FlopComparison& f : doc.flops) {
-      const double ratio = f.predicted > 0 ? static_cast<double>(f.measured) /
-                                                 static_cast<double>(f.predicted)
-                                           : 0.0;
       t.add_row({f.name, util::fmt_int(static_cast<long long>(f.predicted)),
                  util::fmt_int(static_cast<long long>(f.measured)),
-                 util::fmt(ratio, 4)});
+                 util::fmt(measured_over_predicted(f), 4)});
     }
     t.print_csv(os);
   }

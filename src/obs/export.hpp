@@ -38,15 +38,15 @@ struct StatsDoc {
   static StatsDoc from_sink(std::string name, const Sink& sink);
 };
 
-/// Renders the "lsi.stats.v1" JSON document (pretty-printed, stable key
-/// order, locale-independent numbers).
+/// Renders the "lsi.stats.v1" JSON document through util::JsonWriter: one
+/// compact line plus a newline, stable key order, lossless numbers.
 void write_json(std::ostream& os, const StatsDoc& doc);
 
 /// Same content as CSV sections (params, counters, gauges, spans, flops),
 /// each a util::TextTable in RFC-4180 form separated by blank lines.
 void write_csv(std::ostream& os, const StatsDoc& doc);
 
-/// Serializes to a string (write_json into a stringstream).
+/// The document write_json renders, as a string.
 std::string to_json(const StatsDoc& doc);
 
 }  // namespace lsi::obs

@@ -355,6 +355,11 @@ Status parse_document(std::string_view text, JsonValue& doc) {
 
 }  // namespace
 
+Status validate_json(std::string_view text) {
+  JsonValue doc;
+  return parse_document(text, doc);
+}
+
 Status validate_search_json(std::string_view text, bool session) {
   JsonValue doc;
   if (Status s = parse_document(text, doc); !s.ok()) return s;

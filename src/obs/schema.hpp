@@ -1,14 +1,18 @@
 #pragma once
-// Structural validation of the JSON documents the library emits: the
-// "lsi.stats.v1" documents CI checks in every BENCH_<name>.json, and the
-// daemon's /search response (no external JSON dependency; a ~150-line
-// recursive-descent parser is all the layer needs).
+// Structural validation of the JSON documents the library emits: any
+// daemon response body, the "lsi.stats.v1" documents CI checks in every
+// BENCH_<name>.json, and the daemon's /search response (no external JSON
+// dependency; a ~150-line recursive-descent parser is all the layer needs).
 
 #include <string_view>
 
 #include "lsi/status.hpp"
 
 namespace lsi::obs {
+
+/// OK when `text` is exactly one well-formed JSON document (any shape);
+/// otherwise DataLoss naming the first syntax error and its offset.
+Status validate_json(std::string_view text);
 
 /// Parses `text` as JSON and checks the lsi.stats.v1 shape:
 ///   - top level object with "schema": "lsi.stats.v1" and a string "name";

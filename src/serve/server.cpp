@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "util/strings.hpp"
+#include "util/json.hpp"
 
 namespace lsi::serve {
 
@@ -48,19 +48,6 @@ std::optional<double> parse_finite(std::string_view s) {
     return std::nullopt;
   }
   return value;
-}
-
-/// Appends `v` formatted like printf's %.6g.
-void append_double(std::string& out, double v) {
-  char buf[32];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
-                                std::chars_format::general, 6)
-                      .ptr);
-}
-
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[24];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 /// Parses the /search retrieval knobs — nprobe, recall, exact, deadline_ms —
@@ -171,69 +158,53 @@ std::string search_knobs_key(const HttpRequest& request) {
   return key;
 }
 
-std::string generations_json(const std::vector<std::uint64_t>& gens) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < gens.size(); ++i) {
-    if (i) out += ',';
-    append_uint(out, gens[i]);
-  }
-  out += ']';
-  return out;
+/// Bumps a /stats counter and the sink counter of the same event together,
+/// so the two ledgers cannot drift apart.
+void bump(std::atomic<std::uint64_t>& counter, const char* name,
+          std::uint64_t n = 1) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+  obs::count(name, n);
+}
+
+/// Writes the member "generations": [g0, g1, ...].
+void write_generations(util::JsonWriter& json,
+                       const std::vector<std::uint64_t>& generations) {
+  json.key("generations").begin_array();
+  for (const std::uint64_t g : generations) json.value(g);
+  json.end_array();
 }
 
 /// The one /search response body (docs/SERVING.md): hits [begin, end) of
 /// `result`, its facets and the view's generation vector, plus the paging
 /// fields when the search ran in `session` (whose cursor is already `end`).
-std::string search_json(const core::ShardedSnapshot::GatherResult& result,
-                        std::size_t begin, std::size_t end,
-                        const std::vector<std::uint64_t>& generations,
-                        const Session* session) {
-  std::string out;
-  out.reserve(64 + 128 * (end - begin));
-  out += "{\"results\":[";
+util::JsonWriter search_json(const core::ShardedSnapshot::GatherResult& result,
+                             std::size_t begin, std::size_t end,
+                             const std::vector<std::uint64_t>& generations,
+                             const Session* session) {
+  util::JsonWriter json;
+  json.begin_object().key("results").begin_array();
   for (std::size_t i = begin; i < end; ++i) {
     const core::ShardedSnapshot::GatherHit& hit = result.hits[i];
-    if (i != begin) out += ',';
-    out += "{\"doc\":";
-    append_uint(out, hit.doc);
-    out += ",\"label\":\"";
-    out += util::json_escape(hit.label);
-    out += "\",\"score\":";
-    append_double(out, hit.score);
-    out += ",\"cosine\":";
-    append_double(out, hit.cosine);
-    out += ",\"shard\":";
-    append_uint(out, hit.shard);
-    out += ",\"duplicates\":[";
-    for (std::size_t d = 0; d < hit.duplicates.size(); ++d) {
-      if (d) out += ',';
-      append_uint(out, hit.duplicates[d]);
-    }
-    out += "]}";
+    json.begin_object().key("doc").value(hit.doc).key("label").value(hit.label)
+        .key("score").value(hit.score).key("cosine").value(hit.cosine)
+        .key("shard").value(hit.shard).key("duplicates").begin_array();
+    for (const auto d : hit.duplicates) json.value(d);
+    json.end_array().end_object();
   }
-  out += "],\"facets\":[";
-  for (std::size_t f = 0; f < result.facets.size(); ++f) {
-    if (f) out += ',';
-    out += "{\"term\":\"";
-    out += util::json_escape(result.facets[f].term);
-    out += "\",\"weight\":";
-    append_double(out, result.facets[f].weight);
-    out += '}';
+  json.end_array().key("facets").begin_array();
+  for (const auto& facet : result.facets) {
+    json.begin_object().key("term").value(facet.term)
+        .key("weight").value(facet.weight).end_object();
   }
-  out += "],\"generations\":";
-  out += generations_json(generations);
+  json.end_array();
+  write_generations(json, generations);
   if (session != nullptr) {
-    out += ",\"session\":\"";
-    out += util::json_escape(session->token);
-    out += "\",\"cursor\":";
-    append_uint(out, session->cursor);
-    out += ",\"total\":";
-    append_uint(out, result.hits.size());
-    out += ",\"more\":";
-    out += session->cursor < result.hits.size() ? "true" : "false";
+    const std::size_t cursor = session->cursor, total = result.hits.size();
+    json.key("session").value(session->token).key("cursor").value(cursor)
+        .key("total").value(total).key("more").value(cursor < total);
   }
-  out += '}';
-  return out;
+  json.end_object();
+  return json;
 }
 
 }  // namespace
@@ -374,10 +345,9 @@ void HttpServer::tick() {
   const auto now = std::chrono::steady_clock::now();
   const std::size_t evicted = sessions_.evict_expired(now);
   if (evicted > 0) {
-    counters_.sessions_expired.fetch_add(evicted, std::memory_order_relaxed);
+    bump(counters_.sessions_expired, "serve.sessions_expired", evicted);
     counters_.sessions_open.store(sessions_.size(),
                                   std::memory_order_relaxed);
-    obs::count("serve.sessions_expired", evicted);
   }
   obs::gauge("serve.connections", static_cast<double>(connections_.size()));
   obs::gauge("serve.sessions", static_cast<double>(sessions_.size()));
@@ -404,13 +374,9 @@ void HttpServer::on_accept(std::uint32_t) {
     }
     if (connections_.size() >= opts_.max_connections) {
       // Admission control at the door: a one-shot 503 with Retry-After.
-      counters_.draining_503.fetch_add(1, std::memory_order_relaxed);
-      obs::count("serve.overload_503");
-      HttpResponse resp;
-      resp.status = 503;
+      bump(counters_.overload_503, "serve.overload_503");
+      HttpResponse resp = error_response(503, "connection table full");
       resp.keep_alive = false;
-      resp.set_header("Retry-After", std::to_string(opts_.retry_after_seconds));
-      resp.body = "{\"error\":\"connection table full\"}";
       const std::string wire = serialize(resp);
       [[maybe_unused]] ssize_t n =
           ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
@@ -429,10 +395,9 @@ void HttpServer::on_accept(std::uint32_t) {
       continue;
     }
     connections_.emplace(fd, std::move(conn));
-    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_.connections_accepted, "serve.connections_accepted");
     counters_.connections_open.store(connections_.size(),
                                      std::memory_order_relaxed);
-    obs::count("serve.connections_accepted");
   }
 }
 
@@ -492,8 +457,7 @@ void HttpServer::process_buffered(Connection& conn) {
     count_response(response.status);
   }
   if (conn.parser.failed()) {
-    counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
-    obs::count("serve.parse_errors");
+    bump(counters_.parse_errors, "serve.parse_errors");
     HttpResponse response =
         error_response(conn.parser.error_status(), conn.parser.error_reason());
     response.keep_alive = false;
@@ -552,33 +516,34 @@ void HttpServer::close_connection(int fd) {
 
 void HttpServer::count_response(int status) {
   if (status < 400) {
-    counters_.responses_2xx.fetch_add(1, std::memory_order_relaxed);
-    obs::count("serve.responses_2xx");
+    bump(counters_.responses_2xx, "serve.responses_2xx");
   } else if (status < 500) {
-    counters_.responses_4xx.fetch_add(1, std::memory_order_relaxed);
-    obs::count("serve.responses_4xx");
+    bump(counters_.responses_4xx, "serve.responses_4xx");
   } else {
-    counters_.responses_5xx.fetch_add(1, std::memory_order_relaxed);
-    obs::count("serve.responses_5xx");
+    bump(counters_.responses_5xx, "serve.responses_5xx");
   }
 }
 
-HttpResponse HttpServer::error_response(int status, std::string_view message) {
+HttpResponse HttpServer::respond(int status, util::JsonWriter& json) const {
   HttpResponse resp;
   resp.status = status;
   if (status == 429 || status == 503) {
     resp.set_header("Retry-After", std::to_string(opts_.retry_after_seconds));
   }
-  resp.body = "{\"error\":\"";
-  resp.body += util::json_escape(message);
-  resp.body += "\"}";
+  resp.body = std::move(json).take();
   return resp;
+}
+
+HttpResponse HttpServer::error_response(int status,
+                                        std::string_view message) const {
+  util::JsonWriter json;
+  return respond(status, json.begin_object().key("error").value(message)
+                             .end_object());
 }
 
 HttpResponse HttpServer::dispatch(const HttpRequest& request) {
   LSI_OBS_SPAN(span, "serve.request");
-  counters_.requests.fetch_add(1, std::memory_order_relaxed);
-  obs::count("serve.requests");
+  bump(counters_.requests, "serve.requests");
 
   const std::string& path = request.path;
   const std::string& method = request.method;
@@ -626,9 +591,11 @@ HttpResponse HttpServer::dispatch(const HttpRequest& request) {
     // Answer first, drain after: request_drain defers onto this loop, so
     // the drain runs after this response is queued and flushed.
     request_drain();
-    HttpResponse resp;
+    util::JsonWriter json;
+    HttpResponse resp =
+        respond(200, json.begin_object().key("draining").value(true)
+                         .end_object());
     resp.keep_alive = false;
-    resp.body = "{\"draining\":true}";
     return resp;
   }
   return error_response(404, "no such command: " + path);
@@ -645,6 +612,11 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
     page = *v;
   }
   page = std::min(page, opts_.max_ranking);
+  const bool has_cursor = request.has_param("cursor");
+  const std::optional<std::size_t> cursor = parse_size(request.param("cursor"));
+  if (has_cursor && !cursor) {
+    return error_response(400, "cursor must be a nonnegative integer");
+  }
   const std::string_view token = request.param("session");
   const std::string_view q = request.param("q");
 
@@ -661,7 +633,6 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
     return error_response(http, st.message());
   };
 
-  HttpResponse resp;
   if (token.empty()) {
     // Sessionless: one-shot against the current view, no paging state.
     if (q.empty()) return error_response(400, "missing q parameter");
@@ -670,9 +641,9 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
     auto gathered = snap.try_gather_batch({std::string(q)}, sopts);
     if (!gathered.ok()) return status_response(gathered.status());
     const core::ShardedSnapshot::GatherResult& result = gathered.value()[0];
-    resp.body = search_json(result, 0, result.hits.size(), snap.generations(),
-                            nullptr);
-    return resp;
+    util::JsonWriter json = search_json(result, 0, result.hits.size(),
+                                        snap.generations(), nullptr);
+    return respond(200, json);
   }
 
   Session* session =
@@ -694,18 +665,15 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
   } else if (session->last_query.empty()) {
     return error_response(400, "missing q parameter and no cached query");
   }
-  if (request.has_param("cursor")) {
-    session->cursor =
-        parse_size(request.param("cursor")).value_or(session->cursor);
-  }
+  if (has_cursor) session->cursor = *cursor;
 
   const std::size_t total = session->result.hits.size();
   const std::size_t begin = std::min(session->cursor, total);
   const std::size_t end = std::min(begin + page, total);
   session->cursor = end;
-  resp.body = search_json(session->result, begin, end,
-                          session->pin->generations(), session);
-  return resp;
+  util::JsonWriter json = search_json(session->result, begin, end,
+                                      session->pin->generations(), session);
+  return respond(200, json);
 }
 
 HttpResponse HttpServer::handle_ingest(const HttpRequest& request) {
@@ -722,6 +690,21 @@ HttpResponse HttpServer::handle_ingest(const HttpRequest& request) {
 
   std::size_t accepted = 0;
   std::size_t line_no = 0;
+  // Every accepted document is counted once, in /stats and in the sink,
+  // whether the body ends in success or in a partial refusal.
+  const auto count_accepted = [&] {
+    bump(counters_.docs_ingested, "serve.docs_ingested", accepted);
+    if (session) session->writes += accepted;
+  };
+  // A refusal partway through the body reports the progress made before it.
+  const auto refuse = [&](int status, std::string_view message) {
+    count_accepted();
+    util::JsonWriter json;
+    return respond(status, json.begin_object().key("error").value(message)
+                               .key("accepted").value(accepted)
+                               .key("rejected_line").value(line_no)
+                               .end_object());
+  };
   std::size_t pos = 0;
   const std::string& body = request.body;
   while (pos < body.size()) {
@@ -747,36 +730,20 @@ HttpResponse HttpServer::handle_ingest(const HttpRequest& request) {
     if (status.code() == StatusCode::kResourceExhausted) {
       // The routed shard's bounded queue is full: the library's
       // backpressure becomes HTTP 429 and the client retries after a beat.
-      counters_.backpressure_429.fetch_add(1, std::memory_order_relaxed);
-      obs::count("serve.backpressure_429");
-      HttpResponse resp = error_response(429, "shard ingest queue full");
-      resp.body = "{\"error\":\"shard ingest queue full\",\"accepted\":" +
-                  std::to_string(accepted) +
-                  ",\"rejected_line\":" + std::to_string(line_no) + "}";
-      counters_.docs_ingested.fetch_add(accepted, std::memory_order_relaxed);
-      if (session) session->writes += accepted;
-      return resp;
+      bump(counters_.backpressure_429, "serve.backpressure_429");
+      return refuse(429, "shard ingest queue full");
     }
     if (status.code() == StatusCode::kUnavailable) {
       // The routed shard cannot reach its replica write quorum: the ack is
       // keyed on quorum, so the document is NOT accepted — 503 and the
       // client retries once replicas are readmitted.
-      counters_.quorum_503.fetch_add(1, std::memory_order_relaxed);
-      obs::count("serve.quorum_503");
-      HttpResponse resp = error_response(503, status.message());
-      resp.body = "{\"error\":\"" + util::json_escape(status.message()) +
-                  "\",\"accepted\":" + std::to_string(accepted) +
-                  ",\"rejected_line\":" + std::to_string(line_no) + "}";
-      counters_.docs_ingested.fetch_add(accepted, std::memory_order_relaxed);
-      if (session) session->writes += accepted;
-      return resp;
+      bump(counters_.quorum_503, "serve.quorum_503");
+      return refuse(503, status.message());
     }
     // kFailedPrecondition: the index is shut down underneath the daemon.
     return error_response(503, status.message());
   }
-  counters_.docs_ingested.fetch_add(accepted, std::memory_order_relaxed);
-  obs::count("serve.docs_ingested", accepted);
-  if (session) session->writes += accepted;
+  count_accepted();
 
   bool refreshed = false;
   if (request.param("wait") == "1") {
@@ -793,22 +760,20 @@ HttpResponse HttpServer::handle_ingest(const HttpRequest& request) {
     }
   }
 
-  HttpResponse resp;
-  resp.status = 202;
-  resp.body = "{\"accepted\":" + std::to_string(accepted) +
-              ",\"pin_refreshed\":" + (refreshed ? "true" : "false") + "}";
-  return resp;
+  util::JsonWriter json;
+  return respond(202, json.begin_object().key("accepted").value(accepted)
+                          .key("pin_refreshed").value(refreshed)
+                          .end_object());
 }
 
 HttpResponse HttpServer::handle_consolidate(const HttpRequest&) {
   LSI_OBS_SPAN(span, "serve.consolidate");
   const Status status = index_.consolidate();
   if (!status.ok()) return error_response(503, status.message());
-  HttpResponse resp;
-  resp.body = "{\"consolidated\":true,\"generations\":";
-  resp.body += generations_json(index_.snapshot().generations());
-  resp.body += '}';
-  return resp;
+  util::JsonWriter json;
+  json.begin_object().key("consolidated").value(true);
+  write_generations(json, index_.snapshot().generations());
+  return respond(200, json.end_object());
 }
 
 HttpResponse HttpServer::handle_session_create(const HttpRequest&) {
@@ -817,19 +782,13 @@ HttpResponse HttpServer::handle_session_create(const HttpRequest&) {
   if (session == nullptr) {
     return error_response(503, "session table full");
   }
-  counters_.sessions_created.fetch_add(1, std::memory_order_relaxed);
+  bump(counters_.sessions_created, "serve.sessions_created");
   counters_.sessions_open.store(sessions_.size(), std::memory_order_relaxed);
-  obs::count("serve.sessions_created");
-  HttpResponse resp;
-  resp.status = 201;
-  resp.body = "{\"session\":\"";
-  resp.body += util::json_escape(session->token);
-  resp.body += "\",\"generations\":";
-  resp.body += generations_json(session->pin->generations());
-  resp.body += ",\"ttl_seconds\":";
-  resp.body += std::to_string(sessions_.ttl().count());
-  resp.body += '}';
-  return resp;
+  util::JsonWriter json;
+  json.begin_object().key("session").value(session->token);
+  write_generations(json, session->pin->generations());
+  return respond(
+      201, json.key("ttl_seconds").value(sessions_.ttl().count()).end_object());
 }
 
 HttpResponse HttpServer::handle_session_delete(const HttpRequest& request) {
@@ -840,9 +799,9 @@ HttpResponse HttpServer::handle_session_delete(const HttpRequest& request) {
   }
   counters_.sessions_open.store(sessions_.size(), std::memory_order_relaxed);
   obs::count("serve.sessions_released");
-  HttpResponse resp;
-  resp.body = "{\"released\":true}";
-  return resp;
+  util::JsonWriter json;
+  return respond(200, json.begin_object().key("released").value(true)
+                          .end_object());
 }
 
 HttpResponse HttpServer::handle_healthz() {
@@ -852,39 +811,22 @@ HttpResponse HttpServer::handle_healthz() {
   // work where quorum holds; an operator alerts on the field, a load
   // balancer does not pull the node. A shard at zero healthy replicas is
   // 503: reads fall back to stale snapshots and writes cannot ack.
-  const std::size_t shards = index_.num_shards();
   const std::size_t replicas = index_.replicas_per_shard();
-  std::size_t degraded_shards = 0;
-  std::size_t dead_shards = 0;
-  std::string per_shard = "[";
-  for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t healthy = index_.healthy_replicas(s);
-    if (healthy == 0) {
-      ++dead_shards;
-    } else if (healthy < replicas) {
-      ++degraded_shards;
-    }
-    if (s) per_shard += ',';
-    per_shard += std::to_string(healthy);
+  std::vector<std::size_t> healthy(index_.num_shards());
+  std::size_t fewest = replicas;
+  for (std::size_t s = 0; s < healthy.size(); ++s) {
+    healthy[s] = index_.healthy_replicas(s);
+    fewest = std::min(fewest, healthy[s]);
   }
-  per_shard += ']';
-
-  const char* status = dead_shards > 0      ? "unavailable"
-                       : degraded_shards > 0 ? "degraded"
-                                             : "ok";
-  HttpResponse resp;
-  if (dead_shards > 0) {
-    resp.status = 503;
-    resp.set_header("Retry-After", std::to_string(opts_.retry_after_seconds));
-  }
-  resp.body = "{\"status\":\"";
-  resp.body += status;
-  resp.body += "\",\"replicas_per_shard\":";
-  resp.body += std::to_string(replicas);
-  resp.body += ",\"healthy_replicas\":";
-  resp.body += per_shard;
-  resp.body += '}';
-  return resp;
+  util::JsonWriter json;
+  const char* status = fewest == 0         ? "unavailable"
+                       : fewest < replicas ? "degraded"
+                                           : "ok";
+  json.begin_object().key("status").value(status)
+      .key("replicas_per_shard").value(replicas)
+      .key("healthy_replicas").begin_array();
+  for (const std::size_t h : healthy) json.value(h);
+  return respond(fewest == 0 ? 503 : 200, json.end_array().end_object());
 }
 
 HttpResponse HttpServer::handle_replica_admin(const HttpRequest& request,
@@ -907,12 +849,12 @@ HttpResponse HttpServer::handle_replica_admin(const HttpRequest& request,
         status.code() == StatusCode::kInvalidArgument ? 400 : 409;
     return error_response(http, status.message());
   }
-  HttpResponse resp;
-  resp.body = "{\"shard\":" + std::to_string(shard) +
-              ",\"replica\":" + std::to_string(replica) + ",\"state\":\"" +
-              (eject ? "ejected" : "healthy") + "\",\"healthy\":" +
-              std::to_string(index_.healthy_replicas(shard)) + "}";
-  return resp;
+  util::JsonWriter json;
+  return respond(200, json.begin_object().key("shard").value(shard)
+                          .key("replica").value(replica)
+                          .key("state").value(eject ? "ejected" : "healthy")
+                          .key("healthy").value(index_.healthy_replicas(shard))
+                          .end_object());
 }
 
 HttpResponse HttpServer::handle_stats(const HttpRequest&) {
@@ -921,151 +863,97 @@ HttpResponse HttpServer::handle_stats(const HttpRequest&) {
   const double uptime = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - started_at_)
                             .count();
-  std::string body = "{\"state\":\"";
-  body += state_.load(std::memory_order_relaxed) ==
-                  static_cast<int>(RunState::kRunning)
-              ? "running"
-              : "draining";
-  body += "\",\"uptime_seconds\":";
-  append_double(body, uptime);
-  body += ",\"connections\":{\"open\":";
-  body += std::to_string(s.connections_open);
-  body += ",\"accepted\":";
-  body += std::to_string(s.connections_accepted);
-  body += "},\"requests\":";
-  body += std::to_string(s.requests);
-  body += ",\"responses\":{\"2xx\":";
-  body += std::to_string(s.responses_2xx);
-  body += ",\"4xx\":";
-  body += std::to_string(s.responses_4xx);
-  body += ",\"5xx\":";
-  body += std::to_string(s.responses_5xx);
-  body += "},\"backpressure_429\":";
-  body += std::to_string(s.backpressure_429);
-  body += ",\"quorum_503\":";
-  body += std::to_string(s.quorum_503);
-  body += ",\"parse_errors\":";
-  body += std::to_string(s.parse_errors);
-  body += ",\"sessions\":{\"open\":";
-  body += std::to_string(s.sessions_open);
-  body += ",\"created\":";
-  body += std::to_string(s.sessions_created);
-  body += ",\"expired\":";
-  body += std::to_string(s.sessions_expired);
-  body += "},\"pinned_snapshots\":";
-  body += std::to_string(index_.pinned());
-  body += ",\"docs_ingested\":";
-  body += std::to_string(s.docs_ingested);
+  const bool running = state_.load(std::memory_order_relaxed) ==
+                       static_cast<int>(RunState::kRunning);
+  util::JsonWriter json;
+  json.begin_object().key("state").value(running ? "running" : "draining")
+      .key("uptime_seconds").value(uptime)
+      .key("connections").begin_object().key("open").value(s.connections_open)
+      .key("accepted").value(s.connections_accepted).end_object()
+      .key("requests").value(s.requests)
+      .key("responses").begin_object().key("2xx").value(s.responses_2xx)
+      .key("4xx").value(s.responses_4xx).key("5xx").value(s.responses_5xx)
+      .end_object()
+      .key("backpressure_429").value(s.backpressure_429)
+      .key("overload_503").value(s.overload_503)
+      .key("quorum_503").value(s.quorum_503)
+      .key("parse_errors").value(s.parse_errors)
+      .key("sessions").begin_object().key("open").value(s.sessions_open)
+      .key("created").value(s.sessions_created)
+      .key("expired").value(s.sessions_expired).end_object()
+      .key("pinned_snapshots").value(index_.pinned())
+      .key("docs_ingested").value(s.docs_ingested);
   // One snapshot feeds BOTH the generation vector and the per-shard rows, so
   // the "generations" array and every row's "generation" (and ANN state) are
   // views of the same pinned IndexSnapshots — exactly what /session reports
   // for a pinned view (ShardedSnapshot is the single source of truth).
   const core::ShardedSnapshot snap = index_.snapshot();
-  body += ",\"generations\":";
-  body += generations_json(snap.generations());
+  write_generations(json, snap.generations());
   // Term-statistics exchange state (docs/GATHER.md): version 0 with
   // enabled=true means configured but never published (cannot happen after
   // a successful build — the build pass publishes v1).
   const auto ts = index_.term_stats_info();
-  body += ",\"gather\":{\"term_stats\":{\"enabled\":";
-  body += ts.enabled ? "true" : "false";
-  body += ",\"version\":";
-  body += std::to_string(ts.version);
-  body += ",\"docs\":";
-  body += std::to_string(ts.docs);
-  body += ",\"terms\":";
-  body += std::to_string(ts.terms);
-  body += "}}";
-  body += ",\"shards\":[";
+  json.key("gather").begin_object().key("term_stats").begin_object()
+      .key("enabled").value(ts.enabled).key("version").value(ts.version)
+      .key("docs").value(ts.docs).key("terms").value(ts.terms)
+      .end_object().end_object();
+  json.key("shards").begin_array();
   const auto infos = index_.shard_infos(snap);
   for (std::size_t i = 0; i < infos.size(); ++i) {
-    if (i) body += ',';
-    body += "{\"shard\":";
-    body += std::to_string(infos[i].shard);
-    body += ",\"docs\":";
-    body += std::to_string(infos[i].docs);
-    body += ",\"terms\":";
-    body += std::to_string(infos[i].terms);
-    body += ",\"k\":";
-    body += std::to_string(infos[i].k);
-    body += ",\"generation\":";
-    body += std::to_string(infos[i].generation);
-    body += ",\"queued\":";
-    body += std::to_string(infos[i].queued);
-    body += ",\"ingested\":";
-    body += std::to_string(infos[i].ingested);
-    body += ",\"publishes\":";
-    body += std::to_string(infos[i].publishes);
-    body += ",\"consolidations\":";
-    body += std::to_string(infos[i].consolidations);
-    body += ",\"ann\":{\"centroids\":";
-    body += std::to_string(infos[i].ann_centroids);
-    body += ",\"generation\":";
-    body += std::to_string(infos[i].ann_generation);
-    body += ",\"exact_fallback\":";
-    body += infos[i].ann_exact_fallback ? "true" : "false";
+    const auto& info = infos[i];
     // Per-replica rows: `pinned_replica` is the replica serving THIS pinned
-    // view (its generation equals the row's "generation" above); sibling
+    // view (its generation equals the row's "generation"); sibling
     // generations may legitimately skew while consolidations land.
-    body += "},\"pinned_replica\":";
-    body += std::to_string(infos[i].replica);
-    body += ",\"healthy_replicas\":";
-    body += std::to_string(infos[i].healthy);
-    body += ",\"replicas\":[";
-    const auto rows = index_.replica_infos(i);
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      if (r) body += ',';
-      body += "{\"replica\":";
-      body += std::to_string(rows[r].replica);
-      body += ",\"state\":\"";
-      body += core::replica_state_name(rows[r].state);
-      body += "\",\"fed\":";
-      body += std::to_string(rows[r].fed);
-      body += ",\"queued\":";
-      body += std::to_string(rows[r].queued);
-      body += ",\"in_flight\":";
-      body += std::to_string(rows[r].in_flight);
-      body += ",\"generation\":";
-      body += std::to_string(rows[r].generation);
-      body += ",\"ingested\":";
-      body += std::to_string(rows[r].ingested);
-      body += ",\"publishes\":";
-      body += std::to_string(rows[r].publishes);
-      body += ",\"consolidations\":";
-      body += std::to_string(rows[r].consolidations);
-      body += '}';
+    json.begin_object().key("shard").value(info.shard)
+        .key("docs").value(info.docs).key("terms").value(info.terms)
+        .key("k").value(info.k).key("generation").value(info.generation)
+        .key("queued").value(info.queued).key("ingested").value(info.ingested)
+        .key("publishes").value(info.publishes)
+        .key("consolidations").value(info.consolidations)
+        .key("ann").begin_object().key("centroids").value(info.ann_centroids)
+        .key("generation").value(info.ann_generation)
+        .key("exact_fallback").value(info.ann_exact_fallback).end_object()
+        .key("pinned_replica").value(info.replica)
+        .key("healthy_replicas").value(info.healthy)
+        .key("replicas").begin_array();
+    for (const auto& row : index_.replica_infos(i)) {
+      json.begin_object().key("replica").value(row.replica)
+          .key("state").value(core::replica_state_name(row.state))
+          .key("fed").value(row.fed).key("queued").value(row.queued)
+          .key("in_flight").value(row.in_flight)
+          .key("generation").value(row.generation)
+          .key("ingested").value(row.ingested)
+          .key("publishes").value(row.publishes)
+          .key("consolidations").value(row.consolidations).end_object();
     }
-    body += "]}";
+    json.end_array().end_object();
   }
-  body += "]}";
 
-  HttpResponse resp;
-  resp.body = std::move(body);
+  HttpResponse resp = respond(200, json.end_array().end_object());
   resp.chunked = true;  // the daemon's demonstration of the chunked coder
   return resp;
 }
 
 HttpServer::Stats HttpServer::stats() const {
+  const auto load = [](const std::atomic<std::uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  const auto& c = counters_;
   Stats s;
-  s.connections_accepted =
-      counters_.connections_accepted.load(std::memory_order_relaxed);
-  s.connections_open =
-      counters_.connections_open.load(std::memory_order_relaxed);
-  s.requests = counters_.requests.load(std::memory_order_relaxed);
-  s.responses_2xx = counters_.responses_2xx.load(std::memory_order_relaxed);
-  s.responses_4xx = counters_.responses_4xx.load(std::memory_order_relaxed);
-  s.responses_5xx = counters_.responses_5xx.load(std::memory_order_relaxed);
-  s.backpressure_429 =
-      counters_.backpressure_429.load(std::memory_order_relaxed);
-  s.draining_503 = counters_.draining_503.load(std::memory_order_relaxed);
-  s.quorum_503 = counters_.quorum_503.load(std::memory_order_relaxed);
-  s.parse_errors = counters_.parse_errors.load(std::memory_order_relaxed);
-  s.sessions_created =
-      counters_.sessions_created.load(std::memory_order_relaxed);
-  s.sessions_expired =
-      counters_.sessions_expired.load(std::memory_order_relaxed);
-  s.docs_ingested = counters_.docs_ingested.load(std::memory_order_relaxed);
-  s.sessions_open = counters_.sessions_open.load(std::memory_order_relaxed);
+  s.connections_accepted = load(c.connections_accepted);
+  s.connections_open = load(c.connections_open);
+  s.requests = load(c.requests);
+  s.responses_2xx = load(c.responses_2xx);
+  s.responses_4xx = load(c.responses_4xx);
+  s.responses_5xx = load(c.responses_5xx);
+  s.backpressure_429 = load(c.backpressure_429);
+  s.overload_503 = load(c.overload_503);
+  s.quorum_503 = load(c.quorum_503);
+  s.parse_errors = load(c.parse_errors);
+  s.sessions_created = load(c.sessions_created);
+  s.sessions_expired = load(c.sessions_expired);
+  s.docs_ingested = load(c.docs_ingested);
+  s.sessions_open = load(c.sessions_open);
   return s;
 }
 

@@ -42,9 +42,9 @@
 //
 //   429 + Retry-After   a shard's bounded ingest queue refused a document
 //                       (kResourceExhausted from try_add)
-//   503 + Retry-After   connection/session tables full, server draining,
-//                       the index is shut down (kFailedPrecondition), or a
-//                       shard lost its replica write quorum (kUnavailable)
+//   503 + Retry-After   connection/session tables full, the index is shut
+//                       down (kFailedPrecondition), or a shard lost its
+//                       replica write quorum (kUnavailable)
 //
 // Graceful drain (request_drain / POST /shutdown): stop accepting, answer
 // everything already buffered, flush outputs, then close; sessions are
@@ -62,6 +62,7 @@
 #include "serve/event_loop.hpp"
 #include "serve/http.hpp"
 #include "serve/session.hpp"
+#include "util/json.hpp"
 
 namespace lsi::serve {
 
@@ -115,24 +116,26 @@ class HttpServer {
     return stopped_.load(std::memory_order_acquire);
   }
 
-  /// Point-in-time serving counters (thread-safe snapshot; the /stats
-  /// endpoint renders the same numbers plus per-shard tables).
-  struct Stats {
-    std::uint64_t connections_accepted = 0;
-    std::uint64_t connections_open = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t responses_2xx = 0;
-    std::uint64_t responses_4xx = 0;
-    std::uint64_t responses_5xx = 0;
-    std::uint64_t backpressure_429 = 0;
-    std::uint64_t draining_503 = 0;
-    std::uint64_t quorum_503 = 0;
-    std::uint64_t parse_errors = 0;
-    std::uint64_t sessions_created = 0;
-    std::uint64_t sessions_expired = 0;
-    std::uint64_t docs_ingested = 0;
-    std::uint64_t sessions_open = 0;
+  /// Serving counters, declared once: kept as atomics, read through stats()
+  /// as a point-in-time copy (/stats renders it plus per-shard tables).
+  template <typename T>
+  struct Counters {
+    T connections_accepted{};
+    T connections_open{};
+    T requests{};
+    T responses_2xx{};
+    T responses_4xx{};
+    T responses_5xx{};
+    T backpressure_429{};
+    T overload_503{};  ///< connection-table overflow
+    T quorum_503{};
+    T parse_errors{};
+    T sessions_created{};
+    T sessions_expired{};
+    T docs_ingested{};
+    T sessions_open{};
   };
+  using Stats = Counters<std::uint64_t>;
   Stats stats() const;
 
  private:
@@ -157,7 +160,10 @@ class HttpServer {
   HttpResponse handle_session_delete(const HttpRequest& request);
   HttpResponse handle_healthz();
   HttpResponse handle_replica_admin(const HttpRequest& request, bool eject);
-  HttpResponse error_response(int status, std::string_view message);
+  /// A response whose body is taken out of `json`; 429/503 get Retry-After.
+  HttpResponse respond(int status, util::JsonWriter& json) const;
+  /// respond() with the body {"error": message}.
+  HttpResponse error_response(int status, std::string_view message) const;
   void count_response(int status);
 
   core::ShardedIndex& index_;
@@ -175,23 +181,7 @@ class HttpServer {
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
 
   // Counters are written on the loop thread, read from anywhere.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> connections_accepted{0};
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> responses_2xx{0};
-    std::atomic<std::uint64_t> responses_4xx{0};
-    std::atomic<std::uint64_t> responses_5xx{0};
-    std::atomic<std::uint64_t> backpressure_429{0};
-    std::atomic<std::uint64_t> draining_503{0};
-    std::atomic<std::uint64_t> quorum_503{0};
-    std::atomic<std::uint64_t> parse_errors{0};
-    std::atomic<std::uint64_t> sessions_created{0};
-    std::atomic<std::uint64_t> sessions_expired{0};
-    std::atomic<std::uint64_t> docs_ingested{0};
-    std::atomic<std::uint64_t> connections_open{0};
-    std::atomic<std::uint64_t> sessions_open{0};
-  };
-  AtomicStats counters_;
+  Counters<std::atomic<std::uint64_t>> counters_;
 };
 
 }  // namespace lsi::serve

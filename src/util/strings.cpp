@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cstdlib>
 
 namespace lsi::util {
 
@@ -48,10 +49,42 @@ std::string join(const std::vector<std::string>& pieces, std::string_view sep) {
   return out;
 }
 
+namespace {
+
+/// Length of the well-formed UTF-8 sequence that starts `s` (Unicode Table
+/// 3-7: no overlongs, no surrogates, nothing above U+10FFFF), or minus the
+/// length of its maximal invalid subpart.
+int utf8_length(std::string_view s) {
+  const unsigned lead = static_cast<unsigned char>(s[0]);
+  if (lead < 0xC2 || lead > 0xF4) return -1;
+  const std::size_t len = lead >= 0xF0 ? 4 : lead >= 0xE0 ? 3 : 2;
+  unsigned lo = lead == 0xE0 ? 0xA0 : lead == 0xF0 ? 0x90 : 0x80;
+  unsigned hi = lead == 0xED ? 0x9F : lead == 0xF4 ? 0x8F : 0xBF;
+  for (std::size_t i = 1; i < len; ++i, lo = 0x80, hi = 0xBF) {
+    const unsigned b = i < s.size() ? static_cast<unsigned char>(s[i]) : 0;
+    if (b < lo || b > hi) return -static_cast<int>(i);
+  }
+  return static_cast<int>(len);
+}
+
+}  // namespace
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 8);
-  for (char c : s) {
+  for (std::size_t i = 0; i < s.size();) {
+    const char c = s[i];
+    if (static_cast<unsigned char>(c) >= 0x80) {
+      const int len = utf8_length(s.substr(i));
+      if (len > 0) {
+        out.append(s, i, static_cast<std::size_t>(len));
+      } else {
+        out += "\\ufffd";
+      }
+      i += static_cast<std::size_t>(std::abs(len));
+      continue;
+    }
+    ++i;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;

@@ -1,6 +1,6 @@
 #pragma once
-// ASCII string helpers shared by the tokenizer, table writers and the
-// hand-rolled JSON writers.
+// ASCII string helpers shared by the tokenizer, the table writers and the
+// JSON writer (util/json.hpp).
 
 #include <string>
 #include <string_view>
@@ -23,9 +23,10 @@ bool is_alpha(std::string_view s);
 /// Joins the pieces with `sep` between them.
 std::string join(const std::vector<std::string>& pieces, std::string_view sep);
 
-/// Minimal JSON string escaping: quotes, backslash, and control characters
-/// (\n, \r, \t by name, the rest as \u00XX). The body of a JSON string
-/// literal, without the surrounding quotes.
+/// JSON string escaping (RFC 8259): quotes, backslash, and control
+/// characters (\n, \r, \t by name, the rest as \u00XX). Well-formed UTF-8
+/// passes through byte for byte; each maximal invalid subsequence becomes
+/// \ufffd. The body of a JSON string literal, without the surrounding quotes.
 std::string json_escape(std::string_view s);
 
 }  // namespace lsi::util

@@ -45,13 +45,13 @@ TEST(Export, JsonRoundTripSatisfiesTheValidator) {
 
 TEST(Export, JsonCarriesEverySection) {
   const std::string json = obs::to_json(example_doc());
-  EXPECT_NE(json.find("\"schema\": \"lsi.stats.v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"export_test\""), std::string::npos);
-  EXPECT_NE(json.find("\"lanczos.steps\": 42"), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"lsi.stats.v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"export_test\""), std::string::npos);
+  EXPECT_NE(json.find("\"lanczos.steps\":42"), std::string::npos);
   EXPECT_NE(json.find("lanczos.max_residual"), std::string::npos);
   EXPECT_NE(json.find("\"build.svd\""), std::string::npos);
-  EXPECT_NE(json.find("\"predicted\": 1000"), std::string::npos);
-  EXPECT_NE(json.find("\"measured\": 1100"), std::string::npos);
+  EXPECT_NE(json.find("\"predicted\":1000"), std::string::npos);
+  EXPECT_NE(json.find("\"measured\":1100"), std::string::npos);
 }
 
 TEST(Export, CsvCarriesEverySection) {

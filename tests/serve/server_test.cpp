@@ -11,6 +11,7 @@
 
 #include "lsi/lsi.hpp"
 #include "obs/schema.hpp"
+#include "obs/trace.hpp"
 #include "serve/server.hpp"
 #include "synth/corpus.hpp"
 #include "test_client.hpp"
@@ -640,6 +641,229 @@ TEST_F(AnnServerTest, GenerousDeadlineAnswers200) {
       "GET", "/search?q=" + encode_query(corpus_.queries[0].text) +
                  "&deadline_ms=60000");
   EXPECT_EQ(ok.status, 200);
+}
+
+// ---------------------------------------------------------------------------
+// Response bodies: one JSON writer behind every endpoint and status
+// ---------------------------------------------------------------------------
+
+std::uint64_t sink_counter(const obs::Sink& sink, const std::string& name) {
+  for (const auto& [counter, value] : sink.metrics().counters()) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+TEST(ServerBodies, EveryEndpointAndStatusAnswersWellFormedJson) {
+  synth::CorpusSpec spec;
+  spec.topics = 3;
+  spec.concepts_per_topic = 5;
+  spec.docs_per_topic = 16;
+  spec.queries_per_topic = 1;
+  spec.seed = 1818;
+  const auto corpus = synth::generate_corpus(spec);
+
+  core::ShardingOptions sopts;
+  sopts.num_shards = 2;
+  sopts.replicas = 2;
+  sopts.write_quorum = 2;  // one ejected replica refuses that shard's writes
+  sopts.index.k = 6;
+  auto built = core::ShardedIndex::try_build(corpus.docs, sopts);
+  ASSERT_TRUE(built.ok()) << built.status().to_string();
+  obs::Sink sink;
+  obs::ScopedSink scoped(&sink);
+  serve::HttpServer server(*built);
+  ASSERT_TRUE(server.start().ok());
+
+  TestClient client(server.port());
+  const std::string q = encode_query(corpus.queries.front().text);
+  auto expect_json = [&](const std::string& method, const std::string& target,
+                         int status, const std::string& body = {}) {
+    const ClientResponse resp = client.request(method, target, body);
+    EXPECT_EQ(resp.status, status) << method << " " << target << ": "
+                                   << resp.body;
+    const Status valid = obs::validate_json(resp.body);
+    EXPECT_TRUE(valid.ok()) << method << " " << target << ": "
+                            << valid.to_string() << "\n" << resp.body;
+    return resp;
+  };
+
+  expect_json("GET", "/healthz", 200);
+  const std::string token =
+      json_string_field(expect_json("POST", "/session", 201).body, "session");
+  ASSERT_FALSE(token.empty());
+  expect_json("POST", "/ingest?session=" + token + "&wait=1", 202,
+              "walk\t" + corpus.docs[0].body + "\n");
+  for (const std::string& search :
+       {"/search?q=" + q,
+        "/search?q=" + q + "&merge=zscore&collapse=0.9&facets=3",
+        "/search?q=" + q + "&session=" + token + "&top=3"}) {
+    const ClientResponse resp = expect_json("GET", search, 200);
+    EXPECT_TRUE(obs::validate_search_json(
+                    resp.body, search.find("session=") != std::string::npos)
+                    .ok())
+        << resp.body;
+  }
+  expect_json("POST", "/consolidate", 200);
+  expect_json("GET", "/stats", 200);
+  expect_json("GET", "/search", 400);
+  expect_json("GET", "/search?q=" + q + "&top=0", 400);
+  expect_json("POST", "/replica/eject", 400);
+  expect_json("GET", "/no/such/path", 404);
+  expect_json("GET", "/search?session=bogus&q=x", 404);
+  expect_json("POST", "/search?q=x", 405);
+  expect_json("DELETE", "/healthz", 405);
+
+  // Replication ladder: degraded 200, a quorum 503 mid-body, unavailable 503,
+  // a 409 conflict, and back.
+  expect_json("POST", "/replica/eject?shard=0&replica=1", 200);
+  expect_json("POST", "/replica/eject?shard=0&replica=1", 409);
+  EXPECT_EQ(json_string_field(expect_json("GET", "/healthz", 200).body,
+                              "status"),
+            "degraded");
+  std::string tsv;
+  for (int i = 0; i < 8; ++i) {
+    tsv += "quorum" + std::to_string(i) + "\t" + corpus.docs[i].body + "\n";
+  }
+  const ClientResponse refused = expect_json("POST", "/ingest", 503, tsv);
+  EXPECT_FALSE(json_scalar_field(refused.body, "accepted").empty());
+  EXPECT_FALSE(json_scalar_field(refused.body, "rejected_line").empty());
+  expect_json("POST", "/replica/eject?shard=0&replica=0", 200);
+  expect_json("GET", "/healthz", 503);
+  expect_json("POST", "/replica/readmit?shard=0&replica=0", 200);
+  expect_json("POST", "/replica/readmit?shard=0&replica=1", 200);
+
+  expect_json("DELETE", "/session?session=" + token, 200);
+  // The accepted documents of the partial refusal are counted once, in
+  // /stats and in the sink alike.
+  EXPECT_EQ(sink_counter(sink, "serve.docs_ingested"),
+            server.stats().docs_ingested);
+  EXPECT_EQ(server.stats().quorum_503, 1u);
+
+  // A request the parser rejects gets a JSON error body too.
+  TestClient garbage(server.port());
+  ASSERT_TRUE(garbage.send_raw("NOT A REQUEST\r\n\r\n"));
+  const ClientResponse parse_error = garbage.read_response();
+  EXPECT_EQ(parse_error.status, 400);
+  EXPECT_TRUE(obs::validate_json(parse_error.body).ok()) << parse_error.body;
+
+  const ClientResponse shutdown = expect_json("POST", "/shutdown", 200);
+  EXPECT_TRUE(shutdown.closed);
+  server.join();
+  built->shutdown();
+}
+
+TEST(ServerBodies, BackpressureCountsAcceptedDocsInStatsAndSink) {
+  synth::CorpusSpec spec;
+  spec.topics = 2;
+  spec.concepts_per_topic = 4;
+  spec.docs_per_topic = 12;
+  spec.seed = 99;
+  auto corpus = synth::generate_corpus(spec);
+
+  core::ShardingOptions sopts;
+  sopts.num_shards = 2;
+  sopts.index.k = 6;
+  sopts.concurrent.queue_capacity = 2;  // tiny: one bulk POST must overflow
+  auto built = core::ShardedIndex::try_build(corpus.docs, sopts);
+  ASSERT_TRUE(built.ok()) << built.status().to_string();
+  obs::Sink sink;
+  obs::ScopedSink scoped(&sink);
+  serve::HttpServer server(*built);
+  ASSERT_TRUE(server.start().ok());
+
+  std::string tsv;
+  for (int i = 0; i < 300; ++i) {
+    tsv += "bulk" + std::to_string(i) + "\t" + corpus.docs[i % 8].body + "\n";
+  }
+  TestClient client(server.port());
+  const ClientResponse resp = client.request("POST", "/ingest", tsv);
+  ASSERT_EQ(resp.status, 429) << resp.body;
+  EXPECT_TRUE(obs::validate_json(resp.body).ok()) << resp.body;
+  const std::string accepted = json_scalar_field(resp.body, "accepted");
+  EXPECT_EQ(accepted, std::to_string(server.stats().docs_ingested));
+  EXPECT_EQ(sink_counter(sink, "serve.docs_ingested"),
+            server.stats().docs_ingested);
+
+  server.drain();
+  built->shutdown();
+}
+
+TEST(ServerBodies, ConnectionTableOverflowIsCountedAsOverload503) {
+  synth::CorpusSpec spec;
+  spec.topics = 2;
+  spec.concepts_per_topic = 4;
+  spec.docs_per_topic = 10;
+  spec.seed = 7;
+  auto corpus = synth::generate_corpus(spec);
+  core::ShardingOptions sopts;
+  sopts.num_shards = 2;
+  sopts.index.k = 6;
+  auto built = core::ShardedIndex::try_build(corpus.docs, sopts);
+  ASSERT_TRUE(built.ok());
+
+  serve::ServerOptions opts;
+  opts.max_connections = 1;
+  serve::HttpServer server(*built, opts);
+  ASSERT_TRUE(server.start().ok());
+
+  TestClient first(server.port());
+  ASSERT_EQ(first.request("GET", "/healthz").status, 200);
+  TestClient second(server.port());
+  const ClientResponse refused = second.read_response();
+  EXPECT_EQ(refused.status, 503);
+  EXPECT_EQ(json_string_field(refused.body, "error"), "connection table full");
+
+  const ClientResponse stats = first.request("GET", "/stats");
+  ASSERT_EQ(stats.status, 200);
+  EXPECT_EQ(json_scalar_field(stats.body, "overload_503"), "1") << stats.body;
+  EXPECT_EQ(server.stats().overload_503, 1u);
+
+  server.drain();
+  built->shutdown();
+}
+
+TEST_F(ServerTest, MalformedCursorAnswers400) {
+  TestClient client(server_->port());
+  const std::string token =
+      json_string_field(client.request("POST", "/session").body, "session");
+  ASSERT_FALSE(token.empty());
+  const std::string q = encode_query(query_text());
+  const ClientResponse page1 = client.request(
+      "GET", "/search?q=" + q + "&session=" + token + "&top=2");
+  ASSERT_EQ(page1.status, 200) << page1.body;
+
+  for (const char* cursor : {"abc", "-1", ""}) {
+    const ClientResponse resp = client.request(
+        "GET", "/search?session=" + token + "&top=2&cursor=" + cursor);
+    EXPECT_EQ(resp.status, 400) << cursor;
+    EXPECT_EQ(json_string_field(resp.body, "error"),
+              "cursor must be a nonnegative integer")
+        << cursor << " -> " << resp.body;
+  }
+  // The refused requests left the session where page 1 put it.
+  const ClientResponse page2 =
+      client.request("GET", "/search?session=" + token + "&top=2");
+  ASSERT_EQ(page2.status, 200);
+  EXPECT_EQ(json_scalar_field(page2.body, "cursor"), "4");
+}
+
+TEST_F(ServerTest, InvalidUtf8LabelComesBackAsReplacementCharacter) {
+  TestClient client(server_->port());
+  const std::string body = corpus_.docs[0].body;
+  const ClientResponse ingested = client.request(
+      "POST", "/ingest?wait=1", "bad\xff\xfelabel\t" + body + "\n");
+  ASSERT_EQ(ingested.status, 202) << ingested.body;
+
+  const ClientResponse found = client.request(
+      "GET", "/search?q=" + encode_query(body.substr(0, 40)) + "&top=" +
+                 std::to_string(corpus_.docs.size() + 1));
+  ASSERT_EQ(found.status, 200);
+  EXPECT_EQ(found.body.find('\xff'), std::string::npos);
+  EXPECT_NE(found.body.find("\"label\":\"bad\\ufffd\\ufffdlabel\""),
+            std::string::npos)
+      << found.body;
+  EXPECT_TRUE(obs::validate_search_json(found.body, false).ok());
 }
 
 }  // namespace

@@ -191,6 +191,31 @@ TEST(Strings, JsonEscape) {
   EXPECT_EQ(lsi::util::json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(lsi::util::json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
   EXPECT_EQ(lsi::util::json_escape(std::string_view("\x01", 1)), "\\u0001");
+  // Well-formed UTF-8 (2, 3 and 4 bytes, up to U+10FFFF) passes through.
+  for (const char* valid : {"caf\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80",
+                            "\xf4\x8f\xbf\xbf", "\xed\x9f\xbf"}) {
+    EXPECT_EQ(lsi::util::json_escape(valid), valid);
+  }
+  // Each maximal invalid subsequence becomes one U+FFFD escape.
+  const struct {
+    const char* in;
+    const char* out;
+  } invalid[] = {
+      {"\xff", "\\ufffd"},
+      {"a\xff" "b", "a\\ufffdb"},
+      {"\x80", "\\ufffd"},                    // lone continuation byte
+      {"\xc0\xaf", "\\ufffd\\ufffd"},         // overlong '/'
+      {"\xe0\x80\xaf", "\\ufffd\\ufffd\\ufffd"},  // overlong 3-byte form
+      {"\xed\xa0\x80", "\\ufffd\\ufffd\\ufffd"},  // surrogate U+D800
+      {"\xf4\x90\x80\x80", "\\ufffd\\ufffd\\ufffd\\ufffd"},  // U+110000
+      {"\xf5", "\\ufffd"},
+      {"\xe2\x82", "\\ufffd"},          // truncated at the end
+      {"\xe2\x82x", "\\ufffdx"},        // truncated mid-string
+      {"\xf0\x9f\x98\"", "\\ufffd\\\""},  // truncated before a quote
+  };
+  for (const auto& c : invalid) {
+    EXPECT_EQ(lsi::util::json_escape(c.in), c.out) << c.in;
+  }
 }
 
 TEST(Table, AlignsAndCounts) {
