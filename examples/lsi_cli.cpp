@@ -6,12 +6,16 @@
 //                  [--min-df N] [--stem] [--bigrams] [--dense-cutoff N]
 //                  [--probe "free text"]
 //   lsi_cli query  <db.lsi> "free text..." [--top N] [--threshold C]
+//                  [--<knob> V ...]
 //   lsi_cli query  <db.lsi> --batch-queries <queries.txt> [--top N]
 //                  [--threshold C]        (one query per line, ranked
 //                  together through the batched retrieval engine)
 //   lsi_cli terms  <db.lsi> <term> [--top N]
 //   lsi_cli add    <db.lsi> <more.tsv>          (fold-in, writes in place)
 //   lsi_cli info   <db.lsi>
+//
+// query and shard-stats --probe take every /search knob (core::kSearchKnobs)
+// as a --<name> V flag, checked by the daemon's own parse_search_knobs.
 //
 // docs.tsv: one document per line, "label<TAB>text". The literal path
 // `@med` names the built-in MEDLINE example collection (the paper's
@@ -32,7 +36,9 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -42,6 +48,7 @@
 #include "la/kernels.hpp"
 #include "lsi/lsi.hpp"
 #include "serve/server.hpp"
+#include "util/strings.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -88,12 +95,11 @@ int usage() {
          "[--repeat N]\n"
          "                [--k N] [--queue N] [--consolidate-every N] "
          "[--exact] [--shards N]\n"
-         "                (serve queries from snapshots while writer "
-         "threads fold in\n"
-         "                the tail of the collection; --shards > 1 routes "
-         "ingest and\n"
-         "                scatter-gathers the queries over a sharded "
-         "index)\n"
+         "                (reader threads scatter-gather snapshot queries "
+         "while writer\n"
+         "                threads route the tail of the collection into a "
+         "sharded index,\n"
+         "                one shard by default)\n"
          "  lsi_cli serve <docs.tsv> [--port N] [--shards N] [--k N] "
          "[--queue N]\n"
          "                [--max-conn N] [--session-ttl SECONDS]\n"
@@ -112,7 +118,7 @@ int usage() {
          "                [--no-split-k] [--share-stats] "
          "[--probe \"free text\"] [--top N]\n"
          "                [--merge cosine|zscore|rrf] [--collapse C] "
-         "[--facets N]\n"
+         "[--facets N] [--<knob> V ...]\n"
          "                (partition, build every shard's SVD and print the "
          "per-shard table;\n"
          "                --share-stats exchanges Equation-5 global weights "
@@ -120,6 +126,10 @@ int usage() {
          "                --merge/--collapse/--facets drive the gather "
          "pipeline — see\n"
          "                docs/GATHER.md)\n"
+         "--<knob> is any /search knob (exact nprobe recall deadline_ms merge "
+         "rrf_k\ncollapse facets), checked like the daemon's query string; "
+         "the gather knobs\n(merge rrf_k collapse facets) act on shard-stats "
+         "--probe only.\n"
          "Every command also accepts --stats[=json|csv] and "
          "--kernel portable|avx2|auto\n"
          "(force the SIMD microkernel set, same vocabulary as LSI_KERNEL — "
@@ -162,6 +172,63 @@ bool has_flag(const std::vector<std::string>& args, const std::string& flag) {
   return false;
 }
 
+/// The value of an integer flag, at most `max`; `fallback` when absent.
+/// Anything util::parse_size rejects (a sign, a fraction, trailing text, a
+/// missing value) or above `max` throws, naming the flag; main() prints it
+/// and exits 1.
+std::size_t size_flag(
+    const std::vector<std::string>& args, const std::string& flag,
+    std::size_t fallback,
+    std::size_t max = std::numeric_limits<std::size_t>::max()) {
+  const std::string v = flag_value(args, flag);
+  if (v.empty() && !has_flag(args, flag)) return fallback;
+  const std::optional<std::size_t> parsed = util::parse_size(v);
+  if (!parsed || *parsed > max) {
+    throw std::invalid_argument(
+        flag + " must be a nonnegative integer" +
+        (max == std::numeric_limits<std::size_t>::max()
+             ? ""
+             : " of at most " + std::to_string(max)) +
+        ", got '" + v + "'");
+  }
+  return *parsed;
+}
+
+/// The value of a finite-number flag; `fallback` when absent. Anything
+/// util::parse_finite rejects throws, naming the flag.
+double finite_flag(const std::vector<std::string>& args,
+                   const std::string& flag, double fallback) {
+  const std::string v = flag_value(args, flag);
+  if (v.empty() && !has_flag(args, flag)) return fallback;
+  const std::optional<double> parsed = util::parse_finite(v);
+  if (!parsed) {
+    throw std::invalid_argument(flag + " must be a finite number, got '" + v +
+                                "'");
+  }
+  return *parsed;
+}
+
+/// The /search knobs from `--<name> value` flags, through the daemon's own
+/// core::parse_search_knobs. A bare `--exact` (last, or followed by another
+/// flag) means exact=1; any other bare knob flag reads as its own spelling,
+/// which the knob's parse rejects.
+Status parse_search_flags(const std::vector<std::string>& args,
+                          SearchOptions& opts) {
+  return core::parse_search_knobs(
+      [&](std::string_view name) -> std::string_view {
+        const std::string flag = "--" + std::string(name);
+        for (std::size_t i = 0; i < args.size(); ++i) {
+          if (args[i] != flag) continue;
+          if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
+            return args[i + 1];
+          }
+          return name == "exact" ? std::string_view("1") : args[i];
+        }
+        return {};
+      },
+      opts);
+}
+
 /// Appends the retrieval predicted-vs-measured flop rows for a batch of b
 /// queries holding nnz_q weighted nonzeros in all, just ranked against
 /// `space` (model: lsi/flops.hpp).
@@ -189,21 +256,16 @@ int cmd_build(const std::vector<std::string>& args) {
   const auto docs = read_tsv(args[0]);
 
   IndexOptions opts;
-  opts.k = 100;
-  if (const auto k = flag_value(args, "--k"); !k.empty()) {
-    opts.k = static_cast<core::index_t>(std::stoul(k));
-  }
+  opts.k = size_flag(args, "--k", opts.k);
   if (const auto scheme = flag_value(args, "--scheme"); scheme == "raw") {
     opts.scheme = weighting::kRaw;
   } else {
     opts.scheme = weighting::kLogEntropy;
   }
-  if (const auto df = flag_value(args, "--min-df"); !df.empty()) {
-    opts.parser.min_document_frequency = std::stoul(df);
-  }
-  if (const auto dc = flag_value(args, "--dense-cutoff"); !dc.empty()) {
-    opts.build.dense_cutoff = static_cast<core::index_t>(std::stoul(dc));
-  }
+  opts.parser.min_document_frequency =
+      size_flag(args, "--min-df", opts.parser.min_document_frequency);
+  opts.build.dense_cutoff =
+      size_flag(args, "--dense-cutoff", opts.build.dense_cutoff);
   opts.parser.stem = has_flag(args, "--stem");
   opts.parser.add_bigrams = has_flag(args, "--bigrams");
   opts.compress_docs = has_flag(args, "--bf16");
@@ -269,35 +331,27 @@ int cmd_query(const std::vector<std::string>& args) {
   if (args.size() < 2) return usage();
   const auto db = try_load_database_file(args[0]).value();
   SearchOptions sopts;
-  sopts.z = 10;
-  if (const auto top = flag_value(args, "--top"); !top.empty()) {
-    sopts.z = std::stoul(top);
-  }
-  if (const auto th = flag_value(args, "--threshold"); !th.empty()) {
-    sopts.min_cosine = std::stod(th);
-  }
-  if (has_flag(args, "--exact")) sopts.search = core::SearchMode::kExact;
-  if (const auto v = flag_value(args, "--nprobe"); !v.empty()) {
-    sopts.nprobe = std::stoul(v);
-  }
-  if (const auto v = flag_value(args, "--recall"); !v.empty()) {
-    sopts.recall_target = std::stod(v);
-  }
-  if (Status s = sopts.Validate(); !s.ok()) {
-    std::cerr << "invalid search options: " << s.to_string() << "\n";
+  sopts.z = size_flag(args, "--top", 10);
+  sopts.min_cosine = finite_flag(args, "--threshold", sopts.min_cosine);
+  Status s = parse_search_flags(args, sopts);
+  if (s.ok()) s = sopts.Validate();
+  if (!s.ok()) {
+    std::cerr << "invalid search options: " << s.message() << "\n";
     return 2;
   }
   stat_param("terms", static_cast<double>(db.space.num_terms()));
   stat_param("docs", static_cast<double>(db.space.num_docs()));
   stat_param("k", static_cast<double>(db.space.k()));
 
-  // The CLI asked for pruning explicitly (--nprobe/--recall without
-  // --exact): build the cluster structure on the spot with no size cutoff,
-  // so the flags work even on demo-sized databases.
+  // The CLI asked for pruning explicitly (a nprobe, or a recall target
+  // other than the default, without exact): build the cluster structure on
+  // the spot with no size cutoff, so the flags work even on demo-sized
+  // databases. The exact scan meets the default target already.
   auto space = std::make_shared<SemanticSpace>(db.space);
   std::shared_ptr<const AnnIndex> ann;
   if (sopts.search != core::SearchMode::kExact &&
-      (sopts.nprobe > 0 || !flag_value(args, "--recall").empty())) {
+      (sopts.nprobe > 0 ||
+       sopts.recall_target != SearchOptions{}.recall_target)) {
     AnnOptions aopts;
     aopts.exact_cutoff = 0;
     ann = AnnIndex::build(*space, aopts, /*generation=*/0);
@@ -309,39 +363,35 @@ int cmd_query(const std::vector<std::string>& args) {
   }
   const BatchedRetriever retriever(space, ann);
 
-  if (const auto file = flag_value(args, "--batch-queries"); !file.empty()) {
+  // One query from the command line, or one per line of --batch-queries;
+  // either way ranked together through the batched engine.
+  std::vector<std::string> texts;
+  const std::string file = flag_value(args, "--batch-queries");
+  if (file.empty()) {
+    texts.push_back(args[1]);
+  } else {
     std::ifstream is(file);
     if (!is) throw std::runtime_error("cannot open " + file);
-    std::vector<std::string> texts;
-    std::string line;
-    while (std::getline(is, line)) {
+    for (std::string line; std::getline(is, line);) {
       if (!line.empty()) texts.push_back(line);
     }
-    std::vector<la::SparseVector> terms;
-    terms.reserve(texts.size());
-    for (const auto& t : texts) terms.push_back(query_terms(db, t));
-    QueryStats stats;
-    const auto batch = QueryBatch::from_sparse(*space, terms, &stats);
-    const auto ranked = retriever.rank(batch, sopts, &stats);
-    for (std::size_t b = 0; b < ranked.size(); ++b) {
-      std::cout << "# query " << (b + 1) << ": " << texts[b] << '\n';
-      for (const auto& sd : ranked[b]) {
-        std::cout << db.doc_labels[sd.doc] << '\t' << sd.cosine << '\n';
-      }
-    }
     stat_param("batch_size", static_cast<double>(texts.size()));
-    record_retrieval_flops(*space, texts.size(), total_nnz(terms), stats);
-    return 0;
   }
-
+  std::vector<la::SparseVector> terms;
+  terms.reserve(texts.size());
+  for (const auto& t : texts) terms.push_back(query_terms(db, t));
   QueryStats stats;
-  const std::vector<la::SparseVector> terms = {query_terms(db, args[1])};
   const auto batch = QueryBatch::from_sparse(*space, terms, &stats);
   const auto ranked = retriever.rank(batch, sopts, &stats);
-  for (const auto& sd : ranked.front()) {
-    std::cout << db.doc_labels[sd.doc] << '\t' << sd.cosine << '\n';
+  for (std::size_t b = 0; b < ranked.size(); ++b) {
+    if (!file.empty()) {
+      std::cout << "# query " << (b + 1) << ": " << texts[b] << '\n';
+    }
+    for (const auto& sd : ranked[b]) {
+      std::cout << db.doc_labels[sd.doc] << '\t' << sd.cosine << '\n';
+    }
   }
-  record_retrieval_flops(*space, 1, total_nnz(terms), stats);
+  record_retrieval_flops(*space, texts.size(), total_nnz(terms), stats);
   return 0;
 }
 
@@ -353,10 +403,7 @@ int cmd_terms(const std::vector<std::string>& args) {
     std::cerr << "term not in vocabulary: " << args[1] << "\n";
     return 1;
   }
-  std::size_t top = 10;
-  if (const auto t = flag_value(args, "--top"); !t.empty()) {
-    top = std::stoul(t);
-  }
+  const std::size_t top = size_flag(args, "--top", 10);
   const la::Vector anchor = db.space.term_coords(*row);
   for (const auto& sd : rank_terms(db.space, anchor, top + 1)) {
     if (sd.doc == *row) continue;
@@ -424,12 +471,9 @@ int cmd_shard_stats(const std::vector<std::string>& args) {
   const auto docs = read_tsv(args[0]);
 
   ShardingOptions sopts;
-  if (const auto v = flag_value(args, "--shards"); !v.empty()) {
-    sopts.num_shards = std::max<std::size_t>(1, std::stoul(v));
-  }
-  if (const auto v = flag_value(args, "--k"); !v.empty()) {
-    sopts.index.k = static_cast<core::index_t>(std::stoul(v));
-  }
+  sopts.num_shards =
+      std::max<std::size_t>(1, size_flag(args, "--shards", sopts.num_shards));
+  sopts.index.k = size_flag(args, "--k", sopts.index.k);
   if (const auto v = flag_value(args, "--routing"); !v.empty()) {
     sopts.routing = parse_routing_policy(v).value();
   }
@@ -460,21 +504,10 @@ int cmd_shard_stats(const std::vector<std::string>& args) {
 
   if (const auto probe = flag_value(args, "--probe"); !probe.empty()) {
     SearchOptions qopts;
-    qopts.z = 10;
-    if (const auto top = flag_value(args, "--top"); !top.empty()) {
-      qopts.z = std::stoul(top);
-    }
-    if (const auto v = flag_value(args, "--merge"); !v.empty()) {
-      if (!gather::parse_merge_policy(v, qopts.merge)) {
-        std::cerr << "--merge must be cosine, zscore, or rrf\n";
-        return 1;
-      }
-    }
-    if (const auto v = flag_value(args, "--collapse"); !v.empty()) {
-      qopts.collapse_cosine = std::stod(v);
-    }
-    if (const auto v = flag_value(args, "--facets"); !v.empty()) {
-      qopts.facets = std::stoul(v);
+    qopts.z = size_flag(args, "--top", 10);
+    if (Status s = parse_search_flags(args, qopts); !s.ok()) {
+      std::cerr << "invalid search options: " << s.message() << "\n";
+      return 2;
     }
     QueryStats stats;
     std::cout << "# probe: " << probe << " (merge="
@@ -506,18 +539,37 @@ int cmd_shard_stats(const std::vector<std::string>& args) {
   return 0;
 }
 
-// The --shards > 1 variant of ingest-stress: writers route documents through
-// the ShardedIndex (per-shard queues and backpressure) while readers pin
-// ShardedSnapshots and scatter-gather their queries.
-int run_sharded_ingest_stress(const Collection& docs, std::size_t shards,
-                              std::size_t writers, std::size_t readers,
-                              std::size_t repeat, const IndexOptions& iopts,
-                              const ConcurrentOptions& copts) {
+// Serve-while-updating exerciser: builds a sharded index (one shard by
+// default) from the head of the collection, then routes the rest through
+// writer threads (per-shard ConcurrentIndexer queues and backpressure) while
+// reader threads pin ShardedSnapshots and scatter-gather their queries.
+// Prints throughput and the snapshot/consolidation counters plus the
+// per-shard table; with --stats the concurrent.* and serving.query spans
+// land in the document.
+int cmd_ingest_stress(const std::vector<std::string>& args) {
+  if (args.empty()) return usage();
+  const auto docs = read_tsv(args[0]);
+  if (docs.size() < 8) {
+    std::cerr << "ingest-stress needs at least 8 documents\n";
+    return 1;
+  }
+
+  const std::size_t writers =
+      std::max<std::size_t>(1, size_flag(args, "--writers", 2));
+  const std::size_t readers =
+      std::max<std::size_t>(1, size_flag(args, "--readers", 4));
+  const std::size_t repeat =
+      std::max<std::size_t>(1, size_flag(args, "--repeat", 1));
   ShardingOptions sopts;
-  sopts.num_shards = shards;
-  sopts.index = iopts;
+  sopts.num_shards = std::max<std::size_t>(1, size_flag(args, "--shards", 1));
+  sopts.index.k = size_flag(args, "--k", 20);
   sopts.split_k_budget = false;  // operational tool: keep each shard's k
-  sopts.concurrent = copts;
+  sopts.concurrent.queue_capacity =
+      size_flag(args, "--queue", sopts.concurrent.queue_capacity);
+  sopts.concurrent.consolidate_every = size_flag(
+      args, "--consolidate-every", sopts.concurrent.consolidate_every);
+  sopts.concurrent.exact_update = has_flag(args, "--exact");
+  const std::size_t shards = sopts.num_shards;
 
   const std::size_t base = std::max<std::size_t>(4, docs.size() / 3);
   Collection head(docs.begin(), docs.begin() + base);
@@ -542,6 +594,8 @@ int run_sharded_ingest_stress(const Collection& docs, std::size_t shards,
             doc.label += '#';
             doc.label += std::to_string(rep);
           }
+          // Alternate blocking and non-blocking ingestion so both
+          // backpressure paths run under load.
           if (d % 2 == 0) {
             if (!index.add(std::move(doc)).ok()) return;
           } else {
@@ -613,145 +667,6 @@ int run_sharded_ingest_stress(const Collection& docs, std::size_t shards,
   return 0;
 }
 
-// Serve-while-updating exerciser: builds an index from the head of the
-// collection, then streams the rest through ConcurrentIndexer writer threads
-// while reader threads hammer snapshot queries. Prints throughput and the
-// snapshot/consolidation counters; with --stats the concurrent.* and
-// serving.query spans land in the document. With --shards > 1 the same
-// workload runs against a ShardedIndex instead.
-int cmd_ingest_stress(const std::vector<std::string>& args) {
-  if (args.empty()) return usage();
-  const auto docs = read_tsv(args[0]);
-  if (docs.size() < 8) {
-    std::cerr << "ingest-stress needs at least 8 documents\n";
-    return 1;
-  }
-
-  std::size_t writers = 2, readers = 4, repeat = 1;
-  IndexOptions iopts;
-  iopts.k = 20;
-  ConcurrentOptions copts;
-  if (const auto v = flag_value(args, "--writers"); !v.empty()) {
-    writers = std::max<std::size_t>(1, std::stoul(v));
-  }
-  if (const auto v = flag_value(args, "--readers"); !v.empty()) {
-    readers = std::max<std::size_t>(1, std::stoul(v));
-  }
-  if (const auto v = flag_value(args, "--repeat"); !v.empty()) {
-    repeat = std::max<std::size_t>(1, std::stoul(v));
-  }
-  if (const auto v = flag_value(args, "--k"); !v.empty()) {
-    iopts.k = static_cast<core::index_t>(std::stoul(v));
-  }
-  if (const auto v = flag_value(args, "--queue"); !v.empty()) {
-    copts.queue_capacity = std::stoul(v);
-  }
-  if (const auto v = flag_value(args, "--consolidate-every"); !v.empty()) {
-    copts.consolidate_every = std::stoul(v);
-  }
-  copts.exact_update = has_flag(args, "--exact");
-
-  if (const auto v = flag_value(args, "--shards"); !v.empty()) {
-    if (const std::size_t shards = std::max<std::size_t>(1, std::stoul(v));
-        shards > 1) {
-      return run_sharded_ingest_stress(docs, shards, writers, readers, repeat,
-                                       iopts, copts);
-    }
-  }
-
-  const std::size_t base = std::max<std::size_t>(4, docs.size() / 3);
-  Collection head(docs.begin(), docs.begin() + base);
-  ConcurrentIndexer indexer(LsiIndex::try_build(head, iopts).value(), copts);
-  std::cout << "base index: " << base << " documents, k = "
-            << indexer.snapshot()->space().k() << "; streaming "
-            << (docs.size() - base) * repeat << " documents through "
-            << writers << " writers while " << readers
-            << " readers query\n";
-
-  std::atomic<bool> done{false};
-  std::atomic<std::size_t> queries{0};
-  std::atomic<std::size_t> overloads{0};
-  util::WallTimer wall;
-
-  std::vector<std::thread> writer_threads;
-  for (std::size_t w = 0; w < writers; ++w) {
-    writer_threads.emplace_back([&, w] {
-      for (std::size_t rep = 0; rep < repeat; ++rep) {
-        for (std::size_t d = base + w; d < docs.size(); d += writers) {
-          Document doc = docs[d];
-          if (rep > 0) {
-            doc.label += '#';
-            doc.label += std::to_string(rep);
-          }
-          // Alternate blocking and non-blocking ingestion so both
-          // backpressure paths run under load.
-          if (d % 2 == 0) {
-            if (!indexer.add(std::move(doc)).ok()) return;
-          } else {
-            for (;;) {
-              const Status s = indexer.try_add(doc);
-              if (s.ok()) break;
-              if (s.code() != StatusCode::kResourceExhausted) return;
-              overloads.fetch_add(1, std::memory_order_relaxed);
-              std::this_thread::yield();
-            }
-          }
-        }
-      }
-    });
-  }
-
-  std::vector<std::thread> reader_threads;
-  for (std::size_t r = 0; r < readers; ++r) {
-    reader_threads.emplace_back([&, r] {
-      std::size_t q = r;
-      while (!done.load(std::memory_order_acquire)) {
-        auto snap = indexer.snapshot();
-        std::vector<QueryResult> hits;
-        {
-          LSI_OBS_SPAN(span, "serving.query");
-          hits = snap->query(docs[q % base].body);
-        }
-        if (hits.empty()) {
-          std::cerr << "empty ranking against " << snap->space().num_docs()
-                    << " documents\n";
-        }
-        queries.fetch_add(1, std::memory_order_relaxed);
-        q += readers;
-      }
-    });
-  }
-
-  for (auto& t : writer_threads) t.join();
-  indexer.flush();
-  done.store(true, std::memory_order_release);
-  for (auto& t : reader_threads) t.join();
-  const double seconds = wall.seconds();
-  indexer.shutdown();
-
-  const auto snap = indexer.snapshot();
-  std::cout << "ingested " << indexer.ingested() << " documents in "
-            << seconds << "s ("
-            << static_cast<double>(indexer.ingested()) / seconds
-            << " docs/s)\n"
-            << "served   " << queries.load() << " queries ("
-            << static_cast<double>(queries.load()) / seconds << " q/s), "
-            << overloads.load() << " backpressure retries\n"
-            << "published " << indexer.publishes() << " snapshots, "
-            << indexer.consolidations() << " consolidations; final index "
-            << snap->space().num_docs() << " documents (generation "
-            << snap->generation() << ")\n";
-
-  stat_param("writers", static_cast<double>(writers));
-  stat_param("readers", static_cast<double>(readers));
-  stat_param("docs_ingested", static_cast<double>(indexer.ingested()));
-  stat_param("queries", static_cast<double>(queries.load()));
-  stat_param("qps", static_cast<double>(queries.load()) / seconds);
-  stat_param("publishes", static_cast<double>(indexer.publishes()));
-  stat_param("consolidations", static_cast<double>(indexer.consolidations()));
-  return 0;
-}
-
 // ---------------------------------------------------------------------------
 // serve: build a sharded index and run the HTTP/1.1 query daemon
 // ---------------------------------------------------------------------------
@@ -765,27 +680,15 @@ int cmd_serve(const std::vector<std::string>& args) {
   const auto docs = read_tsv(args[0]);
 
   core::ShardingOptions sopts;
-  sopts.num_shards = 2;
-  sopts.index.k = 16;
-  if (const auto v = flag_value(args, "--shards"); !v.empty()) {
-    sopts.num_shards = std::stoul(v);
-  }
-  if (const auto v = flag_value(args, "--k"); !v.empty()) {
-    sopts.index.k = static_cast<core::index_t>(std::stol(v));
-  }
-  if (const auto v = flag_value(args, "--queue"); !v.empty()) {
-    sopts.concurrent.queue_capacity = std::stoul(v);
-  }
-  if (const auto v = flag_value(args, "--ann-cutoff"); !v.empty()) {
-    sopts.concurrent.ann.exact_cutoff = std::stoul(v);
-  }
-  if (const auto v = flag_value(args, "--ann-centroids"); !v.empty()) {
-    sopts.concurrent.ann.num_centroids =
-        static_cast<core::index_t>(std::stoul(v));
-  }
-  if (const auto v = flag_value(args, "--replicas"); !v.empty()) {
-    sopts.replicas = std::stoul(v);
-  }
+  sopts.num_shards = size_flag(args, "--shards", 2);
+  sopts.index.k = size_flag(args, "--k", 16);
+  sopts.concurrent.queue_capacity =
+      size_flag(args, "--queue", sopts.concurrent.queue_capacity);
+  sopts.concurrent.ann.exact_cutoff =
+      size_flag(args, "--ann-cutoff", sopts.concurrent.ann.exact_cutoff);
+  sopts.concurrent.ann.num_centroids =
+      size_flag(args, "--ann-centroids", sopts.concurrent.ann.num_centroids);
+  sopts.replicas = size_flag(args, "--replicas", sopts.replicas);
   if (const auto v = flag_value(args, "--read-policy"); !v.empty()) {
     if (v == "round-robin") {
       sopts.read_policy = core::ReadPolicy::kRoundRobin;
@@ -796,21 +699,19 @@ int cmd_serve(const std::vector<std::string>& args) {
       return 1;
     }
   }
-  if (const auto v = flag_value(args, "--query-threads"); !v.empty()) {
-    sopts.query_threads = std::stoul(v);
-  }
+  sopts.query_threads =
+      size_flag(args, "--query-threads", sopts.query_threads);
   sopts.share_term_stats = has_flag(args, "--share-stats");
 
   serve::ServerOptions opts;
-  if (const auto v = flag_value(args, "--port"); !v.empty()) {
-    opts.port = static_cast<std::uint16_t>(std::stoul(v));
-  }
-  if (const auto v = flag_value(args, "--max-conn"); !v.empty()) {
-    opts.max_connections = std::stoul(v);
-  }
-  if (const auto v = flag_value(args, "--session-ttl"); !v.empty()) {
-    opts.session_ttl = std::chrono::seconds(std::stol(v));
-  }
+  opts.port = static_cast<std::uint16_t>(size_flag(
+      args, "--port", opts.port, std::numeric_limits<std::uint16_t>::max()));
+  opts.max_connections =
+      size_flag(args, "--max-conn", opts.max_connections);
+  // At most a year: the loop compares the TTL in nanoseconds.
+  opts.session_ttl = std::chrono::seconds(size_flag(
+      args, "--session-ttl",
+      static_cast<std::size_t>(opts.session_ttl.count()), 365 * 86'400));
 
   util::WallTimer timer;
   auto built = core::ShardedIndex::try_build(docs, sopts);

@@ -331,7 +331,6 @@ la::DenseMatrix BatchedRetriever::scores(const QueryBatch& batch,
 std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank(
     const QueryBatch& batch, const SearchOptions& opts, QueryStats* stats,
     std::vector<ScoreMoments>* moments) const {
-  obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
   if (moments) moments->assign(batch.size(), ScoreMoments{});
   if (ann_ != nullptr && opts.search != SearchMode::kExact) {
     return rank_pruned(batch, opts, stats, moments);

@@ -147,9 +147,8 @@ class BatchedRetriever {
 
   /// result[b] is query b's ranking: cosine descending, ties broken by
   /// ascending document index (the shared lsi/ranking.hpp order);
-  /// `opts.min_cosine` is applied before top-z selection. Honors `opts.sink`
-  /// for the duration of the call; selection runs under the
-  /// "retrieval.select" span and `stats` accumulates the per-stage breakdown
+  /// `opts.min_cosine` is applied before top-z selection; selection runs
+  /// under the "retrieval.select" span and `stats` accumulates the per-stage breakdown
   /// when non-null.
   ///
   /// Candidate generation follows `opts.search` (search_options.hpp): with

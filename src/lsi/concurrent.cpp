@@ -43,7 +43,6 @@ la::Vector SnapshotQueryContext::weighted_term_vector(
 std::vector<QueryResult> IndexSnapshot::query(std::string_view text,
                                               const SearchOptions& opts,
                                               QueryStats* stats) const {
-  obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
   const QueryBatch one =
       QueryBatch::from_sparse(*space_, {ctx_->weighted_terms(text)}, stats);
   auto ranked = BatchedRetriever(space_, ann_).rank(one, opts, stats);
@@ -60,7 +59,6 @@ std::vector<ScoredDoc> IndexSnapshot::retrieve(const la::Vector& term_vector,
   // Batch-size-1 pass through the batched engine with this snapshot's ANN
   // structure attached; in exact mode this is the same single code path
   // core::retrieve wraps, so results are unchanged by the redesign.
-  obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
   const QueryBatch one =
       QueryBatch::from_term_vectors(*space_, {term_vector}, stats);
   auto ranked = BatchedRetriever(space_, ann_).rank(one, opts, stats);

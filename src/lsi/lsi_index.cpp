@@ -28,7 +28,6 @@ Expected<LsiIndex> LsiIndex::try_build(const text::Collection& docs,
   if (docs.empty()) {
     return Status::InvalidArgument("LsiIndex: empty collection");
   }
-  obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
   LSI_OBS_SPAN(span, "build");
   LsiIndex index;
   index.opts_ = opts;
@@ -72,9 +71,6 @@ la::Vector LsiIndex::project(std::string_view text) const {
 std::vector<QueryResult> LsiIndex::query_projected(
     const la::Vector& q_hat, const SearchOptions& opts,
     QueryStats* stats) const {
-  // Sink precedence: per-call SearchOptions::sink wins (applied inside
-  // rank), then the index-level sink installed here, then the ambient one.
-  obs::ScopedSink scoped(opts_.sink ? opts_.sink : obs::Sink::active());
   std::vector<QueryResult> out;
   for (const ScoredDoc& sd : rank_documents(space_, q_hat, opts, stats)) {
     out.push_back({labels_[sd.doc], sd.doc, sd.cosine});
@@ -97,7 +93,6 @@ std::vector<QueryResult> LsiIndex::query_vector(const la::Vector& raw_tf,
 }
 
 void LsiIndex::add_documents(const text::Collection& docs, AddMethod method) {
-  obs::ScopedSink scoped(opts_.sink ? opts_.sink : obs::Sink::active());
   std::vector<la::SparseVector> cols;
   cols.reserve(docs.size());
   for (const text::Document& doc : docs) {

@@ -21,14 +21,12 @@
 
 namespace lsi::core {
 
-/// The single source of truth for pipeline configuration. Settings that
-/// historically lived in two places resolve with documented precedence:
-///
-///   * number of factors: `IndexOptions::k` overrides `BuildOptions::k`
-///     (which in turn overrides `LanczosOptions::k` inside the builder) —
-///     `effective_build()` is the resolved value the index actually uses;
-///   * observability: a per-call `SearchOptions::sink` overrides
-///     `IndexOptions::sink`, which overrides the ambient active sink.
+/// The single source of truth for pipeline configuration. The number of
+/// factors historically lived in two places and resolves with documented
+/// precedence: `IndexOptions::k` overrides `BuildOptions::k` (which in turn
+/// overrides `LanczosOptions::k` inside the builder) — `effective_build()`
+/// is the resolved value the index actually uses. Observability goes to the
+/// ambient active sink (obs::Sink::active()), never to a per-index one.
 ///
 /// Query behavior is not configured here: every query call takes its own
 /// SearchOptions (default-constructed when omitted).
@@ -44,9 +42,6 @@ struct IndexOptions {
   /// bench_kernel_roofline. The flag is sticky across fold-ins,
   /// consolidation and save/load.
   bool compress_docs = false;
-  /// When non-null, installed as the active observability sink during
-  /// build and every query made through the index.
-  obs::Sink* sink = nullptr;
   /// When non-null, Equation 5 global weights G(i) come from these
   /// COLLECTION-wide term statistics (published by the cross-shard
   /// gather::TermStatsExchange) instead of this index's own counts. Local
@@ -84,14 +79,14 @@ class LsiIndex {
  public:
   /// Parses, weights and decomposes a collection. Fails with the first
   /// IndexOptions::Validate() violation, InvalidArgument on an empty
-  /// collection, or whatever try_build_semantic_space reports. Runs with
-  /// opts.sink installed (when non-null) under the "build" trace span.
+  /// collection, or whatever try_build_semantic_space reports. Runs under
+  /// the "build" trace span.
   static Expected<LsiIndex> try_build(const text::Collection& docs,
                                       const IndexOptions& opts);
 
   /// Ranks documents against free-text. Unknown words are ignored (they are
   /// not indexed terms, exactly like "of children with" in the paper's
-  /// example query). `opts` supplies z, min_cosine, mode and sink; `stats`,
+  /// example query). `opts` supplies z, min_cosine and mode; `stats`,
   /// when non-null, accumulates the per-stage breakdown.
   std::vector<QueryResult> query(std::string_view text,
                                  const SearchOptions& opts = {},

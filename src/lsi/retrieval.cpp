@@ -67,7 +67,6 @@ std::vector<ScoredDoc> retrieve(const SemanticSpace& space,
                                 QueryStats* stats) {
   // Batch-size-1 wrapper over the batched engine, projection included, so
   // streamed single queries and batched queries share every kernel.
-  obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
   const QueryBatch one = QueryBatch::from_term_vectors(
       space, {la::Vector(term_vector.begin(), term_vector.end())}, stats);
   auto ranked = BatchedRetriever(space).rank(one, opts, stats);
@@ -95,7 +94,6 @@ std::vector<ScoredDoc> rank_documents_multipoint(
   // One sweep scores every point. scores(d, p) accumulates over the factors
   // in the same order whatever else shares the batch, so each column is
   // bit-identical to ranking that point alone.
-  obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
   const la::DenseMatrix scores = BatchedRetriever(space).scores(
       QueryBatch::from_projected(space, points), opts.mode);
   for (index_t d = 0; d < space.num_docs(); ++d) {

@@ -20,15 +20,16 @@
 // via AnnIndex::resolve_nprobe (monotone in the target; a target of 1.0
 // probes every centroid, which is bit-identical to the exact scan).
 
+#include <array>
 #include <chrono>
-#include <cmath>
 #include <cstddef>
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "lsi/gather/fusion.hpp"
 #include "lsi/semantic_space.hpp"
 #include "lsi/status.hpp"
-#include "obs/trace.hpp"
 
 namespace lsi::core {
 
@@ -91,10 +92,6 @@ struct SearchOptions {
   /// neighborhood) to attach to the response; 0 disables.
   std::size_t facets = 0;
 
-  /// When non-null, installed as the active observability sink for the
-  /// duration of the call (previous sink restored on return).
-  obs::Sink* sink = nullptr;
-
   bool has_deadline() const noexcept {
     return deadline != std::chrono::steady_clock::time_point{};
   }
@@ -103,43 +100,12 @@ struct SearchOptions {
   }
 
   /// First violation found, or OK. Validated once at the outermost layer
-  /// (the HTTP daemon answers 400 with this message); inner layers assert.
-  /// Every floating-point knob must be finite: a NaN makes every ordered
+  /// (ShardedSnapshot::search, the CLI); inner layers assert. Every
+  /// floating-point knob must be finite: a NaN makes every ordered
   /// comparison false, so the range checks alone would let it through to
   /// the integer conversion in AnnIndex::resolve_nprobe, and an infinite
   /// rrf_k zeroes every RRF score.
-  Status Validate() const {
-    if (search == SearchMode::kExact && nprobe > 0) {
-      return Status::InvalidArgument(
-          "nprobe is meaningless with search == kExact (exact scan probes "
-          "nothing); drop nprobe or use kPruned");
-    }
-    if (!std::isfinite(recall_target) || recall_target <= 0.0 ||
-        recall_target > 1.0) {
-      return Status::InvalidArgument(
-          "recall_target must be in (0, 1], got " +
-          std::to_string(recall_target));
-    }
-    if (!std::isfinite(min_cosine) || min_cosine > 1.0) {
-      return Status::InvalidArgument(
-          "min_cosine must be a finite value of at most 1 (above 1 filters "
-          "every document), got " +
-          std::to_string(min_cosine));
-    }
-    if (!std::isfinite(rrf_k) || rrf_k <= 0.0) {
-      return Status::InvalidArgument(
-          "rrf_k must be positive and finite (rank-1 score is "
-          "1/(rrf_k + 1)), got " +
-          std::to_string(rrf_k));
-    }
-    if (!std::isfinite(collapse_cosine) || collapse_cosine > 1.0) {
-      return Status::InvalidArgument(
-          "collapse_cosine must be finite and at most 1 (above 1 collapses "
-          "nothing by construction); use a value in (0, 1] or leave it "
-          "negative to disable");
-    }
-    return Status::Ok();
-  }
+  Status Validate() const;
 
   /// The gather-stage subset (merge policy + RRF constant).
   gather::FusionOptions fusion_options() const {
@@ -149,5 +115,40 @@ struct SearchOptions {
     return f;
   }
 };
+
+/// The request knobs of GET /search (docs/SERVING.md), by wire name, in the
+/// order parse_search_knobs checks them; the daemon reads each as a query
+/// parameter, lsi_cli as a `--<name>` flag. The z closest documents
+/// (`top`), the paging cursor and the session token are request-level, not
+/// knobs. Absent knobs keep the SearchOptions member defaults.
+inline constexpr std::array<std::string_view, 8> kSearchKnobs = {
+    "exact",        // 0 | 1; 1 selects SearchMode::kExact
+    "nprobe",       // positive integer; not with exact=1, not with recall
+    "recall",       // recall_target in (0, 1]; not with exact=1
+    "deadline_ms",  // positive integer <= kMaxDeadlineMs; deadline = now + it
+    "merge",        // cosine | zscore | rrf
+    "rrf_k",        // positive finite number
+    "collapse",     // collapse_cosine in (0, 1]
+    "facets",       // positive integer
+};
+
+/// Largest accepted deadline_ms: one day. Anything longer is no deadline in
+/// practice, and bounding it keeps `now + deadline` far from overflowing the
+/// clock's signed nanosecond count.
+inline constexpr std::size_t kMaxDeadlineMs = 86'400'000;
+
+/// Maps a knob's wire name to its raw value; empty when absent.
+using KnobLookup = std::function<std::string_view(std::string_view name)>;
+
+/// Parses every knob `lookup` supplies into `opts`. Checks the exact value
+/// first, then the cross-field rules (on presence alone), then each other
+/// value in kSearchKnobs order, and returns InvalidArgument with the first
+/// violation's message: the daemon's 400 body, lsi_cli's error.
+Status parse_search_knobs(const KnobLookup& lookup, SearchOptions& opts);
+
+/// The search-session re-rank key: every knob's raw value except
+/// deadline_ms's, so a session re-ranks when the query text or this key
+/// changes (a latency budget never alters the ranking).
+std::string search_knobs_key(const KnobLookup& lookup);
 
 }  // namespace lsi::core

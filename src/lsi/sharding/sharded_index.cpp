@@ -27,73 +27,48 @@ util::ThreadPool& scatter_pool() {
   return pool;
 }
 
-/// Runs tasks[0..n) on the scatter pool and blocks until all complete.
-/// Completion is tracked per call (not via ThreadPool::wait_idle, which
-/// waits for *global* pool idleness and could starve under concurrent
-/// queries from other threads).
-void fan_out(std::size_t n, const std::function<void(std::size_t)>& task) {
-  if (n == 0) return;
-  if (n == 1 || scatter_pool().thread_count() <= 1) {
-    // A single-threaded pool cannot overlap anything with the caller, so the
-    // dispatch/latch round-trip would be pure overhead per batch.
-    for (std::size_t i = 0; i < n; ++i) task(i);
-    return;
-  }
+/// Runs task(0..n) and blocks until every call returns. Completion is
+/// tracked per call (not via ThreadPool::wait_idle, which waits for *global*
+/// pool idleness and could starve under concurrent queries from other
+/// threads). `gates[i]`, when present and non-null, is task i's replica
+/// ReadGate: its private executor (that replica's serving capacity, so read
+/// throughput scales with healthy replicas) runs the task, and its in-flight
+/// gauge — the least-loaded read policy's signal — is held from dispatch
+/// until the task finishes. Gateless tasks share the scatter pool.
+void fan_out(std::size_t n, const std::function<void(std::size_t)>& task,
+             const std::vector<ReadGate*>& gates = {}) {
+  const auto gate = [&](std::size_t i) {
+    return i < gates.size() ? gates[i] : nullptr;
+  };
+  const bool private_pools =
+      std::any_of(gates.begin(), gates.end(),
+                  [](const ReadGate* g) { return g && g->pool; });
+  // A single task, or a single-threaded pool, cannot overlap anything with
+  // the caller, so the dispatch/latch round-trip would be pure overhead.
+  const bool run_inline =
+      !private_pools && (n == 1 || scatter_pool().thread_count() <= 1);
   std::mutex mu;
   std::condition_variable cv;
   std::size_t remaining = n;
   for (std::size_t i = 0; i < n; ++i) {
-    scatter_pool().submit([&, i] {
+    ReadGate* g = gate(i);
+    if (g) g->in_flight.fetch_add(1, std::memory_order_relaxed);
+    const auto run = [&task, i, g] {
       task(i);
+      if (g) g->in_flight.fetch_sub(1, std::memory_order_relaxed);
+    };
+    if (run_inline) {
+      run();
+      continue;
+    }
+    util::ThreadPool& pool = g && g->pool ? *g->pool : scatter_pool();
+    pool.submit([&, run] {
+      run();
       std::lock_guard<std::mutex> lock(mu);
       if (--remaining == 0) cv.notify_one();
     });
   }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining == 0; });
-}
-
-/// Replica-aware scatter fan-out: a shard view whose ReadGate carries a
-/// private executor runs there (that replica's serving capacity, so read
-/// throughput scales with healthy replicas); gateless views share the
-/// scatter pool. Each view's in-flight gauge — the least-loaded read
-/// policy's signal — is held from dispatch until its shard task finishes.
-void fan_out_shards(const std::vector<ShardedSnapshot::ShardView>& shards,
-                    const std::function<void(std::size_t)>& task) {
-  const std::size_t n = shards.size();
-  if (n == 0) return;
-  bool private_pools = false;
-  for (const ShardedSnapshot::ShardView& sv : shards) {
-    if (sv.gate != nullptr && sv.gate->pool != nullptr) {
-      private_pools = true;
-      break;
-    }
-  }
-  if (!private_pools && (n == 1 || scatter_pool().thread_count() <= 1)) {
-    for (std::size_t i = 0; i < n; ++i) {
-      ReadGate* gate = shards[i].gate.get();
-      if (gate) gate->in_flight.fetch_add(1, std::memory_order_relaxed);
-      task(i);
-      if (gate) gate->in_flight.fetch_sub(1, std::memory_order_relaxed);
-    }
-    return;
-  }
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t remaining = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    ReadGate* gate = shards[i].gate.get();
-    util::ThreadPool& pool = (gate != nullptr && gate->pool != nullptr)
-                                 ? *gate->pool
-                                 : scatter_pool();
-    if (gate) gate->in_flight.fetch_add(1, std::memory_order_relaxed);
-    pool.submit([&, i, gate] {
-      task(i);
-      if (gate) gate->in_flight.fetch_sub(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) cv.notify_one();
-    });
-  }
+  if (run_inline) return;
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return remaining == 0; });
 }
@@ -192,15 +167,16 @@ std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
   // document indices until the gather; each worker writes only its own
   // slot, so no synchronization beyond the fan_out join is needed.
   const std::size_t bsz = texts.size();
-  SearchOptions shard_opts = opts;
-  shard_opts.sink = nullptr;  // installed once by the caller, for all shards
   std::vector<std::vector<std::vector<ScoredDoc>>> per_shard(shards_.size());
   if (moments) moments->assign(shards_.size(), {});
+  std::vector<ReadGate*> gates;
+  gates.reserve(shards_.size());
+  for (const ShardView& sv : shards_) gates.push_back(sv.gate.get());
   LSI_OBS_SPAN(span, "sharding.scatter");
-  fan_out_shards(shards_, [&](std::size_t s) {
+  fan_out(shards_.size(), [&](std::size_t s) {
     // Per-shard deadline check: a scatter task that has not started by
     // expiry abandons the batch instead of scoring it.
-    if (shard_opts.deadline_expired()) {
+    if (opts.deadline_expired()) {
       expired.store(true, std::memory_order_relaxed);
       return;
     }
@@ -214,9 +190,9 @@ std::vector<std::vector<std::vector<ScoredDoc>>> ShardedSnapshot::scatter(
     QueryStats* qs = shard_stats ? &(*shard_stats)[s] : nullptr;
     const QueryBatch batch = QueryBatch::from_sparse(snap.space(), terms, qs);
     per_shard[s] = BatchedRetriever(snap.space_ptr(), snap.ann())
-                       .rank(batch, shard_opts, qs,
+                       .rank(batch, opts, qs,
                              moments ? &(*moments)[s] : nullptr);
-  });
+  }, gates);
   return per_shard;
 }
 
@@ -228,7 +204,6 @@ Expected<std::vector<ShardedSnapshot::GatherResult>> ShardedSnapshot::search(
     return Status::DeadlineExceeded(
         "search deadline expired before the scatter began");
   }
-  obs::ScopedSink scoped(opts.sink ? opts.sink : obs::Sink::active());
   const std::size_t bsz = texts.size();
   const std::size_t n_shards = shards_.size();
   std::vector<GatherResult> results(bsz);

@@ -8,155 +8,17 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <vector>
 
 #include "obs/trace.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace lsi::serve {
 
 namespace {
-
-/// Largest accepted deadline_ms: one day. Anything longer is no deadline
-/// in practice, and bounding it keeps `now + deadline` far from overflowing
-/// the clock's signed nanosecond count.
-constexpr std::size_t kMaxDeadlineMs = 86'400'000;
-
-/// Nonnegative decimal integer parameter; nullopt when absent, not all
-/// digits, or too large for std::size_t.
-std::optional<std::size_t> parse_size(std::string_view s) {
-  std::size_t value = 0;
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
-}
-
-/// Finite decimal number parameter; nullopt when absent, not entirely a
-/// number, NaN, or infinite (an overflowing literal such as 1e400 included).
-std::optional<double> parse_finite(std::string_view s) {
-  const std::string text(s);
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() ||
-      !std::isfinite(value)) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-/// Parses the /search retrieval knobs — nprobe, recall, exact, deadline_ms —
-/// into `opts`. Returns false (with a precise message in `error` for the 400
-/// body) on an invalid value or combination. Absent knobs leave the
-/// SearchOptions defaults: kAuto search, the library's recall target.
-bool parse_search_knobs(const HttpRequest& request, core::SearchOptions& opts,
-                        std::string& error) {
-  const std::string_view nprobe = request.param("nprobe");
-  const std::string_view recall = request.param("recall");
-  const std::string_view exact = request.param("exact");
-  const std::string_view deadline_ms = request.param("deadline_ms");
-
-  if (!exact.empty() && exact != "0" && exact != "1") {
-    error = "exact must be 0 or 1";
-    return false;
-  }
-  const bool want_exact = exact == "1";
-  if (want_exact && !nprobe.empty()) {
-    error = "nprobe cannot be combined with exact=1";
-    return false;
-  }
-  if (want_exact && !recall.empty()) {
-    error = "recall cannot be combined with exact=1";
-    return false;
-  }
-  if (!nprobe.empty() && !recall.empty()) {
-    error = "nprobe and recall are mutually exclusive; pass one";
-    return false;
-  }
-  if (want_exact) opts.search = core::SearchMode::kExact;
-  if (!nprobe.empty()) {
-    const std::optional<std::size_t> v = parse_size(nprobe);
-    if (!v || *v == 0) {
-      error = "nprobe must be a positive integer";
-      return false;
-    }
-    opts.nprobe = *v;
-  }
-  if (!recall.empty()) {
-    const std::optional<double> v = parse_finite(recall);
-    if (!v || *v <= 0.0 || *v > 1.0) {
-      error = "recall must be a number in (0, 1]";
-      return false;
-    }
-    opts.recall_target = *v;
-  }
-  if (!deadline_ms.empty()) {
-    const std::optional<std::size_t> ms = parse_size(deadline_ms);
-    if (!ms || *ms == 0 || *ms > kMaxDeadlineMs) {
-      error = "deadline_ms must be a positive integer of at most " +
-              std::to_string(kMaxDeadlineMs) + " (one day)";
-      return false;
-    }
-    opts.deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(static_cast<std::int64_t>(*ms));
-  }
-
-  // Gather knobs (docs/GATHER.md): merge policy, RRF constant, near-dup
-  // collapse threshold, facet count.
-  if (const std::string_view merge = request.param("merge"); !merge.empty()) {
-    if (!gather::parse_merge_policy(merge, opts.merge)) {
-      error = "merge must be one of cosine, zscore, rrf";
-      return false;
-    }
-  }
-  if (const std::string_view rrf_k = request.param("rrf_k");
-      !rrf_k.empty()) {
-    const std::optional<double> v = parse_finite(rrf_k);
-    if (!v || *v <= 0.0) {
-      error = "rrf_k must be a positive finite number";
-      return false;
-    }
-    opts.rrf_k = *v;
-  }
-  if (const std::string_view collapse = request.param("collapse");
-      !collapse.empty()) {
-    const std::optional<double> v = parse_finite(collapse);
-    if (!v || *v <= 0.0 || *v > 1.0) {
-      error = "collapse must be a cosine threshold in (0, 1]";
-      return false;
-    }
-    opts.collapse_cosine = *v;
-  }
-  if (const std::string_view facets = request.param("facets");
-      !facets.empty()) {
-    const std::optional<std::size_t> v = parse_size(facets);
-    if (!v || *v == 0) {
-      error = "facets must be a positive integer";
-      return false;
-    }
-    opts.facets = *v;
-  }
-  return true;
-}
-
-/// Canonical encoding of the response-affecting knobs for the session
-/// cache: a session re-ranks when the query text OR this key changes.
-/// deadline_ms is deliberately excluded (a latency budget never alters the
-/// ranking).
-std::string search_knobs_key(const HttpRequest& request) {
-  std::string key;
-  for (const char* name :
-       {"nprobe", "recall", "exact", "merge", "rrf_k", "collapse", "facets"}) {
-    key += request.param(name);
-    key += '|';
-  }
-  return key;
-}
 
 /// Bumps a /stats counter and the sink counter of the same event together,
 /// so the two ledgers cannot drift apart.
@@ -605,7 +467,7 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
   LSI_OBS_SPAN(span, "serve.search");
   std::size_t page = opts_.default_page_size;
   if (const std::string_view top = request.param("top"); !top.empty()) {
-    const std::optional<std::size_t> v = parse_size(top);
+    const std::optional<std::size_t> v = util::parse_size(top);
     if (!v || *v == 0) {
       return error_response(400, "top must be a positive integer");
     }
@@ -613,17 +475,18 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
   }
   page = std::min(page, opts_.max_ranking);
   const bool has_cursor = request.has_param("cursor");
-  const std::optional<std::size_t> cursor = parse_size(request.param("cursor"));
+  const std::optional<std::size_t> cursor =
+      util::parse_size(request.param("cursor"));
   if (has_cursor && !cursor) {
     return error_response(400, "cursor must be a nonnegative integer");
   }
   const std::string_view token = request.param("session");
   const std::string_view q = request.param("q");
 
+  const auto param = [&](std::string_view name) { return request.param(name); };
   core::SearchOptions sopts;
-  std::string knob_error;
-  if (!parse_search_knobs(request, sopts, knob_error)) {
-    return error_response(400, knob_error);
+  if (Status s = core::parse_search_knobs(param, sopts); !s.ok()) {
+    return error_response(400, s.message());
   }
   // Library status → HTTP status for the checked retrieval path.
   auto status_response = [&](const Status& st) {
@@ -650,7 +513,7 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
       sessions_.find(token, std::chrono::steady_clock::now());
   if (session == nullptr) return error_response(404, "unknown session");
 
-  const std::string knobs_key = search_knobs_key(request);
+  const std::string knobs_key = core::search_knobs_key(param);
   if (!q.empty() && (std::string(q) != session->last_query ||
                      knobs_key != session->last_options_key)) {
     // New query (or changed knobs) for this session: gather once against
@@ -833,9 +696,10 @@ HttpResponse HttpServer::handle_replica_admin(const HttpRequest& request,
                                               bool eject) {
   LSI_OBS_SPAN(span, eject ? "serve.replica_eject" : "serve.replica_readmit");
   const std::size_t npos = static_cast<std::size_t>(-1);
-  const std::size_t shard = parse_size(request.param("shard")).value_or(npos);
+  const std::size_t shard =
+      util::parse_size(request.param("shard")).value_or(npos);
   const std::size_t replica =
-      parse_size(request.param("replica")).value_or(npos);
+      util::parse_size(request.param("replica")).value_or(npos);
   if (shard == npos || replica == npos) {
     return error_response(400, "shard and replica parameters are required");
   }

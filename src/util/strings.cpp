@@ -1,6 +1,8 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace lsi::util {
@@ -22,6 +24,25 @@ std::vector<std::string> split(std::string_view s, std::string_view delims) {
     }
   }
   return out;
+}
+
+std::optional<std::size_t> parse_size(std::string_view s) {
+  std::size_t value = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_finite(std::string_view s) {
+  const std::string text(s);
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::string_view trim(std::string_view s) {

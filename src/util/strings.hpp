@@ -1,7 +1,10 @@
 #pragma once
-// ASCII string helpers shared by the tokenizer, the table writers and the
-// JSON writer (util/json.hpp).
+// ASCII string helpers shared by the tokenizer, the table writers, the
+// JSON writer (util/json.hpp) and every parser of numeric request values
+// and command-line flags.
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +25,16 @@ bool is_alpha(std::string_view s);
 
 /// Joins the pieces with `sep` between them.
 std::string join(const std::vector<std::string>& pieces, std::string_view sep);
+
+/// Nonnegative decimal integer: every character a digit and the value
+/// representable as std::size_t; nullopt otherwise (empty, a sign, trailing
+/// text, overflow).
+std::optional<std::size_t> parse_size(std::string_view s);
+
+/// Finite decimal number, the whole of `s`; nullopt when empty, not
+/// entirely a number, NaN, or infinite (an overflowing literal such as
+/// 1e400 included).
+std::optional<double> parse_finite(std::string_view s);
 
 /// JSON string escaping (RFC 8259): quotes, backslash, and control
 /// characters (\n, \r, \t by name, the rest as \u00XX). Well-formed UTF-8

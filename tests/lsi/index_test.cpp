@@ -8,7 +8,6 @@
 #include "lsi/flops.hpp"
 #include "lsi/io.hpp"
 #include "lsi/lsi_index.hpp"
-#include "obs/trace.hpp"
 
 namespace {
 
@@ -56,45 +55,6 @@ TEST(LsiIndex, QueryOptionsThresholdAndTopZ) {
   for (const auto& r : index.query(data::kQueryText, opts)) {
     EXPECT_GE(r.cosine, 0.99);
   }
-}
-
-std::uint64_t queries_recorded(const obs::Sink& sink) {
-  for (const auto& [name, value] : sink.metrics().counters()) {
-    if (name == "retrieval.queries") return value;
-  }
-  return 0;
-}
-
-// docs/OBSERVABILITY.md: a per-call SearchOptions::sink beats
-// IndexOptions::sink, which beats the ambient active sink.
-TEST(LsiIndex, SinkPrecedencePerCallOverIndexOverAmbient) {
-#if !LSI_OBS_ENABLED
-  GTEST_SKIP() << "observability compiled out";
-#endif
-  obs::Sink ambient, index_level, per_call;
-  obs::ScopedSink scoped(&ambient);
-  IndexOptions opts = paper_index_options(2);
-  opts.sink = &index_level;
-  const auto index = LsiIndex::try_build(data::med_topics(), opts).value();
-
-  core::SearchOptions call;
-  call.sink = &per_call;
-  (void)index.query(data::kQueryText, call);
-  EXPECT_EQ(queries_recorded(per_call), 1u);
-  EXPECT_EQ(queries_recorded(index_level), 0u);
-  EXPECT_EQ(queries_recorded(ambient), 0u);
-
-  (void)index.query(data::kQueryText);
-  EXPECT_EQ(queries_recorded(per_call), 1u);
-  EXPECT_EQ(queries_recorded(index_level), 1u);
-  EXPECT_EQ(queries_recorded(ambient), 0u);
-
-  opts.sink = nullptr;
-  const auto plain = LsiIndex::try_build(data::med_topics(), opts).value();
-  (void)plain.query(data::kQueryText);
-  EXPECT_EQ(queries_recorded(index_level), 1u);
-  EXPECT_EQ(queries_recorded(ambient), 1u);
-  EXPECT_EQ(obs::Sink::active(), &ambient);  // every scope restored
 }
 
 TEST(LsiIndex, AddDocumentsFoldIn) {

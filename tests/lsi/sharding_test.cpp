@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lsi/lsi.hpp"
+#include "obs/trace.hpp"
 #include "util/hash.hpp"
 
 namespace {
@@ -398,6 +401,32 @@ TEST(ShardedIndex, SnapshotIsolatesReadersFromLaterIngest) {
   // A fresh snapshot sees the new document.
   EXPECT_EQ(index.snapshot().num_docs(),
             static_cast<index_t>(docs.size() + 1));
+}
+
+// Queries record into the ambient sink and never install one. A query that
+// swapped the process-wide sink in and back out raced every other thread's
+// ScopedSink: restoring what it had captured could leave a sink installed
+// after its owner's scope had closed, dangling once that sink died.
+TEST(ShardedSnapshotConcurrent, QueriesNeverReinstallAClosedSink) {
+  const auto docs = tiny_collection();
+  auto index = core::ShardedIndex::try_build(docs, tiny_options(2)).value();
+  const core::ShardedSnapshot snap = index.snapshot();
+  obs::Sink sink;
+  std::atomic<bool> started{false}, done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      EXPECT_TRUE(snap.try_rank_batch({"sparse matrix kernels"}).ok());
+      started.store(true, std::memory_order_release);
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  for (int i = 0; i < 2000; ++i) {
+    obs::ScopedSink scoped(&sink);
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(obs::Sink::active(), nullptr);
 }
 
 }  // namespace
