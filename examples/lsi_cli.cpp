@@ -128,8 +128,8 @@ int usage() {
          "                docs/GATHER.md)\n"
          "--<knob> is any /search knob (exact nprobe recall deadline_ms merge "
          "rrf_k\ncollapse facets), checked like the daemon's query string; "
-         "the gather knobs\n(merge rrf_k collapse facets) act on shard-stats "
-         "--probe only.\n"
+         "query takes\nexact, nprobe and recall only and refuses the rest, "
+         "which act on shard-stats\n--probe and the daemon.\n"
          "Every command also accepts --stats[=json|csv] and "
          "--kernel portable|avx2|auto\n"
          "(force the SIMD microkernel set, same vocabulary as LSI_KERNEL — "
@@ -333,6 +333,16 @@ int cmd_query(const std::vector<std::string>& args) {
   SearchOptions sopts;
   sopts.z = size_flag(args, "--top", 10);
   sopts.min_cosine = finite_flag(args, "--threshold", sopts.min_cosine);
+  // One database ranks without the sharded gather and checks no deadline:
+  // the knobs only those act on are refused rather than ignored.
+  for (const char* knob :
+       {"--deadline_ms", "--merge", "--rrf_k", "--collapse", "--facets"}) {
+    if (std::find(args.begin(), args.end(), knob) != args.end()) {
+      std::cerr << "invalid search options: query does not take " << knob
+                << "; use shard-stats --probe or the daemon\n";
+      return 2;
+    }
+  }
   Status s = parse_search_flags(args, sopts);
   if (s.ok()) s = sopts.Validate();
   if (!s.ok()) {

@@ -173,6 +173,28 @@ void AnnIndex::regroup(const SemanticSpace& space,
   num_docs_ = n;
 }
 
+double AnnIndex::mean_fit(std::span<const double> sigma) const {
+  double sum = 0.0;
+  std::size_t count = 0;
+  for (index_t c = 0; c < num_centroids(); ++c) {
+    const double* cen = centroids_.col(c).data();
+    for (index_t pos = offsets_[c]; pos < offsets_[c + 1]; ++pos) {
+      const double* row = rows_.data() + pos * k_;
+      double dot = 0.0, nrm = 0.0;
+      for (index_t i = 0; i < k_; ++i) {
+        const double x = row[i] * sigma[i];
+        dot += x * cen[i];
+        nrm += x * x;
+      }
+      if (nrm > 0.0) {
+        sum += dot / std::sqrt(nrm);
+        ++count;
+      }
+    }
+  }
+  return count > 0 ? sum / static_cast<double>(count) : 1.0;
+}
+
 std::shared_ptr<const AnnIndex> AnnIndex::build(const SemanticSpace& space,
                                                 const AnnOptions& opts,
                                                 std::uint64_t generation) {
@@ -214,6 +236,7 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const SemanticSpace& space,
   ann->opts_ = opts;
   ann->k_ = k;
   ann->generation_ = generation;
+  ann->built_docs_ = n;
   la::DenseMatrix& centroids = ann->centroids_;
   centroids = la::DenseMatrix(k, c_count);
 
@@ -341,6 +364,7 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const SemanticSpace& space,
 
   // Final assignment over ALL documents, then CSR regroup + row packing.
   ann->regroup(space, assign_documents(space, centroids, 0));
+  ann->built_fit_ = ann->mean_fit(space.sigma);
 
   obs::count("ann.builds");
   obs::gauge("ann.centroids", static_cast<double>(c_count));
@@ -358,6 +382,8 @@ std::shared_ptr<const AnnIndex> AnnIndex::extend(
   ann->opts_ = opts_;
   ann->k_ = k_;
   ann->generation_ = generation_;  // the partition is unchanged
+  ann->built_docs_ = built_docs_;
+  ann->built_fit_ = built_fit_;
   ann->centroids_ = centroids_;
 
   // Only the appended rows are assigned; existing documents keep theirs.
@@ -419,6 +445,76 @@ std::shared_ptr<const AnnIndex> AnnIndex::extend(
   ann->num_docs_ = n;
 
   obs::count("ann.extends");
+  return ann;
+}
+
+std::shared_ptr<const AnnIndex> AnnIndex::rotate(
+    const SemanticSpace& space, const la::DenseMatrix& map, index_t kept,
+    std::uint64_t generation) const {
+  const std::size_t n = space.num_docs();
+  assert(space.k() == k_);
+  assert(map.rows() == k_ && map.cols() == k_);
+  assert(kept <= n);
+  // max|M^T M - I|: zero for an exact rotation, whatever k is.
+  const la::DenseMatrix gram = la::multiply_at_b(map, map);
+  double deviation = 0.0;
+  for (index_t j = 0; j < k_; ++j) {
+    for (index_t i = 0; i < k_; ++i) {
+      deviation = std::max(
+          deviation, std::abs(gram(i, j) - (i == j ? 1.0 : 0.0)));
+    }
+  }
+  if (static_cast<double>(n) >=
+          kRebuildGrowth * static_cast<double>(built_docs_) ||
+      !(deviation <= kRotationTolerance) || built_docs_ > kept) {
+    return build(space, opts_, generation);
+  }
+
+  auto ann = std::shared_ptr<AnnIndex>(new AnnIndex());
+  double fit = 0.0;
+  {
+    LSI_OBS_SPAN(span, "ann.rotate");
+    ann->opts_ = opts_;
+    ann->k_ = k_;
+    ann->generation_ = generation_;
+    ann->built_docs_ = built_docs_;
+    ann->built_fit_ = built_fit_;
+    // A centroid is a direction among the documents, so it moves like one:
+    // c^T -> c^T M, renormalized (an orthogonal M keeps it unit already).
+    ann->centroids_ = la::multiply_at_b(map, centroids_);
+    const index_t c_count = num_centroids();
+    for (index_t c = 0; c < c_count; ++c) {
+      auto col = ann->centroids_.col(c);
+      double nrm = 0.0;
+      for (index_t i = 0; i < k_; ++i) nrm += col[i] * col[i];
+      nrm = std::sqrt(nrm);
+      if (nrm > 0.0) {
+        for (index_t i = 0; i < k_; ++i) col[i] /= nrm;
+      }
+    }
+
+    // Old documents keep their lists; the re-projected ones (and any this
+    // structure never covered) go to the nearest rotated centroid.
+    const std::size_t carried = std::min<std::size_t>(kept, num_docs_);
+    std::vector<index_t> assign(n);
+    for (index_t c = 0; c < c_count; ++c) {
+      for (index_t pos = offsets_[c]; pos < offsets_[c + 1]; ++pos) {
+        if (docs_[pos] < carried) assign[docs_[pos]] = c;
+      }
+    }
+    const std::vector<index_t> tail =
+        assign_documents(space, ann->centroids_, carried);
+    std::copy(tail.begin(), tail.end(), assign.begin() + carried);
+    ann->regroup(space, assign);
+    fit = ann->mean_fit(space.sigma);
+  }
+  // Documents unlike any the centroids were trained on (a new topic) land
+  // far from every centroid, and their neighbours then spread over lists
+  // no probe reaches together.
+  if (fit < built_fit_ - kFitTolerance) {
+    return build(space, opts_, generation);
+  }
+  obs::count("ann.rotations");
   return ann;
 }
 

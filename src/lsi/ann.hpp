@@ -30,10 +30,14 @@
 // breaks toward the lower index. An IndexSnapshot therefore has exactly one
 // possible AnnIndex, like its prewarmed norm caches.
 //
-// Maintenance mirrors the doc-norm caches (semantic_space.hpp): fold-ins
-// append rows to V and leave existing rows untouched, so extend() assigns
-// only the new rows to the existing centroids; consolidation rotates V, so
-// the owner rebuilds from scratch (ConcurrentIndexer does both at publish).
+// Maintenance (ConcurrentIndexer runs it at publish): fold-ins append rows
+// to V and leave existing rows untouched, so extend() assigns only the new
+// rows to the existing centroids. A consolidation (the Section 4 SVD-update)
+// moves every old document's sigma-scaled row x to x M by one k x k map M
+// (lsi/update.hpp), so rotate() maps the centroids by the same M, keeps the
+// old documents' posting lists and assigns only the re-projected rows. It
+// falls back to a from-scratch build by the fixed rules below, so replicas
+// fed the same document sequence rebuild at the same document counts.
 
 #include <cstdint>
 #include <memory>
@@ -69,6 +73,20 @@ struct AnnOptions {
   Status Validate() const;
 };
 
+/// rotate() rebuilds from scratch once the space holds this many times the
+/// documents of the last build, so an automatic centroid count keeps
+/// tracking ceil(sqrt(n)).
+inline constexpr double kRebuildGrowth = 2.0;
+/// rotate() rebuilds from scratch when max|M^T M - I| of the update's map
+/// exceeds this: the exact update's M can swap an old direction for a new
+/// one, and cosines to the carried centroids then change. The projection
+/// update's M is orthogonal to rounding and never gets near it.
+inline constexpr double kRotationTolerance = 1e-2;
+/// rotate() rebuilds from scratch when the mean cosine of the documents to
+/// their own centroid falls more than this below its value at the last
+/// build: the stream brought documents the centroids do not describe.
+inline constexpr double kFitTolerance = 1e-2;
+
 /// Immutable cluster-pruning structure over one SemanticSpace, owned by the
 /// IndexSnapshot that published it (shared_ptr, like the space itself).
 /// Thread-safe by immutability.
@@ -87,16 +105,41 @@ class AnnIndex {
   /// assignments (centroids are not re-trained — the exactness of results
   /// never depends on assignment quality, only recall does). Only valid for
   /// mutations that appended rows and left existing rows and sigma
-  /// untouched; rotations (consolidation) must rebuild. The build
-  /// generation is carried over: the partition itself is unchanged.
+  /// untouched; a consolidation goes through rotate(). The build generation
+  /// is carried over: the partition itself is unchanged.
   std::shared_ptr<const AnnIndex> extend(const SemanticSpace& space) const;
+
+  /// Maintenance after a consolidation: `space` is this structure's space
+  /// after an SVD-update that took the sigma-scaled row x of each of its
+  /// first `kept` documents to x `map` (k x k, lsi/update.hpp) and gave
+  /// every later row new coordinates. Maps each unit centroid c to
+  /// map^T c renormalized, keeps the posting lists of documents below
+  /// `kept`, assigns the rest to the nearest rotated centroid and repacks
+  /// the rows from the new V: O(C k^2 + (n - kept) C k + n k) in place of
+  /// k-means. The build generation is carried over.
+  ///
+  /// Returns build(space, options(), generation) instead when the space
+  /// holds kRebuildGrowth times the documents of the last build, when `map`
+  /// is further than kRotationTolerance from orthogonal, when the last
+  /// build ran over more than `kept` documents (it then saw fold-ins whose
+  /// place in the publish sequence depends on batch boundaries), or when
+  /// the rotated partition's mean_fit() has fallen kFitTolerance below the
+  /// last build's. Each rule reads only the space and the document counts,
+  /// so replicas fed the same documents rebuild at the same consolidation.
+  std::shared_ptr<const AnnIndex> rotate(const SemanticSpace& space,
+                                         const la::DenseMatrix& map,
+                                         index_t kept,
+                                         std::uint64_t generation) const;
 
   index_t num_centroids() const noexcept { return offsets_.empty() ? 0 : static_cast<index_t>(offsets_.size() - 1); }
   index_t num_docs() const noexcept { return num_docs_; }
   index_t k() const noexcept { return k_; }
-  /// Publish generation at which this structure was built or last extended.
+  /// Publish generation of the last from-scratch build; extend() and
+  /// rotate() carry it over.
   std::uint64_t build_generation() const noexcept { return generation_; }
   const AnnOptions& options() const noexcept { return opts_; }
+  /// The unit centroids, one per column (k x C).
+  const la::DenseMatrix& centroids() const noexcept { return centroids_; }
 
   /// The nprobe a request resolves to against this structure: an explicit
   /// opts.nprobe clamped to [1, C], else the recall_target mapping
@@ -138,14 +181,20 @@ class AnnIndex {
  private:
   AnnIndex() = default;
 
-  /// Shared by build/extend: regroups `assign` (doc -> centroid) into the
-  /// CSR posting lists + packed row copies.
+  /// Mean cosine of each document's sigma-scaled row to its own centroid,
+  /// over the documents with a nonzero row, in posting order.
+  double mean_fit(std::span<const double> sigma) const;
+
+  /// Shared by build/extend/rotate: regroups `assign` (doc -> centroid) into
+  /// the CSR posting lists + packed row copies.
   void regroup(const SemanticSpace& space, const std::vector<index_t>& assign);
 
   AnnOptions opts_;
   index_t k_ = 0;
   index_t num_docs_ = 0;
   std::uint64_t generation_ = 0;
+  index_t built_docs_ = 0;  ///< documents at the last from-scratch build
+  double built_fit_ = 0.0;  ///< mean_fit() right after that build
   la::DenseMatrix centroids_;     ///< k x C, unit columns
   std::vector<index_t> offsets_;  ///< C + 1 CSR offsets into docs_/rows_
   std::vector<index_t> docs_;     ///< local doc ids grouped by centroid

@@ -217,10 +217,11 @@ void ConcurrentIndexer::ingest_batch(std::span<const text::Document> batch) {
       if (opts_.consolidate_every > 0 &&
           master_.pending() >= opts_.consolidate_every) {
         consolidate_now();
-        // Publish right here, not at the batch boundary: the ANN rebuild
-        // (and the consolidated basis) then lands at a doc-count-determined
-        // point, so replicas fed the same document sequence build identical
-        // structures no matter how their batches happened to be chopped.
+        // Publish right here, not at the batch boundary: the ANN rotation
+        // or rebuild (and the consolidated basis) then lands at a
+        // doc-count-determined point, so replicas fed the same document
+        // sequence carry identical structures no matter how their batches
+        // happened to be chopped.
         publish();
         unpublished = false;
       }
@@ -232,16 +233,21 @@ void ConcurrentIndexer::ingest_batch(std::span<const text::Document> batch) {
 void ConcurrentIndexer::consolidate_now() {
   (void)LSI_FAILPOINT("concurrent.consolidate", opts_.failpoint_tag);
   consolidating_.store(true, std::memory_order_release);
+  // The documents consolidated before this update; the pending fold-ins
+  // after them get new coordinates.
+  const index_t kept = master_.index().space().num_docs() - master_.pending();
+  la::DenseMatrix map;
   {
     LSI_OBS_SPAN(span, "concurrent.consolidate");
-    master_.consolidate();
+    map = master_.consolidate();
   }
   consolidations_.fetch_add(1, std::memory_order_relaxed);
   consolidating_.store(false, std::memory_order_release);
-  // Consolidation recomputes the SVD, rotating every document's V_k row;
-  // the cluster partition and the term profiles over the old basis are
+  // The update moved every old document's sigma-scaled row x to x map: the
+  // publish that follows every consolidation carries the cluster partition
+  // across by that map, and the term profiles over the old basis are
   // meaningless now.
-  basis_rotated_ = true;
+  rotation_ = Rotation{std::move(map), kept};
 }
 
 void ConcurrentIndexer::publish() {
@@ -264,12 +270,16 @@ void ConcurrentIndexer::publish() {
       publishes_.fetch_add(1, std::memory_order_relaxed) + 1;
   // ANN maintenance mirrors the norm caches: fold-ins only append V rows, so
   // the existing partition is extended over the new tail; a consolidation
-  // rotated V (basis_rotated_), so the partition is rebuilt from scratch.
+  // moved the old rows by rotation_->map, so the partition is rotated by it
+  // (AnnIndex::rotate rebuilds from scratch by its own fixed rules).
   // AnnIndex::build returns null below the exact-scan cutoff — queries then
   // fall back to the exact sweep until the corpus grows past it.
   if (opts_.ann.enabled) {
-    if (master_ann_ == nullptr || basis_rotated_) {
+    if (master_ann_ == nullptr) {
       master_ann_ = AnnIndex::build(*space, opts_.ann, generation);
+    } else if (rotation_) {
+      master_ann_ = master_ann_->rotate(*space, rotation_->map,
+                                        rotation_->kept, generation);
     } else if (master_ann_->num_docs() <
                static_cast<index_t>(space->num_docs())) {
       master_ann_ = master_ann_->extend(*space);
@@ -280,10 +290,10 @@ void ConcurrentIndexer::publish() {
   // A term profile depends only on U, sigma and its V row, which fold-ins
   // leave alone: the cache lives until the next consolidation, so it holds
   // at most one profile per row of one consolidation generation.
-  if (master_profiles_ == nullptr || basis_rotated_) {
+  if (master_profiles_ == nullptr || rotation_) {
     master_profiles_ = std::make_shared<gather::ProfileCache>();
   }
-  basis_rotated_ = false;
+  rotation_.reset();
   auto snap = std::make_shared<const IndexSnapshot>(
       std::move(space), std::move(labels), ctx_, generation,
       master_.pending(), IndexSnapshot::clock::now(), master_ann_,

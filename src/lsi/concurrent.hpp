@@ -45,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <condition_variable>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -75,9 +76,9 @@ struct ConcurrentOptions {
   bool exact_update = false;
   /// Cluster-pruned candidate generation (lsi/ann.hpp): above
   /// `ann.exact_cutoff` documents every published snapshot carries an
-  /// AnnIndex, rebuilt at consolidation (V rotates) and extended at
-  /// fold-publishes (rows append) — the same maintenance split as the
-  /// prewarmed doc-norm caches.
+  /// AnnIndex, rotated at consolidation (V rotates; AnnIndex::rotate
+  /// rebuilds by its fixed rules) and extended at fold-publishes (rows
+  /// append) — the same maintenance split as the prewarmed doc-norm caches.
   AnnOptions ann;
   /// Instance tag this indexer passes to its failpoint sites
   /// (util/failpoint.hpp) — "s<shard>.r<replica>" under a ReplicaSet, so a
@@ -283,7 +284,8 @@ class ConcurrentIndexer {
   /// Folds a batch in arrival order, one fold-in per run between
   /// consolidation boundaries, applying the consolidation policy.
   void ingest_batch(std::span<const text::Document> batch);
-  /// SVD-update of the pending fold-ins (writer thread only).
+  /// SVD-update of the pending fold-ins (writer thread only); a publish()
+  /// follows every call.
   void consolidate_now();
   /// Prewarms the master's doc-norm caches, copies the master state into a
   /// fresh immutable snapshot (which inherits the warm caches), and
@@ -301,14 +303,24 @@ class ConcurrentIndexer {
   std::condition_variable cv_idle_;  ///< signaled when the writer goes idle
   bool writer_active_ = false;       ///< a drain task is queued or running
 
+  /// What a consolidation did to the documents it kept: their sigma-scaled
+  /// rows x became x `map` (k x k, lsi/update.hpp); rows from `kept` on got
+  /// new coordinates.
+  struct Rotation {
+    la::DenseMatrix map;
+    index_t kept = 0;
+  };
+
   /// Writer-thread-only state the next publish will ship with its space: the
-  /// ANN structure and the term-profile cache. Both are replaced when
-  /// `basis_rotated_` is set (a consolidation rotated U, sigma and V); across
-  /// fold-ins, which only append V rows, the ANN structure is extended like
-  /// extend_doc_norms and the profile cache is carried over as is.
+  /// ANN structure and the term-profile cache. When `rotation_` is set (a
+  /// consolidation rotated U, sigma and V since the last publish) the ANN
+  /// structure is rotated by its map (AnnIndex::rotate) and the profile
+  /// cache is replaced; across fold-ins, which only append V rows, the ANN
+  /// structure is extended like extend_doc_norms and the profile cache is
+  /// carried over as is.
   std::shared_ptr<const AnnIndex> master_ann_;
   std::shared_ptr<gather::ProfileCache> master_profiles_;
-  bool basis_rotated_ = false;
+  std::optional<Rotation> rotation_;
 
   std::atomic<bool> force_consolidate_{false};
   std::atomic<bool> consolidating_{false};

@@ -39,10 +39,10 @@ std::size_t IncrementalIndexer::add(std::span<const text::Document> docs) {
   return consolidated;
 }
 
-void IncrementalIndexer::consolidate() {
-  if (pending_docs_.empty()) return;
-  const std::size_t p = pending_docs_.size();
+la::DenseMatrix IncrementalIndexer::consolidate() {
   SemanticSpace& space = index_.mutable_space();
+  if (pending_docs_.empty()) return la::DenseMatrix::identity(space.k());
+  const std::size_t p = pending_docs_.size();
 
   // Drop the folded rows (the last p rows of V) and redo the batch as a
   // proper SVD-update so the decomposition is orthonormal again.
@@ -57,13 +57,11 @@ void IncrementalIndexer::consolidate() {
 
   const la::CscMatrix d =
       la::CscMatrix::from_columns(space.num_terms(), pending_docs_);
-  if (opts_.exact_update) {
-    update_documents_exact(space, d);
-  } else {
-    update_documents(space, d);
-  }
+  la::DenseMatrix map = opts_.exact_update ? update_documents_exact(space, d)
+                                            : update_documents(space, d);
   pending_docs_.clear();
   ++consolidations_;
+  return map;
 }
 
 }  // namespace lsi::core

@@ -42,8 +42,10 @@ class IncrementalIndexer {
   /// consolidated.
   bool add(const text::Document& doc) { return add({&doc, 1}) > 0; }
 
-  /// Forces consolidation of any pending documents.
-  void consolidate();
+  /// Forces consolidation of any pending documents. Returns the update's
+  /// k x k map of the sigma-scaled coordinates of the documents consolidated
+  /// before (update_documents{,_exact}); the identity when none are pending.
+  la::DenseMatrix consolidate();
 
   std::size_t pending() const noexcept { return pending_docs_.size(); }
   std::size_t consolidations() const noexcept { return consolidations_; }

@@ -1,10 +1,14 @@
 #include "lsi/io.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "lsi/doc_store.hpp"
 #include "obs/trace.hpp"
@@ -43,6 +47,41 @@ void write_string(std::ostream& os, const std::string& s) {
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
+/// Bytes between the read position and the end of the stream; the largest
+/// count when the stream cannot seek (its reads still fail at the end).
+std::uint64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here < 0) return std::numeric_limits<std::uint64_t>::max();
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (!is || end < here) {
+    throw std::runtime_error("lsi::io: cannot measure the stream");
+  }
+  return static_cast<std::uint64_t>(end - here);
+}
+
+/// Reads a count of items stored in at least `item_bytes` bytes each, and
+/// rejects one the rest of the stream cannot hold before anything is sized
+/// by it.
+std::uint64_t read_count(std::istream& is, std::uint64_t item_bytes,
+                         const char* what) {
+  const std::uint64_t n = read_u64(is);
+  if (n > bytes_left(is) / item_bytes) {
+    throw std::runtime_error(std::string("lsi::io: ") + what +
+                             " count exceeds the stream");
+  }
+  return n;
+}
+
+void check_finite(std::span<const double> values, const char* what) {
+  for (const double x : values) {
+    if (!std::isfinite(x)) {
+      throw std::runtime_error(std::string("lsi::io: non-finite ") + what);
+    }
+  }
+}
+
 std::string read_string(std::istream& is) {
   const std::uint64_t len = read_u64(is);
   if (len > (1ULL << 32)) throw std::runtime_error("lsi::io: bad string");
@@ -60,16 +99,21 @@ void write_matrix(std::ostream& os, const la::DenseMatrix& m) {
                                         sizeof(double)));
 }
 
-la::DenseMatrix read_matrix(std::istream& is) {
+la::DenseMatrix read_matrix(std::istream& is, const char* what) {
   const std::uint64_t rows = read_u64(is);
   const std::uint64_t cols = read_u64(is);
-  if (rows * cols > (1ULL << 34)) {
+  constexpr std::uint64_t kMaxEntries = 1ULL << 34;
+  if (cols != 0 && rows > kMaxEntries / cols) {
     throw std::runtime_error("lsi::io: matrix too large");
+  }
+  if (rows * cols > bytes_left(is) / sizeof(double)) {
+    throw std::runtime_error("lsi::io: matrix exceeds the stream");
   }
   la::DenseMatrix m(rows, cols);
   is.read(reinterpret_cast<char*>(m.data()),
           static_cast<std::streamsize>(rows * cols * sizeof(double)));
   if (!is) throw std::runtime_error("lsi::io: truncated stream");
+  check_finite({m.data(), static_cast<std::size_t>(rows * cols)}, what);
   return m;
 }
 
@@ -117,19 +161,38 @@ LsiDatabase load_database_impl(std::istream& is) {
     throw std::runtime_error("lsi::io: bad magic (not an LSI database)");
   }
   LsiDatabase db;
-  db.space.u = read_matrix(is);
-  const std::uint64_t k = read_u64(is);
+  // Every count is bounded by the bytes left before it sizes anything, and
+  // every shape is checked against the others: U is m x k, sigma has k
+  // entries, V is n x k, with m terms and n labels (or none).
+  db.space.u = read_matrix(is, "U entry");
+  const std::uint64_t k = read_count(is, sizeof(double), "sigma");
+  if (k != db.space.u.cols()) {
+    throw std::runtime_error("lsi::io: sigma does not match U's columns");
+  }
   db.space.sigma.resize(k);
   is.read(reinterpret_cast<char*>(db.space.sigma.data()),
           static_cast<std::streamsize>(k * sizeof(double)));
   if (!is) throw std::runtime_error("lsi::io: truncated stream");
-  db.space.v = read_matrix(is);
-  const std::uint64_t nterms = read_u64(is);
+  check_finite(db.space.sigma, "sigma");
+  db.space.v = read_matrix(is, "V entry");
+  if (db.space.v.cols() != k) {
+    throw std::runtime_error("lsi::io: V's columns do not match sigma");
+  }
+  // A string is at least its 8-byte length.
+  const std::uint64_t nterms = read_count(is, sizeof(std::uint64_t), "term");
+  if (nterms != db.space.u.rows()) {
+    throw std::runtime_error("lsi::io: vocabulary does not match U's rows");
+  }
   std::vector<std::string> terms;
   terms.reserve(nterms);
   for (std::uint64_t i = 0; i < nterms; ++i) terms.push_back(read_string(is));
   db.vocabulary = text::Vocabulary(std::move(terms));
-  const std::uint64_t nlabels = read_u64(is);
+  // No labels is a database saved without them; otherwise one per row of V.
+  const std::uint64_t nlabels =
+      read_count(is, sizeof(std::uint64_t), "label");
+  if (nlabels != 0 && nlabels != db.space.v.rows()) {
+    throw std::runtime_error("lsi::io: labels do not match V's rows");
+  }
   db.doc_labels.reserve(nlabels);
   for (std::uint64_t i = 0; i < nlabels; ++i) {
     db.doc_labels.push_back(read_string(is));
@@ -141,7 +204,7 @@ LsiDatabase load_database_impl(std::istream& is) {
   }
   db.scheme.local = static_cast<weighting::LocalWeight>(local);
   db.scheme.global = static_cast<weighting::GlobalWeight>(global);
-  const std::uint64_t ng = read_u64(is);
+  const std::uint64_t ng = read_count(is, sizeof(double), "weight");
   if (ng > (1ULL << 32)) throw std::runtime_error("lsi::io: bad weights");
   db.global_weights.resize(ng);
   is.read(reinterpret_cast<char*>(db.global_weights.data()),

@@ -30,8 +30,11 @@ struct LsiDatabase {
 /// the "io.save" trace span.
 Status try_save_database(std::ostream& os, const LsiDatabase& db);
 
-/// Deserializes. Fails with DataLoss on malformed/truncated input or a
-/// magic-number mismatch. Runs under the "io.load" trace span.
+/// Deserializes. Fails with DataLoss on malformed/truncated input, a
+/// magic-number mismatch, a count the rest of the stream cannot hold, shapes
+/// that disagree (U must be m x k with m vocabulary terms, sigma k entries,
+/// V n x k with n labels or none) or a non-finite U, sigma or V entry. Runs
+/// under the "io.load" trace span.
 Expected<LsiDatabase> try_load_database(std::istream& is);
 
 /// File conveniences; additionally fail with NotFound when the path cannot

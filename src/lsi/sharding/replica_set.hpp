@@ -8,8 +8,9 @@
 // so replicas fold the identical document sequence. Consolidation is
 // per-replica — publish generations may skew across replicas — but because
 // the fold order, the auto-consolidation policy (doc-count driven) and the
-// ANN rebuild point (publish-after-consolidation) are all functions of the
-// document sequence alone, quiesced replicas answer queries byte-identically
+// ANN rotation point (publish-after-consolidation, with rebuild rules over
+// the space and the document counts) are all functions of the document
+// sequence alone, quiesced replicas answer queries byte-identically
 // (the read-parity property tests assert exactly this).
 //
 // Failover protocol:

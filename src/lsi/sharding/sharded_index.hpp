@@ -327,7 +327,7 @@ class ShardedIndex {
     std::uint64_t consolidations = 0;
     /// Cluster-pruned structure state of the shard's snapshot (lsi/ann.hpp).
     index_t ann_centroids = 0;          ///< 0 = no structure attached
-    std::uint64_t ann_generation = 0;   ///< publish generation it was built at
+    std::uint64_t ann_generation = 0;   ///< generation of its last from-scratch build
     bool ann_exact_fallback = true;     ///< queries sweep exactly (no AnnIndex)
     /// Replication state: which replica the view pinned, and how the
     /// shard's replica set looks right now.

@@ -26,12 +26,13 @@ la::DenseMatrix hstack(const la::DenseMatrix& a, const la::DenseMatrix& b) {
 
 }  // namespace
 
-void update_documents(SemanticSpace& space, const la::CscMatrix& d) {
+la::DenseMatrix update_documents(SemanticSpace& space,
+                                 const la::CscMatrix& d) {
   assert(d.rows() == space.num_terms());
   const index_t k = space.k();
   const index_t p = d.cols();
   const index_t n = space.num_docs();
-  if (p == 0) return;
+  if (p == 0) return la::DenseMatrix::identity(k);
   LSI_OBS_SPAN(span, "update.documents");
   obs::count("update.documents_added", p);
 
@@ -66,6 +67,7 @@ void update_documents(SemanticSpace& space, const la::CscMatrix& d) {
   space.v = std::move(new_v);
   space.sigma = std::move(fs.s);
   space.invalidate_doc_norms();
+  return std::move(fs.u);
 }
 
 void update_terms(SemanticSpace& space, const la::CscMatrix& t) {
@@ -137,20 +139,22 @@ void update_weights(SemanticSpace& space, const la::DenseMatrix& y,
   space.invalidate_doc_norms();
 }
 
-void update_documents(SemanticSpace& space, const la::DenseMatrix& d) {
-  update_documents(space, la::CscMatrix::from_dense(d));
+la::DenseMatrix update_documents(SemanticSpace& space,
+                                 const la::DenseMatrix& d) {
+  return update_documents(space, la::CscMatrix::from_dense(d));
 }
 
 void update_terms(SemanticSpace& space, const la::DenseMatrix& t) {
   update_terms(space, la::CscMatrix::from_dense(t));
 }
 
-void update_documents_exact(SemanticSpace& space, const la::CscMatrix& d) {
+la::DenseMatrix update_documents_exact(SemanticSpace& space,
+                                       const la::CscMatrix& d) {
   assert(d.rows() == space.num_terms());
   const index_t k = space.k();
   const index_t p = d.cols();
   const index_t n = space.num_docs();
-  if (p == 0) return;
+  if (p == 0) return la::DenseMatrix::identity(k);
 
   // Split D into its in-subspace part U (U^T D) and residual R = D - U U^T D.
   const la::DenseMatrix dd = d.to_dense();
@@ -186,6 +190,11 @@ void update_documents_exact(SemanticSpace& space, const la::CscMatrix& d) {
   space.v = std::move(new_v);
   space.sigma = std::move(ks.s);
   space.invalidate_doc_norms();
+  la::DenseMatrix map(k, k);
+  for (index_t j = 0; j < k; ++j) {
+    for (index_t i = 0; i < k; ++i) map(i, j) = ks.u(i, j);
+  }
+  return map;
 }
 
 void update_terms_exact(SemanticSpace& space, const la::CscMatrix& t) {

@@ -21,7 +21,14 @@ namespace lsi::core {
 /// SVD-updates the space with p new document columns D (m x p, weighted the
 /// same way as the training matrix). The space keeps k factors; V gains p
 /// rows and all factor matrices rotate.
-void update_documents(SemanticSpace& space, const la::CscMatrix& d);
+///
+/// Returns the k x k map M that takes an old document's sigma-scaled
+/// coordinates to its new ones: row j < n of V Sigma becomes
+/// (V Sigma)(j, :) M. Here M = U_F: from F = U_F Sigma_F V_F^T follows
+/// V_F[0:k, :] Sigma_F = Sigma_k U_F, and U_F is orthogonal, so every cosine
+/// among old documents survives the update (lsi/ann.hpp rotates its
+/// centroids by it). The identity when D is empty.
+la::DenseMatrix update_documents(SemanticSpace& space, const la::CscMatrix& d);
 
 /// SVD-updates the space with q new term rows T (q x n, weighted).
 void update_terms(SemanticSpace& space, const la::CscMatrix& t);
@@ -33,7 +40,7 @@ void update_weights(SemanticSpace& space, const la::DenseMatrix& y,
                     const la::DenseMatrix& z);
 
 /// Dense conveniences.
-void update_documents(SemanticSpace& space, const la::DenseMatrix& d);
+la::DenseMatrix update_documents(SemanticSpace& space, const la::DenseMatrix& d);
 void update_terms(SemanticSpace& space, const la::DenseMatrix& t);
 
 // ---------------------------------------------------------------------------
@@ -50,7 +57,12 @@ void update_terms(SemanticSpace& space, const la::DenseMatrix& t);
 
 /// Exact update: the space becomes the best rank-k approximation of
 /// (A_k | D) for *any* D, including components orthogonal to span(U_k).
-void update_documents_exact(SemanticSpace& space, const la::CscMatrix& d);
+/// Returns the same old-to-new map as update_documents: the top-left k x k
+/// block of U_K, by the same derivation from K's first k columns
+/// [[Sigma], [0]]. It is orthogonal only up to the share of the old
+/// directions that leaks into the residual ones.
+la::DenseMatrix update_documents_exact(SemanticSpace& space,
+                                       const la::CscMatrix& d);
 
 /// Exact update: the space becomes the best rank-k approximation of
 /// (A_k ; T).

@@ -1,8 +1,9 @@
 // Concurrent maintenance of the cluster-pruned structure (label "stress",
 // run under ThreadSanitizer in CI): the AnnIndex rides the snapshot-publish
 // protocol exactly like the prewarmed norm caches — extended in place on
-// fold-in publishes (build generation carried over), rebuilt from scratch
-// when consolidation rotates V (build generation bumps), and always
+// fold-in publishes and rotated with V when a consolidation rotates it
+// (build generation carried over both times), rebuilt from scratch only by
+// AnnIndex::rotate's fixed rules (build generation bumps), and always
 // immutable once published, so reader threads race writer publishes only
 // through the shared_ptr swap.
 
@@ -43,38 +44,80 @@ ConcurrentIndexer make_indexer(const synth::SyntheticCorpus& corpus,
   return ConcurrentIndexer(LsiIndex::try_build(head, iopts).value(), copts);
 }
 
-TEST(AnnConcurrent, FoldPublishExtendsConsolidateRebuilds) {
-  const auto corpus = stress_corpus(7);
-  auto indexer = make_indexer(corpus, 80);
+/// Asserts every document of the snapshot sits in exactly one posting list.
+void expect_partition(const IndexSnapshot& snap) {
+  const std::size_t n = snap.space().num_docs();
+  std::vector<int> seen(n, 0);
+  std::size_t total = 0;
+  for (index_t c = 0; c < snap.ann()->num_centroids(); ++c) {
+    for (index_t d : snap.ann()->cluster_docs(c)) {
+      ASSERT_LT(d, n);
+      ++seen[d];
+      ++total;
+    }
+  }
+  EXPECT_EQ(total, n);
+  for (std::size_t d = 0; d < n; ++d) EXPECT_EQ(seen[d], 1) << "doc " << d;
+}
+
+TEST(AnnConcurrent, FoldPublishExtendsConsolidateRotates) {
+  // The documents dealt round-robin over the four topics, so the stream
+  // brings no topic the base index lacks (a new topic would trip
+  // AnnIndex::rotate's fit rule, tests/lsi/ann_test.cpp).
+  auto corpus = stress_corpus(7);
+  text::Collection dealt;
+  for (std::size_t d = 0; d < 30; ++d) {
+    for (std::size_t t = 0; t < 4; ++t) dealt.push_back(corpus.docs[t * 30 + d]);
+  }
+  corpus.docs = std::move(dealt);
+  auto indexer = make_indexer(corpus, 55);
 
   auto base = indexer.snapshot();
   ASSERT_NE(base->ann(), nullptr);
-  EXPECT_EQ(base->ann()->num_docs(), 80u);
+  EXPECT_EQ(base->ann()->num_docs(), 55u);
   EXPECT_EQ(base->ann()->build_generation(), base->generation());
 
   // Fold-in publish: the structure covers the new rows but the partition —
   // and with it the build generation — is unchanged.
-  for (std::size_t d = 80; d < 90; ++d) {
+  for (std::size_t d = 55; d < 65; ++d) {
     ASSERT_TRUE(indexer.add(corpus.docs[d]).ok());
   }
   indexer.flush();
   auto folded = indexer.snapshot();
   ASSERT_NE(folded->ann(), nullptr);
-  EXPECT_EQ(folded->ann()->num_docs(), 90u);
+  EXPECT_EQ(folded->ann()->num_docs(), 65u);
   EXPECT_GT(folded->generation(), base->generation());
   EXPECT_EQ(folded->ann()->build_generation(), base->ann()->build_generation());
   EXPECT_EQ(folded->ann()->num_centroids(), base->ann()->num_centroids());
+  expect_partition(*folded);
 
-  // Consolidation rotates V: the owner must rebuild, bumping the build
-  // generation to the consolidated snapshot's.
+  // Consolidation rotates V: the partition is rotated with it, so the
+  // centroid count and the build generation carry over.
   ASSERT_TRUE(indexer.consolidate().ok());
   auto consolidated = indexer.snapshot();
   ASSERT_NE(consolidated->ann(), nullptr);
-  EXPECT_EQ(consolidated->ann()->num_docs(), 90u);
+  EXPECT_GT(consolidated->generation(), folded->generation());
+  EXPECT_EQ(consolidated->ann()->num_docs(), 65u);
+  EXPECT_EQ(consolidated->ann()->num_centroids(),
+            folded->ann()->num_centroids());
   EXPECT_EQ(consolidated->ann()->build_generation(),
-            consolidated->generation());
-  EXPECT_GT(consolidated->ann()->build_generation(),
-            folded->ann()->build_generation());
+            base->ann()->build_generation());
+  expect_partition(*consolidated);
+
+  // Past twice the documents of the build, a consolidation rebuilds from
+  // scratch: the build generation bumps to the consolidated snapshot's.
+  for (std::size_t d = 65; d < 110; ++d) {
+    ASSERT_TRUE(indexer.add(corpus.docs[d]).ok());
+  }
+  indexer.flush();
+  ASSERT_TRUE(indexer.consolidate().ok());
+  auto rebuilt = indexer.snapshot();
+  ASSERT_NE(rebuilt->ann(), nullptr);
+  EXPECT_EQ(rebuilt->ann()->num_docs(), 110u);
+  EXPECT_EQ(rebuilt->ann()->build_generation(), rebuilt->generation());
+  EXPECT_GT(rebuilt->ann()->build_generation(),
+            consolidated->ann()->build_generation());
+  expect_partition(*rebuilt);
 
   indexer.shutdown();
 }

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -109,6 +111,120 @@ TEST(IoGolden, TruncatedFixtureFailsWithDataLoss) {
   auto result = core::try_load_database(in);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+}
+
+// ---------------------------------------------------------------------------
+// Hand-made headers: shapes and values the loader must refuse.
+// ---------------------------------------------------------------------------
+
+void put_u64(std::string& out, std::uint64_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+void put_f64(std::string& out, double v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+void put_matrix(std::string& out, std::uint64_t rows, std::uint64_t cols,
+                double fill) {
+  put_u64(out, rows);
+  put_u64(out, cols);
+  for (std::uint64_t i = 0; i < rows * cols; ++i) put_f64(out, fill);
+}
+
+void put_strings(std::string& out, std::uint64_t count) {
+  put_u64(out, count);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    put_u64(out, 1);
+    out.push_back(static_cast<char>('a' + i % 26));
+  }
+}
+
+constexpr std::uint64_t kMagic = 0x4C534932;  // "LSI2"
+
+/// A whole database: U (u_rows x u_cols), `sigma`, V (v_rows x v_cols),
+/// `terms` terms, `labels` labels, raw weighting, no global weights.
+std::string database_bytes(std::uint64_t u_rows, std::uint64_t u_cols,
+                           const std::vector<double>& sigma,
+                           std::uint64_t v_rows, std::uint64_t v_cols,
+                           std::uint64_t terms, std::uint64_t labels,
+                           double v_fill = 0.5) {
+  std::string out;
+  put_u64(out, kMagic);
+  put_matrix(out, u_rows, u_cols, 0.25);
+  put_u64(out, sigma.size());
+  for (const double x : sigma) put_f64(out, x);
+  put_matrix(out, v_rows, v_cols, v_fill);
+  put_strings(out, terms);
+  put_strings(out, labels);
+  put_u64(out, 0);  // local weight
+  put_u64(out, 0);  // global weight
+  put_u64(out, 0);  // no global weights
+  return out;
+}
+
+StatusCode load_code(const std::string& bytes) {
+  std::istringstream in(bytes);
+  return core::try_load_database(in).status().code();
+}
+
+TEST(IoGolden, WellFormedHandMadeDatabaseLoads) {
+  EXPECT_EQ(load_code(database_bytes(2, 2, {2.0, 1.0}, 3, 2, 2, 3)),
+            StatusCode::kOk);
+}
+
+TEST(IoGolden, WrappedMatrixShapeFailsWithDataLoss) {
+  // U declared 2^32 x 2^32: the entry count wraps to 0 in 64 bits.
+  std::string bytes;
+  put_u64(bytes, kMagic);
+  put_u64(bytes, 1ULL << 32);
+  put_u64(bytes, 1ULL << 32);
+  bytes.resize(96, '\0');
+  EXPECT_EQ(load_code(bytes), StatusCode::kDataLoss);
+}
+
+TEST(IoGolden, MismatchedShapesFailWithDataLoss) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // A 2 x 1 U, three sigma entries (one NaN) and a 2 x 2 V.
+  EXPECT_EQ(load_code(database_bytes(2, 1, {2.0, nan, 1.0}, 2, 2, 2, 2)),
+            StatusCode::kDataLoss);
+  // One shape off at a time.
+  EXPECT_EQ(load_code(database_bytes(2, 2, {2.0, 1.0}, 3, 1, 2, 3)),
+            StatusCode::kDataLoss);  // V's columns
+  EXPECT_EQ(load_code(database_bytes(2, 2, {2.0, 1.0}, 3, 2, 5, 3)),
+            StatusCode::kDataLoss);  // vocabulary vs U's rows
+  EXPECT_EQ(load_code(database_bytes(2, 2, {2.0, 1.0}, 3, 2, 2, 4)),
+            StatusCode::kDataLoss);  // labels vs V's rows
+}
+
+TEST(IoGolden, NonFiniteFactorsFailWithDataLoss) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(load_code(database_bytes(2, 2, {2.0, nan}, 3, 2, 2, 3)),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(load_code(database_bytes(2, 2, {2.0, 1.0}, 3, 2, 2, 3, inf)),
+            StatusCode::kDataLoss);
+  std::string bytes = database_bytes(2, 2, {2.0, 1.0}, 3, 2, 2, 3);
+  const double bad = -inf;
+  bytes.replace(24, sizeof bad, reinterpret_cast<const char*>(&bad),
+                sizeof bad);  // U(0, 0)
+  EXPECT_EQ(load_code(bytes), StatusCode::kDataLoss);
+}
+
+TEST(IoGolden, CountsBeyondTheStreamFailWithDataLoss) {
+  std::string bytes;
+  put_u64(bytes, kMagic);
+  put_matrix(bytes, 2, 2, 0.25);
+  put_u64(bytes, 1ULL << 40);  // sigma entries
+  EXPECT_EQ(load_code(bytes), StatusCode::kDataLoss);
+
+  bytes = database_bytes(2, 2, {2.0, 1.0}, 3, 2, 2, 3);
+  // The label count sits after the two one-letter terms (9 bytes each).
+  const std::size_t at = 8 + 16 + 32 + 8 + 16 + 16 + 48 + 8 + 18;
+  const std::uint64_t huge = 1ULL << 40;
+  bytes.replace(at, sizeof huge, reinterpret_cast<const char*>(&huge),
+                sizeof huge);
+  EXPECT_EQ(load_code(bytes), StatusCode::kDataLoss);
 }
 
 }  // namespace
