@@ -116,8 +116,9 @@ int main() {
 
   // Shared machines drift: measure the single-query loop and the batched
   // engine back-to-back inside each row and keep the best of a few reps of
-  // each, so a load spike cannot skew the ratio in either direction.
-  const int kReps = quick ? 1 : 3;
+  // each, so a load spike cannot skew the ratio in either direction. Quick
+  // mode keeps the reps too: its gate reads the same ratio.
+  const int kReps = 3;
   util::WallTimer timer;
 
   std::vector<std::size_t> batch_sizes = {1, 8, 32, 128, 512};

@@ -8,14 +8,17 @@
 //   lsi_cli query  <db.lsi> "free text..." [--top N] [--threshold C]
 //                  [--<knob> V ...]
 //   lsi_cli query  <db.lsi> --batch-queries <queries.txt> [--top N]
-//                  [--threshold C]        (one query per line, ranked
-//                  together through the batched retrieval engine)
+//                  [--threshold C] [--<knob> V ...]
+//                                         (one query per line, answered
+//                                         together as one batch)
 //   lsi_cli terms  <db.lsi> <term> [--top N]
 //   lsi_cli add    <db.lsi> <more.tsv>          (fold-in, writes in place)
 //   lsi_cli info   <db.lsi>
 //
 // query and shard-stats --probe take every /search knob (core::kSearchKnobs)
-// as a --<name> V flag, checked by the daemon's own parse_search_knobs.
+// as a --<name> V flag, checked by the daemon's own parse_search_knobs, and
+// answer through the daemon's read body (ShardedSnapshot::try_gather_batch):
+// query serves the database as a one-shard view.
 //
 // docs.tsv: one document per line, "label<TAB>text". The literal path
 // `@med` names the built-in MEDLINE example collection (the paper's
@@ -37,6 +40,8 @@
 #include <iostream>
 #include <iterator>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <sstream>
@@ -81,9 +86,11 @@ int usage() {
          "                [--dense-cutoff N] [--probe \"free text\"] "
          "[--bf16]\n"
          "  lsi_cli query <db.lsi> \"free text\" [--top N] [--threshold C]\n"
-         "                [--nprobe P | --recall R | --exact]\n"
+         "                [--nprobe P | --recall R | --exact] "
+         "[--<knob> V ...]\n"
          "  lsi_cli query <db.lsi> --batch-queries <queries.txt> [--top N] "
          "[--threshold C]\n"
+         "                [--<knob> V ...]\n"
          "                (--nprobe/--recall build a cluster-pruned "
          "candidate index and\n"
          "                scan only the nearest centroids' lists — see "
@@ -127,9 +134,9 @@ int usage() {
          "pipeline — see\n"
          "                docs/GATHER.md)\n"
          "--<knob> is any /search knob (exact nprobe recall deadline_ms merge "
-         "rrf_k\ncollapse facets), checked like the daemon's query string; "
-         "query takes\nexact, nprobe and recall only and refuses the rest, "
-         "which act on shard-stats\n--probe and the daemon.\n"
+         "rrf_k\ncollapse facets), checked like the daemon's query string "
+         "and answered by the\ndaemon's read body; query serves the database "
+         "as one shard.\n"
          "Every command also accepts --stats[=json|csv] and "
          "--kernel portable|avx2|auto\n"
          "(force the SIMD microkernel set, same vocabulary as LSI_KERNEL — "
@@ -229,18 +236,22 @@ Status parse_search_flags(const std::vector<std::string>& args,
       opts);
 }
 
-/// Appends the retrieval predicted-vs-measured flop rows for a batch of b
-/// queries holding nnz_q weighted nonzeros in all, just ranked against
-/// `space` (model: lsi/flops.hpp).
-void record_retrieval_flops(const SemanticSpace& space, std::uint64_t b,
-                            std::uint64_t nnz_q, const QueryStats& stats) {
+/// Appends the retrieval predicted-vs-measured flop rows for the batch
+/// `texts`, weighted by `ctx` and just ranked against `space` (model:
+/// lsi/flops.hpp).
+void record_retrieval_flops(const SemanticSpace& space,
+                            const SnapshotQueryContext& ctx,
+                            const std::vector<std::string>& texts,
+                            const QueryStats& stats) {
   if (!g_sink) return;
   core::FlopModelParams fp;
   fp.m = space.num_terms();
   fp.n = space.num_docs();
   fp.k = space.k();
-  fp.b = b;
-  fp.nnz_q = nnz_q;
+  fp.b = texts.size();
+  for (const std::string& text : texts) {
+    fp.nnz_q += ctx.weighted_terms(text).nnz();
+  }
   // Predict only the stages the stats actually measured: projection is
   // absent when the query entered pre-projected (project_seconds == 0), and
   // the norm-cache fill is modeled separately (flops_doc_norm_cache). The
@@ -249,6 +260,29 @@ void record_retrieval_flops(const SemanticSpace& space, std::uint64_t b,
   std::uint64_t predicted = core::flops_batch_score(fp);
   if (stats.project_seconds > 0.0) predicted += core::flops_batch_project(fp);
   g_flops.push_back({"retrieval.batch", predicted, stats.flops});
+}
+
+/// Loads a database; one saved without labels gets each document labelled
+/// by its index.
+LsiDatabase load_database(const std::string& path) {
+  LsiDatabase db = try_load_database_file(path).value();
+  if (db.doc_labels.empty()) {
+    for (core::index_t j = 0; j < db.space.num_docs(); ++j) {
+      db.doc_labels.push_back(std::to_string(j));
+    }
+  }
+  return db;
+}
+
+/// The query-side configuration a database was built with: its vocabulary
+/// and Equation-5 weighting (global weights all ones when the file stores
+/// none) under the default parser options.
+std::shared_ptr<const SnapshotQueryContext> database_context(
+    const LsiDatabase& db) {
+  std::vector<double> g = db.global_weights;
+  if (g.empty()) g.assign(db.vocabulary.size(), 1.0);
+  return std::make_shared<const SnapshotQueryContext>(
+      db.vocabulary, text::ParserOptions{}, db.scheme, std::move(g));
 }
 
 int cmd_build(const std::vector<std::string>& args) {
@@ -307,57 +341,51 @@ int cmd_build(const std::vector<std::string>& args) {
     for (const auto& hit : index.query(probe, sopts, &stats)) {
       std::cout << hit.label << '\t' << hit.cosine << '\n';
     }
-    record_retrieval_flops(index.space(), 1,
-                           index.weighted_terms(probe).nnz(), stats);
+    record_retrieval_flops(index.space(), *index.context_ptr(), {probe},
+                           stats);
   }
   return 0;
 }
 
-/// Weighted sparse query vector against a reloaded database.
-la::SparseVector query_terms(const LsiDatabase& db, const std::string& text) {
-  std::vector<double> g = db.global_weights;
-  if (g.empty()) g.assign(db.vocabulary.size(), 1.0);
-  return weighting::apply_to_sparse(text::term_counts(db.vocabulary, text), g,
-                                    db.scheme.local);
+/// Ends a hit's output line, listing the near-duplicates collapsed into it.
+void end_hit_line(const ShardedSnapshot::GatherHit& hit) {
+  if (!hit.duplicates.empty()) {
+    std::cout << "\tdups";
+    for (const auto d : hit.duplicates) std::cout << ' ' << d;
+  }
+  std::cout << '\n';
 }
 
-std::uint64_t total_nnz(const std::vector<la::SparseVector>& terms) {
-  std::uint64_t nnz = 0;
-  for (const la::SparseVector& t : terms) nnz += t.nnz();
-  return nnz;
+/// Prints the facet terms the gather attached to one query, if any.
+void print_facets(const ShardedSnapshot::GatherResult& result) {
+  if (result.facets.empty()) return;
+  std::cout << "# facets:";
+  for (const auto& f : result.facets) std::cout << ' ' << f.term;
+  std::cout << '\n';
 }
 
 int cmd_query(const std::vector<std::string>& args) {
   if (args.size() < 2) return usage();
-  const auto db = try_load_database_file(args[0]).value();
+  LsiDatabase db = load_database(args[0]);
   SearchOptions sopts;
   sopts.z = size_flag(args, "--top", 10);
   sopts.min_cosine = finite_flag(args, "--threshold", sopts.min_cosine);
-  // One database ranks without the sharded gather and checks no deadline:
-  // the knobs only those act on are refused rather than ignored.
-  for (const char* knob :
-       {"--deadline_ms", "--merge", "--rrf_k", "--collapse", "--facets"}) {
-    if (std::find(args.begin(), args.end(), knob) != args.end()) {
-      std::cerr << "invalid search options: query does not take " << knob
-                << "; use shard-stats --probe or the daemon\n";
-      return 2;
-    }
-  }
   Status s = parse_search_flags(args, sopts);
   if (s.ok()) s = sopts.Validate();
   if (!s.ok()) {
     std::cerr << "invalid search options: " << s.message() << "\n";
     return 2;
   }
-  stat_param("terms", static_cast<double>(db.space.num_terms()));
-  stat_param("docs", static_cast<double>(db.space.num_docs()));
-  stat_param("k", static_cast<double>(db.space.k()));
+  const auto ctx = database_context(db);
+  const auto space = std::make_shared<const SemanticSpace>(std::move(db.space));
+  stat_param("terms", static_cast<double>(space->num_terms()));
+  stat_param("docs", static_cast<double>(space->num_docs()));
+  stat_param("k", static_cast<double>(space->k()));
 
   // The CLI asked for pruning explicitly (a nprobe, or a recall target
   // other than the default, without exact): build the cluster structure on
   // the spot with no size cutoff, so the flags work even on demo-sized
   // databases. The exact scan meets the default target already.
-  auto space = std::make_shared<SemanticSpace>(db.space);
   std::shared_ptr<const AnnIndex> ann;
   if (sopts.search != core::SearchMode::kExact &&
       (sopts.nprobe > 0 ||
@@ -371,10 +399,23 @@ int cmd_query(const std::vector<std::string>& args) {
       stat_param("ann_centroids", static_cast<double>(ann->num_centroids()));
     }
   }
-  const BatchedRetriever retriever(space, ann);
+
+  // The database as a one-shard view with identity global ids: the
+  // daemon's read body answers it, so every /search knob acts here too.
+  ShardedSnapshot::ShardView shard;
+  auto ids = std::make_shared<std::vector<core::index_t>>(space->num_docs());
+  std::iota(ids->begin(), ids->end(), core::index_t{0});
+  shard.global_ids = std::move(ids);
+  shard.snapshot = std::make_shared<const IndexSnapshot>(
+      space,
+      std::make_shared<const std::vector<std::string>>(
+          std::move(db.doc_labels)),
+      ctx, /*generation=*/1, /*unconsolidated=*/0,
+      IndexSnapshot::clock::now(), ann);
+  const ShardedSnapshot view({std::move(shard)});
 
   // One query from the command line, or one per line of --batch-queries;
-  // either way ranked together through the batched engine.
+  // either way answered together as one batch.
   std::vector<std::string> texts;
   const std::string file = flag_value(args, "--batch-queries");
   if (file.empty()) {
@@ -387,27 +428,31 @@ int cmd_query(const std::vector<std::string>& args) {
     }
     stat_param("batch_size", static_cast<double>(texts.size()));
   }
-  std::vector<la::SparseVector> terms;
-  terms.reserve(texts.size());
-  for (const auto& t : texts) terms.push_back(query_terms(db, t));
   QueryStats stats;
-  const auto batch = QueryBatch::from_sparse(*space, terms, &stats);
-  const auto ranked = retriever.rank(batch, sopts, &stats);
-  for (std::size_t b = 0; b < ranked.size(); ++b) {
+  const auto results = view.try_gather_batch(texts, sopts, &stats);
+  if (!results.ok()) {
+    std::cerr << results.status().to_string() << '\n';
+    return 1;
+  }
+  // One line per hit: its fusion score, which the default merge makes the
+  // raw cosine.
+  for (std::size_t b = 0; b < results->size(); ++b) {
     if (!file.empty()) {
       std::cout << "# query " << (b + 1) << ": " << texts[b] << '\n';
     }
-    for (const auto& sd : ranked[b]) {
-      std::cout << db.doc_labels[sd.doc] << '\t' << sd.cosine << '\n';
+    for (const auto& hit : (*results)[b].hits) {
+      std::cout << hit.label << '\t' << hit.score;
+      end_hit_line(hit);
     }
+    print_facets((*results)[b]);
   }
-  record_retrieval_flops(*space, texts.size(), total_nnz(terms), stats);
+  record_retrieval_flops(*space, *ctx, texts, stats);
   return 0;
 }
 
 int cmd_terms(const std::vector<std::string>& args) {
   if (args.size() < 2) return usage();
-  const auto db = try_load_database_file(args[0]).value();
+  const LsiDatabase db = load_database(args[0]);
   const auto row = db.vocabulary.find(args[1]);
   if (!row) {
     std::cerr << "term not in vocabulary: " << args[1] << "\n";
@@ -424,12 +469,13 @@ int cmd_terms(const std::vector<std::string>& args) {
 
 int cmd_add(const std::vector<std::string>& args) {
   if (args.size() < 2) return usage();
-  auto db = try_load_database_file(args[0]).value();
+  LsiDatabase db = load_database(args[0]);
   const auto docs = read_tsv(args[1]);
+  const auto ctx = database_context(db);
   std::vector<la::SparseVector> cols;
   cols.reserve(docs.size());
   for (const auto& doc : docs) {
-    cols.push_back(query_terms(db, doc.body));
+    cols.push_back(ctx->weighted_terms(doc.body));
     db.doc_labels.push_back(doc.label);
   }
   const la::CscMatrix d =
@@ -533,17 +579,9 @@ int cmd_shard_stats(const std::vector<std::string>& args) {
     for (const auto& hit : (*results)[0].hits) {
       std::cout << hit.label << "\tdoc " << hit.doc << "\tscore " << hit.score
                 << "\tcosine " << hit.cosine << "\tshard " << hit.shard;
-      if (!hit.duplicates.empty()) {
-        std::cout << "\tdups";
-        for (const auto d : hit.duplicates) std::cout << ' ' << d;
-      }
-      std::cout << '\n';
+      end_hit_line(hit);
     }
-    if (!(*results)[0].facets.empty()) {
-      std::cout << "# facets:";
-      for (const auto& f : (*results)[0].facets) std::cout << ' ' << f.term;
-      std::cout << '\n';
-    }
+    print_facets((*results)[0]);
     stat_param("probe_docs_scored", static_cast<double>(stats.docs_scored));
   }
   return 0;
@@ -764,7 +802,7 @@ int cmd_serve(const std::vector<std::string>& args) {
 
 int cmd_info(const std::vector<std::string>& args) {
   if (args.empty()) return usage();
-  const auto db = try_load_database_file(args[0]).value();
+  const LsiDatabase db = load_database(args[0]);
   std::cout << "documents: " << db.doc_labels.size() << "\n"
             << "terms:     " << db.vocabulary.size() << "\n"
             << "factors:   " << db.space.k() << "\n"

@@ -6,35 +6,9 @@
 #include "lsi/batched_retrieval.hpp"
 #include "lsi/retrieval.hpp"
 #include "obs/trace.hpp"
-#include "text/parser.hpp"
 #include "util/failpoint.hpp"
 
 namespace lsi::core {
-
-// ---------------------------------------------------------------------------
-// SnapshotQueryContext
-// ---------------------------------------------------------------------------
-
-SnapshotQueryContext::SnapshotQueryContext(const text::Vocabulary& vocabulary,
-                                           const text::ParserOptions& parser,
-                                           const weighting::Scheme& scheme,
-                                           std::vector<double> global_weights)
-    : vocabulary_(vocabulary),
-      parser_(parser),
-      scheme_(scheme),
-      global_weights_(std::move(global_weights)) {}
-
-la::SparseVector SnapshotQueryContext::weighted_terms(
-    std::string_view text) const {
-  return weighting::apply_to_sparse(
-      text::term_counts(vocabulary_, text, parser_), global_weights_,
-      scheme_.local);
-}
-
-la::Vector SnapshotQueryContext::weighted_term_vector(
-    std::string_view text) const {
-  return weighted_terms(text).to_dense(vocabulary_.size());
-}
 
 // ---------------------------------------------------------------------------
 // IndexSnapshot
@@ -81,19 +55,11 @@ IncrementalOptions master_options(const ConcurrentOptions& opts) {
   return io;
 }
 
-std::shared_ptr<const SnapshotQueryContext> make_context(
-    const LsiIndex& index) {
-  return std::make_shared<const SnapshotQueryContext>(
-      index.vocabulary(), index.options().parser, index.options().scheme,
-      index.global_weights());
-}
-
 }  // namespace
 
 ConcurrentIndexer::ConcurrentIndexer(LsiIndex index,
                                      const ConcurrentOptions& opts)
     : opts_(opts),
-      ctx_(make_context(index)),
       master_(std::move(index), master_options(opts)),
       queue_(opts.queue_capacity) {
   // Generation 1: the base index is servable before the first add().
@@ -295,8 +261,8 @@ void ConcurrentIndexer::publish() {
   }
   rotation_.reset();
   auto snap = std::make_shared<const IndexSnapshot>(
-      std::move(space), std::move(labels), ctx_, generation,
-      master_.pending(), IndexSnapshot::clock::now(), master_ann_,
+      std::move(space), std::move(labels), master_.index().context_ptr(),
+      generation, master_.pending(), IndexSnapshot::clock::now(), master_ann_,
       master_profiles_);
   std::shared_ptr<const IndexSnapshot> old;
   {

@@ -86,34 +86,6 @@ struct ConcurrentOptions {
   std::string failpoint_tag;
 };
 
-/// The frozen query-side configuration every snapshot shares: vocabulary,
-/// parser options and Equation-5 weighting, fixed at ConcurrentIndexer
-/// construction (fold-in semantics: new documents never extend the
-/// vocabulary). Immutable and therefore freely shared across threads.
-class SnapshotQueryContext {
- public:
-  SnapshotQueryContext(const text::Vocabulary& vocabulary,
-                       const text::ParserOptions& parser,
-                       const weighting::Scheme& scheme,
-                       std::vector<double> global_weights);
-
-  /// Weighted sparse term vector for free text, consistent with the index
-  /// scheme (unknown words are dropped, exactly like LsiIndex::query):
-  /// text::term_counts then weighting::apply_to_sparse, O(tokens + nnz).
-  la::SparseVector weighted_terms(std::string_view text) const;
-
-  /// weighted_terms densified to an m-vector.
-  la::Vector weighted_term_vector(std::string_view text) const;
-
-  const text::Vocabulary& vocabulary() const noexcept { return vocabulary_; }
-
- private:
-  text::Vocabulary vocabulary_;
-  text::ParserOptions parser_;
-  weighting::Scheme scheme_;
-  std::vector<double> global_weights_;
-};
-
 /// An immutable, atomically-published view of the index at one generation.
 /// Everything reachable from a snapshot is const and stays valid for as
 /// long as the shared_ptr is held — queries made through one snapshot are
@@ -295,7 +267,6 @@ class ConcurrentIndexer {
   void wait_idle();
 
   ConcurrentOptions opts_;
-  std::shared_ptr<const SnapshotQueryContext> ctx_;
   IncrementalIndexer master_;  ///< writer-thread-only after construction
   util::BoundedQueue<text::Document> queue_;
 

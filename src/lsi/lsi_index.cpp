@@ -1,6 +1,7 @@
 #include "lsi/lsi_index.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "util/strings.hpp"
@@ -22,6 +23,27 @@ Status IndexOptions::Validate() const {
   return Status::Ok();
 }
 
+SnapshotQueryContext::SnapshotQueryContext(text::Vocabulary vocabulary,
+                                           text::ParserOptions parser,
+                                           weighting::Scheme scheme,
+                                           std::vector<double> global_weights)
+    : vocabulary_(std::move(vocabulary)),
+      parser_(std::move(parser)),
+      scheme_(scheme),
+      global_weights_(std::move(global_weights)) {}
+
+la::SparseVector SnapshotQueryContext::weighted_terms(
+    std::string_view text) const {
+  return weighting::apply_to_sparse(
+      text::term_counts(vocabulary_, text, parser_), global_weights_,
+      scheme_.local);
+}
+
+la::Vector SnapshotQueryContext::weighted_term_vector(
+    std::string_view text) const {
+  return weighted_terms(text).to_dense(vocabulary_.size());
+}
+
 Expected<LsiIndex> LsiIndex::try_build(const text::Collection& docs,
                                        const IndexOptions& opts) {
   if (Status s = opts.Validate(); !s.ok()) return s;
@@ -31,37 +53,32 @@ Expected<LsiIndex> LsiIndex::try_build(const text::Collection& docs,
   LSI_OBS_SPAN(span, "build");
   LsiIndex index;
   index.opts_ = opts;
-  index.tdm_ = text::build_term_document_matrix(docs, opts.parser);
+  text::TermDocumentMatrix tdm =
+      text::build_term_document_matrix(docs, opts.parser);
+  std::vector<double> global_weights;
   {
     LSI_OBS_SPAN(span_weight, "build.weight");
     if (opts.shared_stats) {
-      index.global_weights_ = opts.shared_stats->weights_for(
-          index.tdm_.vocabulary, opts.scheme.global);
+      global_weights =
+          opts.shared_stats->weights_for(tdm.vocabulary, opts.scheme.global);
       index.weighted_ = weighting::apply_with_global(
-          index.tdm_.counts, opts.scheme.local, index.global_weights_);
+          tdm.counts, opts.scheme.local, global_weights);
     } else {
-      index.weighted_ = weighting::apply(index.tdm_.counts, opts.scheme);
-      index.global_weights_ =
-          weighting::global_weights(index.tdm_.counts, opts.scheme.global);
+      index.weighted_ = weighting::apply(tdm.counts, opts.scheme);
+      global_weights = weighting::global_weights(tdm.counts, opts.scheme.global);
     }
   }
   Expected<SemanticSpace> space =
-      try_build_semantic_space(index.weighted_, opts.effective_build());
+      try_build_semantic_space(index.weighted_, opts.k, opts.build);
   if (!space.ok()) return space.status();
   index.space_ = std::move(space).value();
   index.space_.set_compress_docs(opts.compress_docs);
-  index.labels_ = index.tdm_.doc_labels;
+  index.ctx_ = std::make_shared<const SnapshotQueryContext>(
+      std::move(tdm.vocabulary), opts.parser, opts.scheme,
+      std::move(global_weights));
+  index.counts_ = std::move(tdm.counts);
+  index.labels_ = std::move(tdm.doc_labels);
   return index;
-}
-
-la::SparseVector LsiIndex::weighted_terms(std::string_view text) const {
-  return weighting::apply_to_sparse(
-      text::term_counts(tdm_.vocabulary, text, opts_.parser), global_weights_,
-      opts_.scheme.local);
-}
-
-la::Vector LsiIndex::weighted_term_vector(std::string_view text) const {
-  return weighted_terms(text).to_dense(tdm_.vocabulary.size());
 }
 
 la::Vector LsiIndex::project(std::string_view text) const {
@@ -88,7 +105,7 @@ std::vector<QueryResult> LsiIndex::query_vector(const la::Vector& raw_tf,
                                                 const SearchOptions& opts,
                                                 QueryStats* stats) const {
   const la::Vector weighted = weighting::apply_to_vector(
-      raw_tf, global_weights_, opts_.scheme.local);
+      raw_tf, global_weights(), opts_.scheme.local);
   return query_projected(project_query(space_, weighted), opts, stats);
 }
 
@@ -110,14 +127,14 @@ void LsiIndex::add_documents(const text::Collection& docs, AddMethod method) {
 std::vector<std::pair<std::string, double>> LsiIndex::similar_terms(
     std::string_view term, std::size_t top) const {
   std::vector<std::pair<std::string, double>> out;
-  const auto row = tdm_.vocabulary.find(
+  const auto row = vocabulary().find(
       lsi::util::to_lower(std::string(term)));
   if (!row) return out;
   const la::Vector anchor = space_.term_coords(*row);
   std::vector<ScoredDoc> ranked = rank_terms(space_, anchor, top + 1);
   for (const ScoredDoc& sd : ranked) {
     if (sd.doc == *row) continue;
-    out.emplace_back(tdm_.vocabulary.term(sd.doc), sd.cosine);
+    out.emplace_back(vocabulary().term(sd.doc), sd.cosine);
     if (out.size() == top) break;
   }
   return out;

@@ -4,11 +4,10 @@
 // then query, fold-in, or SVD-update. This is the type the examples and most
 // benches use; the lower layers stay available for fine-grained control.
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include <memory>
 
 #include "lsi/folding.hpp"
 #include "lsi/gather/term_stats.hpp"
@@ -21,20 +20,17 @@
 
 namespace lsi::core {
 
-/// The single source of truth for pipeline configuration. The number of
-/// factors historically lived in two places and resolves with documented
-/// precedence: `IndexOptions::k` overrides `BuildOptions::k` (which in turn
-/// overrides `LanczosOptions::k` inside the builder) — `effective_build()`
-/// is the resolved value the index actually uses. Observability goes to the
-/// ambient active sink (obs::Sink::active()), never to a per-index one.
+/// The single source of truth for pipeline configuration. Observability
+/// goes to the ambient active sink (obs::Sink::active()), never to a
+/// per-index one.
 ///
 /// Query behavior is not configured here: every query call takes its own
 /// SearchOptions (default-constructed when omitted).
 struct IndexOptions {
   text::ParserOptions parser;
   weighting::Scheme scheme = weighting::kLogEntropy;
-  index_t k = 100;             ///< factors retained (wins over build.k)
-  BuildOptions build;          ///< k field overridden by `k`, see above
+  index_t k = 100;             ///< factors retained
+  BuildOptions build;          ///< SVD solver choice and settings
   /// Store document vectors additionally as bf16 and score the Equation-6
   /// sweep against them (fp32 accumulation, ~half the memory traffic of the
   /// fp64 sweep; docs/KERNELS.md). Rankings are near-identical, not
@@ -50,14 +46,6 @@ struct IndexOptions {
   /// sees only its slice of the collection (docs/GATHER.md).
   std::shared_ptr<const gather::GlobalTermStats> shared_stats;
 
-  /// `build` with the k precedence applied: the BuildOptions the index
-  /// passes to try_build_semantic_space.
-  BuildOptions effective_build() const {
-    BuildOptions resolved = build;
-    resolved.k = k;
-    return resolved;
-  }
-
   /// First violation found, or OK. Checked by LsiIndex::try_build before
   /// any work happens.
   Status Validate() const;
@@ -67,6 +55,39 @@ struct IndexOptions {
 enum class AddMethod {
   kFoldIn,     ///< Equation 7; cheap, existing structure frozen
   kSvdUpdate,  ///< Section 4; rotates the whole decomposition
+};
+
+/// The frozen query-side configuration of an index: vocabulary, parser
+/// options and Equation-5 weighting, fixed when the index is built (fold-in
+/// semantics: new documents never extend the vocabulary). Every snapshot and
+/// every copy of the index share one instance; immutable and therefore
+/// freely shared across threads.
+class SnapshotQueryContext {
+ public:
+  SnapshotQueryContext(text::Vocabulary vocabulary,
+                       text::ParserOptions parser, weighting::Scheme scheme,
+                       std::vector<double> global_weights);
+
+  /// Weighted sparse term vector for free text, consistent with the index
+  /// scheme (unknown words are dropped, exactly like "of children with" in
+  /// the paper's example query): text::term_counts then
+  /// weighting::apply_to_sparse, O(tokens + nnz).
+  la::SparseVector weighted_terms(std::string_view text) const;
+
+  /// weighted_terms densified to an m-vector.
+  la::Vector weighted_term_vector(std::string_view text) const;
+
+  const text::Vocabulary& vocabulary() const noexcept { return vocabulary_; }
+  /// Equation-5 global weights G(i), one per vocabulary term.
+  const std::vector<double>& global_weights() const noexcept {
+    return global_weights_;
+  }
+
+ private:
+  text::Vocabulary vocabulary_;
+  text::ParserOptions parser_;
+  weighting::Scheme scheme_;
+  std::vector<double> global_weights_;
 };
 
 struct QueryResult {
@@ -118,7 +139,7 @@ class LsiIndex {
   const SemanticSpace& space() const noexcept { return space_; }
   SemanticSpace& mutable_space() noexcept { return space_; }
   const text::Vocabulary& vocabulary() const noexcept {
-    return tdm_.vocabulary;
+    return ctx_->vocabulary();
   }
   const std::vector<std::string>& doc_labels() const noexcept {
     return labels_;
@@ -126,25 +147,34 @@ class LsiIndex {
   /// Mutable label list for components (e.g. IncrementalIndexer) that
   /// manage documents through mutable_space() directly.
   std::vector<std::string>& mutable_labels() noexcept { return labels_; }
-  const la::CscMatrix& raw_counts() const noexcept { return tdm_.counts; }
+  const la::CscMatrix& raw_counts() const noexcept { return counts_; }
   const la::CscMatrix& weighted_matrix() const noexcept { return weighted_; }
   const std::vector<double>& global_weights() const noexcept {
-    return global_weights_;
+    return ctx_->global_weights();
   }
   const IndexOptions& options() const noexcept { return opts_; }
+  /// The query-side configuration, shared by every copy of this index and
+  /// every snapshot published from it.
+  const std::shared_ptr<const SnapshotQueryContext>& context_ptr()
+      const noexcept {
+    return ctx_;
+  }
 
-  /// Weighted sparse term vector for free text, consistent with the index
-  /// scheme (text::term_counts then weighting::apply_to_sparse).
-  la::SparseVector weighted_terms(std::string_view text) const;
+  /// SnapshotQueryContext::weighted_terms of this index.
+  la::SparseVector weighted_terms(std::string_view text) const {
+    return ctx_->weighted_terms(text);
+  }
 
   /// weighted_terms densified to an m-vector.
-  la::Vector weighted_term_vector(std::string_view text) const;
+  la::Vector weighted_term_vector(std::string_view text) const {
+    return ctx_->weighted_term_vector(text);
+  }
 
  private:
   IndexOptions opts_;
-  text::TermDocumentMatrix tdm_;     ///< raw counts of the *original* docs
+  std::shared_ptr<const SnapshotQueryContext> ctx_;
+  la::CscMatrix counts_;             ///< raw counts of the *original* docs
   la::CscMatrix weighted_;           ///< Equation 5 applied
-  std::vector<double> global_weights_;
   SemanticSpace space_;
   std::vector<std::string> labels_;  ///< grows as documents are added
 };

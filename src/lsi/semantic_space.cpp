@@ -136,6 +136,7 @@ la::DenseMatrix SemanticSpace::reconstruct() const {
 }
 
 Expected<SemanticSpace> try_build_semantic_space(const la::CscMatrix& a,
+                                                 index_t k,
                                                  const BuildOptions& opts,
                                                  la::LanczosStats* stats) {
   if (a.rows() == 0 || a.cols() == 0) {
@@ -143,13 +144,13 @@ Expected<SemanticSpace> try_build_semantic_space(const la::CscMatrix& a,
         "try_build_semantic_space: empty term-document matrix (" +
         std::to_string(a.rows()) + " x " + std::to_string(a.cols()) + ")");
   }
-  if (opts.k == 0) {
+  if (k == 0) {
     return Status::InvalidArgument(
         "try_build_semantic_space: k must be at least 1");
   }
   LSI_OBS_SPAN(span, "build.svd");
   const index_t minmn = std::min(a.rows(), a.cols());
-  const index_t k = std::min(opts.k, minmn);
+  k = std::min(k, minmn);
 
   la::SvdResult svd;
   if (minmn <= opts.dense_cutoff) {
@@ -171,13 +172,6 @@ Expected<SemanticSpace> try_build_semantic_space(const la::CscMatrix& a,
   space.sigma = std::move(svd.s);
   space.v = std::move(svd.v);
   return space;
-}
-
-Expected<SemanticSpace> try_build_semantic_space(const la::CscMatrix& a,
-                                                 index_t k) {
-  BuildOptions opts;
-  opts.k = k;
-  return try_build_semantic_space(a, opts);
 }
 
 void align_signs_to(SemanticSpace& space, const la::DenseMatrix& reference) {

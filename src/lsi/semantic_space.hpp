@@ -135,15 +135,14 @@ struct SemanticSpace {
 };
 
 struct BuildOptions {
-  index_t k = 100;          ///< number of factors retained
   /// Below this min(m, n) the dense Jacobi SVD is used instead of Lanczos.
   /// 0 forces the Lanczos path even on tiny matrices (useful to exercise the
   /// instrumented sparse solver from the CLI).
   index_t dense_cutoff = 96;
-  la::LanczosOptions lanczos;  ///< k field is overridden by `k`
+  la::LanczosOptions lanczos;  ///< k field is set by the builder's `k`
 };
 
-/// Canonical builder: computes the truncated SVD of a (weighted)
+/// Canonical builder: computes the rank-k truncated SVD of a (weighted)
 /// term-document matrix and packages it as a semantic space. k is clamped to
 /// min(m, n) (asking for more factors than the shape admits is routine when
 /// sweeping k). Fails with InvalidArgument on an empty matrix or k == 0, and
@@ -152,12 +151,8 @@ struct BuildOptions {
 /// trace span; `stats` receives the Lanczos convergence counters and
 /// measured flops.
 Expected<SemanticSpace> try_build_semantic_space(
-    const la::CscMatrix& a, const BuildOptions& opts,
+    const la::CscMatrix& a, index_t k, const BuildOptions& opts = {},
     la::LanczosStats* stats = nullptr);
-
-/// Convenience: build with k factors and defaults elsewhere.
-Expected<SemanticSpace> try_build_semantic_space(const la::CscMatrix& a,
-                                                 index_t k);
 
 /// Flips the sign of space factors so they best match `reference` (another
 /// U matrix over the same terms, e.g. the paper's printed Figure 5 U_2).

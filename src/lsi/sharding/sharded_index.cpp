@@ -106,20 +106,8 @@ Status ShardingOptions::Validate() const {
         "k budget " + std::to_string(index.k) + " cannot be split across " +
         std::to_string(num_shards) + " shards (fewer than one factor each)");
   }
-  if (Status s = replica_options().Validate(); !s.ok()) return s;
+  if (Status s = ReplicaOptions::Validate(); !s.ok()) return s;
   return index.Validate();
-}
-
-ReplicaOptions ShardingOptions::replica_options() const {
-  ReplicaOptions ropts;
-  ropts.replicas = replicas;
-  ropts.read_policy = read_policy;
-  ropts.query_threads = query_threads;
-  ropts.write_quorum = write_quorum;
-  ropts.eject_after_refusals = eject_after_refusals;
-  ropts.strike_interval = strike_interval;
-  ropts.concurrent = concurrent;
-  return ropts;
 }
 
 index_t ShardingOptions::shard_k(std::size_t shard) const {
@@ -528,7 +516,7 @@ Expected<ShardedIndex> ShardedIndex::try_build(const text::Collection& docs,
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(opts.num_shards);
   for (std::size_t s = 0; s < opts.num_shards; ++s) {
-    ReplicaOptions ropts = opts.replica_options();
+    ReplicaOptions ropts = opts;
     // Failpoint instance tags are "s<shard>.r<replica>" — chaos tests wedge
     // one replica of one shard without touching its siblings.
     ropts.concurrent.failpoint_tag = "s" + std::to_string(s);

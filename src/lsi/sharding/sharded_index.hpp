@@ -37,7 +37,6 @@
 // quantifies the overlap against the monolithic index).
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -55,7 +54,13 @@
 
 namespace lsi::core {
 
-struct ShardingOptions {
+/// A sharded build's configuration. The replication fields (replicas,
+/// read_policy, query_threads, write_quorum, eject_after_refusals,
+/// strike_interval) and each shard's ConcurrentIndexer configuration
+/// (`concurrent`) are the inherited ReplicaOptions, applied to every shard:
+/// queue capacity bounds each shard's ingest backpressure independently of
+/// its siblings, and every replica of a shard gets the same configuration.
+struct ShardingOptions : ReplicaOptions {
   std::size_t num_shards = 4;
   RoutingPolicy routing = RoutingPolicy::kRoundRobin;
   /// Per-shard pipeline configuration. `index.k` is the TOTAL factor
@@ -69,27 +74,6 @@ struct ShardingOptions {
   /// Floor applied to every per-shard factor count after the split (a shard
   /// with one factor is a degenerate ranking).
   index_t min_shard_k = 2;
-  /// Each shard's ConcurrentIndexer configuration: queue capacity bounds
-  /// that shard's ingest backpressure independently of its siblings. With
-  /// replication, every replica of a shard gets this configuration.
-  ConcurrentOptions concurrent;
-
-  /// Replicas per shard (R). 1 keeps the PR-5 behavior: one writer per
-  /// shard, no ingest log overhead beyond an empty deque. See
-  /// docs/REPLICATION.md and lsi/sharding/replica_set.hpp.
-  std::size_t replicas = 1;
-  /// How each scatter picks among a shard's healthy replicas.
-  ReadPolicy read_policy = ReadPolicy::kRoundRobin;
-  /// Per-replica read executor threads (0 = all scatter work on the shared
-  /// pool; > 0 models independent per-replica serving capacity).
-  std::size_t query_threads = 0;
-  /// Healthy replicas required per shard to accept a write (0 = majority).
-  std::size_t write_quorum = 0;
-  /// No-progress feed refusals before a wedged replica is ejected.
-  std::size_t eject_after_refusals = 3;
-  /// Minimum spacing between those refusals — the failure detector's
-  /// timeout window (ReplicaOptions::strike_interval).
-  std::chrono::milliseconds strike_interval{50};
 
   /// Cross-shard term-statistics exchange (docs/GATHER.md). When on, the
   /// build runs a statistics pass before any shard weights its slice:
@@ -103,12 +87,11 @@ struct ShardingOptions {
   /// exchange; refresh_term_stats() republishes the merged snapshot.
   bool share_term_stats = false;
 
-  /// First violation found, or OK (checked by ShardedIndex::try_build).
+  /// First violation found, ReplicaOptions::Validate() included, or OK
+  /// (checked by ShardedIndex::try_build).
   Status Validate() const;
   /// The factor count the budget split assigns to shard `shard`.
   index_t shard_k(std::size_t shard) const;
-  /// The per-shard ReplicaOptions these fields assemble into.
-  ReplicaOptions replica_options() const;
 };
 
 /// A consistent multi-shard read view: one pinned IndexSnapshot (plus the
@@ -132,8 +115,9 @@ class ShardedSnapshot {
     std::shared_ptr<ReadGate> gate;
   };
 
-  /// Assembled by ShardedIndex::snapshot (directly constructible for tests
-  /// — e.g. the tie-break determinism tests build shard views by hand).
+  /// Assembled by ShardedIndex::snapshot. Directly constructible too:
+  /// `lsi_cli query` serves a saved database as a one-shard view, and the
+  /// tie-break determinism tests build shard views by hand.
   explicit ShardedSnapshot(std::vector<ShardView> shards);
 
   std::size_t num_shards() const noexcept { return shards_.size(); }

@@ -61,13 +61,11 @@ TEST(SemanticSpace, DocCoordsAreSigmaScaledRows) {
 TEST(SemanticSpace, LanczosAndJacobiPathsAgree) {
   auto a = synth::random_sparse_matrix(150, 110, 0.05, 6);
   BuildOptions dense_path;
-  dense_path.k = 6;
   dense_path.dense_cutoff = 1000;  // force Jacobi
   BuildOptions lanczos_path;
-  lanczos_path.k = 6;
   lanczos_path.dense_cutoff = 0;  // force Lanczos
-  auto s1 = try_build_semantic_space(a, dense_path).value();
-  auto s2 = try_build_semantic_space(a, lanczos_path).value();
+  auto s1 = try_build_semantic_space(a, 6, dense_path).value();
+  auto s2 = try_build_semantic_space(a, 6, lanczos_path).value();
   for (index_t i = 0; i < 6; ++i) {
     EXPECT_NEAR(s1.sigma[i], s2.sigma[i], 1e-7 * s1.sigma[0]);
   }

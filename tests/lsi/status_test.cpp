@@ -63,10 +63,7 @@ TEST(TryBuildSemanticSpace, EmptyMatrixIsInvalidArgument) {
 }
 
 TEST(TryBuildSemanticSpace, ZeroKIsInvalidArgument) {
-  core::BuildOptions opts;
-  opts.k = 0;
-  const auto result =
-      core::try_build_semantic_space(data::table3_counts(), opts);
+  const auto result = core::try_build_semantic_space(data::table3_counts(), 0);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
