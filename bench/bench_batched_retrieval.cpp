@@ -29,15 +29,17 @@ using namespace lsi;
 
 core::SemanticSpace med_scale_space(core::index_t m, core::index_t n,
                                     core::index_t k, util::Rng& rng) {
-  core::SemanticSpace space;
-  space.u = la::DenseMatrix(m, k);
-  space.v = la::DenseMatrix(n, k);
-  space.sigma.resize(k);
+  la::DenseMatrix u(m, k), v(n, k);
+  std::vector<double> sigma(k);
   for (core::index_t j = 0; j < k; ++j) {
-    for (auto& x : space.u.col(j)) x = rng.normal();
-    for (auto& x : space.v.col(j)) x = rng.normal();
-    space.sigma[j] = 50.0 * std::pow(static_cast<double>(j + 1), -0.7);
+    for (auto& x : u.col(j)) x = rng.normal();
+    for (auto& x : v.col(j)) x = rng.normal();
+    sigma[j] = 50.0 * std::pow(static_cast<double>(j + 1), -0.7);
   }
+  core::SemanticSpace space;
+  space.u = std::move(u);
+  space.v = v;
+  space.sigma = std::move(sigma);
   return space;
 }
 

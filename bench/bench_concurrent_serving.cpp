@@ -7,19 +7,31 @@
 // queries complete *during* active consolidation (readers never block on
 // the writer).
 //
+// A second table prices one fold-in publish against the shard size n: the
+// writer's CPU per publish of p = 4 documents at k = 32, over spaces of
+// n = 10k and 100k documents (and 1M in full mode) built without the SVD
+// (random orthonormal U and V; folding-in needs only U, sigma and the
+// vocabulary). Snapshots share what a fold-in did not change, so the cost
+// should stay flat in n. It is reported, not gated: it is a wall-clock-era
+// CPU figure on a shared host.
+//
 // Emits BENCH_concurrent_serving.json ("lsi.stats.v1"): the serving.query
 // span carries the p50/p95/p99 query latency, concurrent.* spans the writer
 // stages, and the params section the throughput/overlap numbers.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <ctime>
 #include <iostream>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "la/qr.hpp"
 #include "lsi/concurrent.hpp"
 #include "synth/corpus.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -29,6 +41,70 @@ using namespace lsi;
 
 constexpr std::size_t kReaders = 4;
 constexpr std::size_t kWriters = 2;
+
+/// Random matrix with orthonormal columns.
+la::DenseMatrix random_orthonormal(core::index_t rows, core::index_t cols,
+                                   util::Rng& rng) {
+  la::DenseMatrix a(rows, cols);
+  for (core::index_t j = 0; j < cols; ++j) {
+    for (auto& x : a.col(j)) x = rng.normal();
+  }
+  return la::orthonormal_columns(a);
+}
+
+struct PublishCost {
+  std::size_t publishes = 0;
+  double docs_per_publish = 0.0;
+  double cpu_us_per_publish = 0.0;
+};
+
+/// Writer CPU per fold-in publish of `p` documents into an n-document space
+/// of k factors. The vocabulary, parser and weighting come from a small
+/// built index over `corpus`; its space is then replaced by random
+/// orthonormal U (m x k) and V (n x k) with a decreasing sigma. The caller
+/// blocks in flush() after every p documents, so the process CPU time spent
+/// meanwhile is the writer's.
+PublishCost publish_cost(const synth::SyntheticCorpus& corpus,
+                         core::index_t n, core::index_t k, std::size_t p,
+                         std::size_t rounds) {
+  core::IndexOptions iopts;
+  iopts.k = k;
+  auto index = core::LsiIndex::try_build(corpus.docs, iopts).value();
+  util::Rng rng(n);
+  core::SemanticSpace& space = index.mutable_space();
+  space.u = random_orthonormal(space.num_terms(), k, rng);
+  space.v = random_orthonormal(n, k, rng);
+  std::vector<double> sigma(k);
+  for (core::index_t i = 0; i < k; ++i) sigma[i] = 100.0 / (1.0 + i);
+  space.sigma = std::move(sigma);
+  space.invalidate_doc_norms();
+  index.mutable_labels().resize(n, "base");
+
+  core::ConcurrentOptions copts;
+  copts.consolidate_every = 0;  // fold-in publishes only
+  copts.max_batch = p;
+  core::ConcurrentIndexer indexer(std::move(index), copts);
+  const std::uint64_t publishes0 = indexer.publishes();
+  const std::clock_t cpu0 = std::clock();
+  std::size_t next = 0;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t d = 0; d < p; ++d) {
+      (void)indexer.add(corpus.docs[next++ % corpus.docs.size()]);
+    }
+    indexer.flush();
+  }
+  const double cpu_s =
+      static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+  PublishCost cost;
+  cost.publishes = indexer.publishes() - publishes0;
+  cost.docs_per_publish = static_cast<double>(rounds * p) /
+                          static_cast<double>(std::max<std::size_t>(
+                              cost.publishes, 1));
+  cost.cpu_us_per_publish =
+      cpu_s * 1e6 / static_cast<double>(std::max<std::size_t>(
+                        cost.publishes, 1));
+  return cost;
+}
 
 }  // namespace
 
@@ -214,6 +290,32 @@ int main() {
   stats.param("queries_during_consolidation",
               static_cast<double>(during_consolidation.load()));
   stats.param("quick", quick ? 1.0 : 0.0);
+
+  // --- publish cost against n (reported, not gated) ----------------------
+  {
+    std::vector<core::index_t> sizes = {10000, 100000};
+    if (!quick) sizes.push_back(1000000);
+    constexpr core::index_t kPublishK = 32;
+    constexpr std::size_t kPublishDocs = 4;
+    util::TextTable cost_table(
+        {"n", "publishes", "docs/publish", "writer CPU us/publish"});
+    for (const core::index_t n : sizes) {
+      const PublishCost cost =
+          publish_cost(corpus, n, kPublishK, kPublishDocs, quick ? 100 : 300);
+      cost_table.add_row(
+          {util::fmt_int(static_cast<long long>(n)),
+           util::fmt_int(static_cast<long long>(cost.publishes)),
+           util::fmt(cost.docs_per_publish, 2),
+           util::fmt(cost.cpu_us_per_publish, 1)});
+      stats.param("publish_cpu_us_n" + std::to_string(n),
+                  cost.cpu_us_per_publish);
+    }
+    std::cout << "\n";
+    cost_table.print(std::cout, "Fold-in publish cost against n (p = " +
+                                    std::to_string(kPublishDocs) +
+                                    ", k = " + std::to_string(kPublishK) +
+                                    ")");
+  }
 
   if (queries_ok.load() == 0) {
     std::cerr << "\nFAIL: no query returned results\n";

@@ -64,24 +64,26 @@ std::shared_ptr<core::SemanticSpace> clustered_space(core::index_t n,
   }
   auto space = std::make_shared<core::SemanticSpace>();
   space->u = la::DenseMatrix(k, k);  // unused by pre-projected queries
-  space->v = la::DenseMatrix(n, k);
-  space->sigma.resize(k);
+  la::DenseMatrix v(n, k);
+  std::vector<double> sigma(k);
   for (core::index_t i = 0; i < k; ++i) {
-    space->sigma[i] = 50.0 * std::pow(static_cast<double>(i + 1), -0.7);
+    sigma[i] = 50.0 * std::pow(static_cast<double>(i + 1), -0.7);
   }
   for (core::index_t d = 0; d < n; ++d) {
     const auto& c = centers[d % topics];
     double norm = 0.0;
     for (core::index_t i = 0; i < k; ++i) {
       const double x = c[i] + noise * rng.normal();
-      space->v(d, i) = x;
+      v(d, i) = x;
       norm += x * x;
     }
     norm = std::sqrt(norm);
     if (norm > 0.0) {
-      for (core::index_t i = 0; i < k; ++i) space->v(d, i) /= norm;
+      for (core::index_t i = 0; i < k; ++i) v(d, i) /= norm;
     }
   }
+  space->v = v;
+  space->sigma = std::move(sigma);
   space->prewarm_doc_norms();
   return space;
 }

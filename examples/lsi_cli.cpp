@@ -274,15 +274,15 @@ LsiDatabase load_database(const std::string& path) {
   return db;
 }
 
-/// The query-side configuration a database was built with: its vocabulary
-/// and Equation-5 weighting (global weights all ones when the file stores
-/// none) under the default parser options.
+/// The query-side configuration a database was built with: its vocabulary,
+/// parser options and Equation-5 weighting (global weights all ones when
+/// the file stores none).
 std::shared_ptr<const SnapshotQueryContext> database_context(
     const LsiDatabase& db) {
   std::vector<double> g = db.global_weights;
   if (g.empty()) g.assign(db.vocabulary.size(), 1.0);
   return std::make_shared<const SnapshotQueryContext>(
-      db.vocabulary, text::ParserOptions{}, db.scheme, std::move(g));
+      db.vocabulary, db.parser, db.scheme, std::move(g));
 }
 
 int cmd_build(const std::vector<std::string>& args) {
@@ -307,7 +307,7 @@ int cmd_build(const std::vector<std::string>& args) {
   auto index = LsiIndex::try_build(docs, opts).value();
   LsiDatabase db{index.space(), index.vocabulary(),
                  index.doc_labels(), index.options().scheme,
-                 index.global_weights()};
+                 index.global_weights(), index.options().parser};
   try_save_database_file(args[1], db).or_throw();
   std::cout << "built " << args[1] << ": " << db.doc_labels.size()
             << " documents, " << db.vocabulary.size() << " terms, k = "
@@ -407,10 +407,7 @@ int cmd_query(const std::vector<std::string>& args) {
   std::iota(ids->begin(), ids->end(), core::index_t{0});
   shard.global_ids = std::move(ids);
   shard.snapshot = std::make_shared<const IndexSnapshot>(
-      space,
-      std::make_shared<const std::vector<std::string>>(
-          std::move(db.doc_labels)),
-      ctx, /*generation=*/1, /*unconsolidated=*/0,
+      space, util::RowBlocks<std::string>::from_values(db.doc_labels), ctx, /*generation=*/1, /*unconsolidated=*/0,
       IndexSnapshot::clock::now(), ann);
   const ShardedSnapshot view({std::move(shard)});
 

@@ -21,16 +21,22 @@ namespace {
 constexpr std::size_t kAssignChunk = 256;
 
 /// Gathers documents [lo, hi)'s sigma-scaled coordinates into a row-major
-/// buffer, reading V column-by-column (V is column-major; a row-by-row
-/// gather would stride by n on every element).
+/// buffer, reading V column by column within each block.
 void gather_scaled_rows(const SemanticSpace& space, std::size_t lo,
                         std::size_t hi, std::vector<double>& buf) {
   const index_t k = space.k();
+  constexpr std::size_t kB = util::kBlockRows;
   buf.resize((hi - lo) * k);
-  for (index_t i = 0; i < k; ++i) {
-    const double* vi = space.v.col(i).data();
-    const double s = space.sigma[i];
-    for (std::size_t j = lo; j < hi; ++j) buf[(j - lo) * k + i] = vi[j] * s;
+  for (std::size_t j = lo; j < hi;) {
+    const std::size_t len = std::min(hi - j, kB - j % kB);
+    const double* blk = space.v.block(j / kB) + j % kB;
+    for (index_t i = 0; i < k; ++i) {
+      const double s = space.sigma[i];
+      for (std::size_t t = 0; t < len; ++t) {
+        buf[(j + t - lo) * k + i] = blk[i * util::kBlockStride + t] * s;
+      }
+    }
+    j += len;
   }
 }
 
@@ -137,40 +143,78 @@ void AnnIndex::select_clusters(std::span<const double> query_coords,
   out.resize(nprobe);
 }
 
-void AnnIndex::regroup(const SemanticSpace& space,
-                       const std::vector<index_t>& assign) {
+std::shared_ptr<const AnnIndex::Postings> AnnIndex::regroup(
+    const SemanticSpace& space, const std::vector<index_t>& assign,
+    index_t first) const {
   const std::size_t n = assign.size();
-  const index_t c_count = centroids_.cols();
-  offsets_.assign(c_count + 1, 0);
-  for (std::size_t j = 0; j < n; ++j) ++offsets_[assign[j] + 1];
-  for (index_t c = 0; c < c_count; ++c) offsets_[c + 1] += offsets_[c];
-  docs_.resize(n);
-  std::vector<index_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  // j ascending => posting lists ascending by local doc id.
-  for (std::size_t j = 0; j < n; ++j) docs_[cursor[assign[j]]++] = j;
+  const index_t c_count = num_centroids();
+  auto out = std::make_shared<Postings>();
+  out->offsets.assign(c_count + 1, 0);
+  for (std::size_t t = 0; t < n; ++t) ++out->offsets[assign[t] + 1];
+  for (index_t c = 0; c < c_count; ++c) {
+    out->offsets[c + 1] += out->offsets[c];
+  }
+  out->docs.resize(n);
+  std::vector<index_t> cursor(out->offsets.begin(), out->offsets.end() - 1);
+  // t ascending => posting lists ascending by local doc id.
+  for (std::size_t t = 0; t < n; ++t) {
+    out->docs[cursor[assign[t]]++] = first + t;
+  }
   // Pack each posting's raw V_k row (bit-exact copies: the pruned re-rank
-  // must reproduce the exact sweep's arithmetic). Column-by-column so the
-  // reads of V are sequential per column.
-  rows_.resize(n * static_cast<std::size_t>(k_));
+  // must reproduce the exact sweep's arithmetic). Column by column, so the
+  // reads of V run along each block's column segments.
+  out->rows.resize(n * static_cast<std::size_t>(k_));
   for (index_t i = 0; i < k_; ++i) {
-    const double* vi = space.v.col(i).data();
     for (std::size_t pos = 0; pos < n; ++pos) {
-      rows_[pos * k_ + i] = vi[docs_[pos]];
+      out->rows[pos * k_ + i] = space.v(out->docs[pos], i);
     }
   }
   // When the space carries a compressed store, mirror its encoded words into
   // posting order too (verbatim copies, never re-encoded from V: the pruned
   // bf16 re-rank must decode exactly what the exact bf16 sweep decodes).
-  if (const Bf16DocStore* store = space.compressed_docs()) {
-    rows16_.resize(n * static_cast<std::size_t>(k_));
+  if (bf16_) {
+    const Bf16DocStore* store = space.compressed_docs();
+    out->rows16.resize(n * static_cast<std::size_t>(k_));
     for (index_t i = 0; i < k_; ++i) {
-      const std::uint16_t* ci = store->col(i);
       for (std::size_t pos = 0; pos < n; ++pos) {
-        rows16_[pos * k_ + i] = ci[docs_[pos]];
+        out->rows16[pos * k_ + i] = store->word(out->docs[pos], i);
       }
     }
   }
-  num_docs_ = n;
+  return out;
+}
+
+void AnnIndex::set_base(const SemanticSpace& space,
+                        const std::vector<index_t>& assign) {
+  bf16_ = space.compressed_docs() != nullptr;
+  base_ = regroup(space, assign, 0);
+  tail_ = regroup(space, {}, assign.size());
+  base_docs_ = assign.size();
+  num_docs_ = assign.size();
+}
+
+std::vector<index_t> AnnIndex::cluster_docs(index_t c) const {
+  std::vector<index_t> out;
+  for (const PostingSpan& p : postings(c)) {
+    out.insert(out.end(), p.docs.begin(), p.docs.end());
+  }
+  return out;
+}
+
+std::vector<double> AnnIndex::cluster_rows(index_t c) const {
+  std::vector<double> out;
+  for (const PostingSpan& p : postings(c)) {
+    out.insert(out.end(), p.rows.begin(), p.rows.end());
+  }
+  return out;
+}
+
+std::vector<std::uint16_t> AnnIndex::cluster_rows_bf16(index_t c) const {
+  std::vector<std::uint16_t> out;
+  for (const PostingSpan& p : postings(c)) {
+    out.insert(out.end(), p.rows16.begin(), p.rows16.end());
+  }
+  return out;
 }
 
 double AnnIndex::mean_fit(std::span<const double> sigma) const {
@@ -178,17 +222,19 @@ double AnnIndex::mean_fit(std::span<const double> sigma) const {
   std::size_t count = 0;
   for (index_t c = 0; c < num_centroids(); ++c) {
     const double* cen = centroids_.col(c).data();
-    for (index_t pos = offsets_[c]; pos < offsets_[c + 1]; ++pos) {
-      const double* row = rows_.data() + pos * k_;
-      double dot = 0.0, nrm = 0.0;
-      for (index_t i = 0; i < k_; ++i) {
-        const double x = row[i] * sigma[i];
-        dot += x * cen[i];
-        nrm += x * x;
-      }
-      if (nrm > 0.0) {
-        sum += dot / std::sqrt(nrm);
-        ++count;
+    for (const PostingSpan& p : postings(c)) {
+      for (std::size_t t = 0; t < p.docs.size(); ++t) {
+        const double* row = p.rows.data() + t * k_;
+        double dot = 0.0, nrm = 0.0;
+        for (index_t i = 0; i < k_; ++i) {
+          const double x = row[i] * sigma[i];
+          dot += x * cen[i];
+          nrm += x * x;
+        }
+        if (nrm > 0.0) {
+          sum += dot / std::sqrt(nrm);
+          ++count;
+        }
       }
     }
   }
@@ -237,8 +283,7 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const SemanticSpace& space,
   ann->k_ = k;
   ann->generation_ = generation;
   ann->built_docs_ = n;
-  la::DenseMatrix& centroids = ann->centroids_;
-  centroids = la::DenseMatrix(k, c_count);
+  la::DenseMatrix centroids(k, c_count);
 
   // k-means++ seeding over the unit sample, squared chordal distance
   // 2 - 2*cos as the D^2 weight. All randomness flows from opts.seed.
@@ -363,7 +408,9 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const SemanticSpace& space,
   }
 
   // Final assignment over ALL documents, then CSR regroup + row packing.
-  ann->regroup(space, assign_documents(space, centroids, 0));
+  const std::vector<index_t> assign = assign_documents(space, centroids, 0);
+  ann->centroids_ = std::move(centroids);
+  ann->set_base(space, assign);
   ann->built_fit_ = ann->mean_fit(space.sigma);
 
   obs::count("ann.builds");
@@ -378,72 +425,31 @@ std::shared_ptr<const AnnIndex> AnnIndex::extend(
   assert(space.k() == k_);
   LSI_OBS_SPAN(span, "ann.extend");
 
-  auto ann = std::shared_ptr<AnnIndex>(new AnnIndex());
-  ann->opts_ = opts_;
-  ann->k_ = k_;
-  ann->generation_ = generation_;  // the partition is unchanged
-  ann->built_docs_ = built_docs_;
-  ann->built_fit_ = built_fit_;
-  ann->centroids_ = centroids_;
-
-  // Only the appended rows are assigned; existing documents keep theirs.
-  const std::size_t old_n = num_docs_;
-  const std::vector<index_t> tail = assign_documents(space, centroids_, old_n);
-  const index_t c_count = num_centroids();
-  const Bf16DocStore* store = space.compressed_docs();
-  if (has_bf16() != (store != nullptr)) {
-    // The bf16 mirror appears or disappears: there are no old packed words
-    // to copy (or the old ones must go), so repack everything from V.
-    std::vector<index_t> assign(n);
-    for (index_t c = 0; c < c_count; ++c) {
-      for (index_t pos = offsets_[c]; pos < offsets_[c + 1]; ++pos) {
-        assign[docs_[pos]] = c;
-      }
+  auto ann = std::shared_ptr<AnnIndex>(new AnnIndex(*this));
+  // The tail's documents keep their centroid; only the appended rows are
+  // assigned. Existing documents never move, so base + tail is the same
+  // posting list a full regroup of this assignment would give.
+  std::vector<index_t> assign(n - base_docs_);
+  for (index_t c = 0; c < num_centroids(); ++c) {
+    for (const index_t d : tail_->span(c, k_).docs) assign[d - base_docs_] = c;
+  }
+  const std::vector<index_t> fresh =
+      assign_documents(space, centroids_, num_docs_);
+  std::copy(fresh.begin(), fresh.end(),
+            assign.begin() + (num_docs_ - base_docs_));
+  if (bf16_ != (space.compressed_docs() != nullptr)) {
+    // The bf16 mirror appears or disappears: the base's packed words are
+    // missing (or must go), so repack everything into a new base.
+    std::vector<index_t> all(n);
+    for (index_t c = 0; c < num_centroids(); ++c) {
+      for (const index_t d : base_->span(c, k_).docs) all[d] = c;
     }
-    std::copy(tail.begin(), tail.end(), assign.begin() + old_n);
-    ann->regroup(space, assign);
-    obs::count("ann.extends");
-    return ann;
+    std::copy(assign.begin(), assign.end(), all.begin() + base_docs_);
+    ann->set_base(space, all);
+  } else {
+    ann->tail_ = ann->regroup(space, assign, base_docs_);
+    ann->num_docs_ = n;
   }
-
-  // Each posting list grows only at its end (new local ids exceed every old
-  // one, so lists stay ascending): copy the old segments contiguously into
-  // their shifted offsets, then pack just the appended documents. V's old
-  // rows and the store's old words are untouched by appends, so the result
-  // is bit-identical to a full regroup of the same assignment.
-  const index_t k = k_;
-  ann->offsets_.assign(c_count + 1, 0);
-  for (const index_t c : tail) ++ann->offsets_[c + 1];
-  for (index_t c = 0; c < c_count; ++c) {
-    ann->offsets_[c + 1] += ann->offsets_[c] + (offsets_[c + 1] - offsets_[c]);
-  }
-  ann->docs_.resize(n);
-  ann->rows_.resize(n * k);
-  if (store != nullptr) ann->rows16_.resize(n * k);
-  std::vector<index_t> cursor(c_count);
-  for (index_t c = 0; c < c_count; ++c) {
-    const std::size_t from = offsets_[c];
-    const std::size_t len = offsets_[c + 1] - from;
-    const std::size_t to = ann->offsets_[c];
-    std::copy_n(docs_.data() + from, len, ann->docs_.data() + to);
-    std::copy_n(rows_.data() + from * k, len * k, ann->rows_.data() + to * k);
-    if (store != nullptr) {
-      std::copy_n(rows16_.data() + from * k, len * k,
-                  ann->rows16_.data() + to * k);
-    }
-    cursor[c] = to + len;
-  }
-  for (std::size_t t = 0; t < tail.size(); ++t) {
-    const std::size_t j = old_n + t;
-    const std::size_t pos = cursor[tail[t]]++;
-    ann->docs_[pos] = j;
-    for (index_t i = 0; i < k; ++i) {
-      ann->rows_[pos * k + i] = space.v(j, i);
-      if (store != nullptr) ann->rows16_[pos * k + i] = store->col(i)[j];
-    }
-  }
-  ann->num_docs_ = n;
-
   obs::count("ann.extends");
   return ann;
 }
@@ -470,21 +476,16 @@ std::shared_ptr<const AnnIndex> AnnIndex::rotate(
     return build(space, opts_, generation);
   }
 
-  auto ann = std::shared_ptr<AnnIndex>(new AnnIndex());
+  auto ann = std::shared_ptr<AnnIndex>(new AnnIndex(*this));
   double fit = 0.0;
   {
     LSI_OBS_SPAN(span, "ann.rotate");
-    ann->opts_ = opts_;
-    ann->k_ = k_;
-    ann->generation_ = generation_;
-    ann->built_docs_ = built_docs_;
-    ann->built_fit_ = built_fit_;
     // A centroid is a direction among the documents, so it moves like one:
     // c^T -> c^T M, renormalized (an orthogonal M keeps it unit already).
-    ann->centroids_ = la::multiply_at_b(map, centroids_);
+    la::DenseMatrix centroids = la::multiply_at_b(map, centroids_);
     const index_t c_count = num_centroids();
     for (index_t c = 0; c < c_count; ++c) {
-      auto col = ann->centroids_.col(c);
+      auto col = centroids.col(c);
       double nrm = 0.0;
       for (index_t i = 0; i < k_; ++i) nrm += col[i] * col[i];
       nrm = std::sqrt(nrm);
@@ -493,19 +494,23 @@ std::shared_ptr<const AnnIndex> AnnIndex::rotate(
       }
     }
 
-    // Old documents keep their lists; the re-projected ones (and any this
-    // structure never covered) go to the nearest rotated centroid.
+    // Old documents keep their lists (base and tail merge into the new
+    // base); the re-projected ones (and any this structure never covered)
+    // go to the nearest rotated centroid.
     const std::size_t carried = std::min<std::size_t>(kept, num_docs_);
     std::vector<index_t> assign(n);
     for (index_t c = 0; c < c_count; ++c) {
-      for (index_t pos = offsets_[c]; pos < offsets_[c + 1]; ++pos) {
-        if (docs_[pos] < carried) assign[docs_[pos]] = c;
+      for (const PostingSpan& p : postings(c)) {
+        for (const index_t d : p.docs) {
+          if (d < carried) assign[d] = c;
+        }
       }
     }
     const std::vector<index_t> tail =
-        assign_documents(space, ann->centroids_, carried);
+        assign_documents(space, centroids, carried);
     std::copy(tail.begin(), tail.end(), assign.begin() + carried);
-    ann->regroup(space, assign);
+    ann->centroids_ = std::move(centroids);
+    ann->set_base(space, assign);
     fit = ann->mean_fit(space.sigma);
   }
   // Documents unlike any the centroids were trained on (a new topic) land

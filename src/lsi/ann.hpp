@@ -32,19 +32,27 @@
 //
 // Maintenance (ConcurrentIndexer runs it at publish): fold-ins append rows
 // to V and leave existing rows untouched, so extend() assigns only the new
-// rows to the existing centroids. A consolidation (the Section 4 SVD-update)
-// moves every old document's sigma-scaled row x to x M by one k x k map M
-// (lsi/update.hpp), so rotate() maps the centroids by the same M, keeps the
-// old documents' posting lists and assigns only the re-projected rows. It
-// falls back to a from-scratch build by the fixed rules below, so replicas
-// fed the same document sequence rebuild at the same document counts.
+// rows to the existing centroids. The partition from the last build() or
+// rotate() is a shared, immutable base; extend() keeps it by pointer and
+// rebuilds only a small per-centroid tail over the documents appended since.
+// A probe of centroid c scans base(c) and then tail(c): every tail id is
+// above every base id, so that is one ascending posting list. A
+// consolidation (the Section 4 SVD-update) moves every old document's
+// sigma-scaled row x to x M by one k x k map M (lsi/update.hpp), so rotate()
+// maps the centroids by the same M, keeps the old documents' posting lists,
+// assigns only the re-projected rows and merges the tail back into a new
+// base. It falls back to a from-scratch build by the fixed rules below, so
+// replicas fed the same document sequence rebuild at the same document
+// counts.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "la/dense.hpp"
+#include "la/shared.hpp"
 #include "lsi/search_options.hpp"
 #include "lsi/semantic_space.hpp"
 #include "lsi/status.hpp"
@@ -106,7 +114,9 @@ class AnnIndex {
   /// never depends on assignment quality, only recall does). Only valid for
   /// mutations that appended rows and left existing rows and sigma
   /// untouched; a consolidation goes through rotate(). The build generation
-  /// is carried over: the partition itself is unchanged.
+  /// is carried over: the partition itself is unchanged. The base is shared
+  /// by pointer and only the tail is regrouped: O(p C k + t k + C) for p new
+  /// and t tail documents, whatever num_docs() is.
   std::shared_ptr<const AnnIndex> extend(const SemanticSpace& space) const;
 
   /// Maintenance after a consolidation: `space` is this structure's space
@@ -115,8 +125,9 @@ class AnnIndex {
   /// every later row new coordinates. Maps each unit centroid c to
   /// map^T c renormalized, keeps the posting lists of documents below
   /// `kept`, assigns the rest to the nearest rotated centroid and repacks
-  /// the rows from the new V: O(C k^2 + (n - kept) C k + n k) in place of
-  /// k-means. The build generation is carried over.
+  /// the rows from the new V into a new base (the tail merges back in):
+  /// O(C k^2 + (n - kept) C k + n k) in place of k-means. The build
+  /// generation is carried over.
   ///
   /// Returns build(space, options(), generation) instead when the space
   /// holds kRebuildGrowth times the documents of the last build, when `map`
@@ -131,7 +142,7 @@ class AnnIndex {
                                          index_t kept,
                                          std::uint64_t generation) const;
 
-  index_t num_centroids() const noexcept { return offsets_.empty() ? 0 : static_cast<index_t>(offsets_.size() - 1); }
+  index_t num_centroids() const noexcept { return centroids_.cols(); }
   index_t num_docs() const noexcept { return num_docs_; }
   index_t k() const noexcept { return k_; }
   /// Publish generation of the last from-scratch build; extend() and
@@ -154,40 +165,69 @@ class AnnIndex {
   void select_clusters(std::span<const double> query_coords, index_t nprobe,
                        std::vector<index_t>& out) const;
 
-  /// Local doc ids of centroid c's posting list (ascending).
-  std::span<const index_t> cluster_docs(index_t c) const {
-    return {docs_.data() + offsets_[c], offsets_[c + 1] - offsets_[c]};
+  /// One stretch of a posting list: ascending local doc ids and, in the
+  /// same order, their raw V_k rows packed row-major (rows[t * k() + i] ==
+  /// V(docs[t], i), bit-exact copies so the pruned re-rank reproduces the
+  /// exact sweep) and, when has_bf16(), the store's encoded words likewise.
+  struct PostingSpan {
+    std::span<const index_t> docs;
+    std::span<const double> rows;
+    std::span<const std::uint16_t> rows16;
+  };
+  /// Centroid c's posting list in scan order: the base from the last build
+  /// or rotate, then the tail appended since. Together they ascend.
+  std::array<PostingSpan, 2> postings(index_t c) const {
+    return {base_->span(c, k_), tail_->span(c, k_)};
   }
-  /// Row-major raw V_k rows of the same documents, in posting-list order
-  /// (cluster_rows(c)[t * k() + i] == V(cluster_docs(c)[t], i), bit-exact
-  /// copies so the pruned re-rank reproduces the exact sweep).
-  std::span<const double> cluster_rows(index_t c) const {
-    return {rows_.data() + offsets_[c] * k_,
-            (offsets_[c + 1] - offsets_[c]) * k_};
+  /// True when both structures scan the same base allocation: extend()
+  /// shares it, build() and rotate() make a new one.
+  bool shares_base(const AnnIndex& other) const noexcept {
+    return base_ == other.base_;
   }
 
+  /// Copies of centroid c's whole posting list (base then tail): local doc
+  /// ids, packed rows and packed bf16 words (empty unless has_bf16()).
+  std::vector<index_t> cluster_docs(index_t c) const;
+  std::vector<double> cluster_rows(index_t c) const;
+  std::vector<std::uint16_t> cluster_rows_bf16(index_t c) const;
+
   /// True when the structure also packed bf16 rows (built/extended over a
-  /// space with compression enabled).
-  bool has_bf16() const noexcept { return !rows16_.empty(); }
-  /// Row-major bf16 rows in posting-list order, copied verbatim from the
-  /// space's Bf16DocStore — the same encoded words the exact bf16 sweep
-  /// streams, so the pruned re-rank decodes identical values. Empty when
-  /// has_bf16() is false.
-  std::span<const std::uint16_t> cluster_rows_bf16(index_t c) const {
-    return {rows16_.data() + offsets_[c] * k_,
-            (offsets_[c + 1] - offsets_[c]) * k_};
-  }
+  /// space with compression enabled): the same encoded words the exact bf16
+  /// sweep streams, so the pruned re-rank decodes identical values.
+  bool has_bf16() const noexcept { return bf16_; }
 
  private:
   AnnIndex() = default;
+
+  /// Posting lists of documents [first, first + n) in CSR form.
+  struct Postings {
+    std::vector<index_t> offsets;  ///< C + 1 offsets into docs/rows
+    std::vector<index_t> docs;     ///< local doc ids grouped by centroid
+    std::vector<double> rows;      ///< packed raw V_k rows, posting order
+    std::vector<std::uint16_t> rows16;  ///< packed bf16 rows, or empty
+
+    PostingSpan span(index_t c, index_t k) const {
+      const std::size_t lo = offsets[c], len = offsets[c + 1] - lo;
+      return {{docs.data() + lo, len},
+              {rows.data() + lo * k, len * k},
+              rows16.empty() ? std::span<const std::uint16_t>{}
+                             : std::span<const std::uint16_t>{
+                                   rows16.data() + lo * k, len * k}};
+    }
+  };
 
   /// Mean cosine of each document's sigma-scaled row to its own centroid,
   /// over the documents with a nonzero row, in posting order.
   double mean_fit(std::span<const double> sigma) const;
 
-  /// Shared by build/extend/rotate: regroups `assign` (doc -> centroid) into
-  /// the CSR posting lists + packed row copies.
-  void regroup(const SemanticSpace& space, const std::vector<index_t>& assign);
+  /// Groups `assign` (document first + t -> centroid assign[t]) into
+  /// posting lists, packing the rows (and bf16 words when the space carries
+  /// a compressed store) from `space`.
+  std::shared_ptr<const Postings> regroup(const SemanticSpace& space,
+                                          const std::vector<index_t>& assign,
+                                          index_t first) const;
+  /// Sets a fresh base over every document of `space` and an empty tail.
+  void set_base(const SemanticSpace& space, const std::vector<index_t>& assign);
 
   AnnOptions opts_;
   index_t k_ = 0;
@@ -195,13 +235,13 @@ class AnnIndex {
   std::uint64_t generation_ = 0;
   index_t built_docs_ = 0;  ///< documents at the last from-scratch build
   double built_fit_ = 0.0;  ///< mean_fit() right after that build
-  la::DenseMatrix centroids_;     ///< k x C, unit columns
-  std::vector<index_t> offsets_;  ///< C + 1 CSR offsets into docs_/rows_
-  std::vector<index_t> docs_;     ///< local doc ids grouped by centroid
-  std::vector<double> rows_;      ///< packed raw V_k rows, posting order
-  /// Packed bf16 rows (posting order), present iff the space carried a
-  /// compressed store at build/extend time.
-  std::vector<std::uint16_t> rows16_;
+  bool bf16_ = false;       ///< the postings carry bf16 words
+  la::SharedMatrix centroids_;  ///< k x C, unit columns
+  /// Documents [0, base_docs_) from the last build or rotate, shared by
+  /// every extend() since; the tail holds [base_docs_, num_docs_).
+  std::shared_ptr<const Postings> base_;
+  std::shared_ptr<const Postings> tail_;
+  index_t base_docs_ = 0;
 };
 
 }  // namespace lsi::core

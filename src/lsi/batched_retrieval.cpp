@@ -214,9 +214,8 @@ la::DenseMatrix BatchedRetriever::scores(const QueryBatch& batch,
   // and divides by the store's decoded-value norms — cosines must normalize
   // by the vector actually scored (doc_store.hpp).
   const Bf16DocStore* bf16 = space_.compressed_docs();
-  const std::span<const double> doc_norm =
-      bf16 ? bf16->doc_norms(mode)
-           : std::span<const double>(space_.doc_norms(mode));
+  const util::RowBlocks<double>& doc_norm =
+      bf16 ? bf16->doc_norms(mode) : space_.doc_norms(mode);
 
   la::DenseMatrix c(n, bsz);
   if (stats) {
@@ -280,7 +279,9 @@ la::DenseMatrix BatchedRetriever::scores(const QueryBatch& batch,
   // Each chunk is swept in document sub-tiles sized so that the tile x B
   // accumulators stay in L1 while all k factors pass over them; a whole
   // chunk's (512 x 32 doubles is 128 KiB) would be re-read from L2 once per
-  // factor. At B = 1 the tile is the chunk.
+  // factor. At B = 1 the tile is the chunk. Tiles also end at V's block
+  // edges (util::kBlockRows), so each reads one block's column segments.
+  constexpr std::size_t kB = util::kBlockRows;
   const std::size_t tile_rows = std::max<std::size_t>(
       kMinSweepTile,
       kSweepTileBytes / ((bf16 ? sizeof(float) : sizeof(double)) * bsz));
@@ -289,33 +290,34 @@ la::DenseMatrix BatchedRetriever::scores(const QueryBatch& batch,
       [&](std::size_t chunk_lo, std::size_t chunk_hi) {
         const std::size_t tile = bsz == 1 ? chunk_hi - chunk_lo : tile_rows;
         std::vector<float> acc32(bf16 ? tile * bsz : 0);
-        for (std::size_t lo = chunk_lo; lo < chunk_hi; lo += tile) {
-          const std::size_t len = std::min(tile, chunk_hi - lo);
+        for (std::size_t lo = chunk_lo, len; lo < chunk_hi; lo += len) {
+          len = std::min({tile, chunk_hi - lo, (lo / kB + 1) * kB - lo});
+          const double* dn = doc_norm.block(lo / kB) + lo % kB;
           if (bf16) {
             // Reduced-precision sweep: stream the bf16 columns, accumulate
             // in a tile-local fp32 buffer, widen and normalize in double.
             // The zero-skip still tests the DOUBLE weight, so the bf16 path
             // scores exactly the terms the fp64 path scores.
+            const std::uint16_t* blk = bf16->block(lo / kB);
             std::fill(acc32.begin(), acc32.end(), 0.0f);
             accumulate(acc32.data(), len,
-                       [&](index_t i) { return bf16->col(i); }, lo, len,
-                       kern_ops.axpy_bf16, kern_ops.axpy4_bf16);
+                       [&](index_t i) { return blk + i * util::kBlockStride; },
+                       lo % kB, len, kern_ops.axpy_bf16, kern_ops.axpy4_bf16);
             for (index_t b = 0; b < bsz; ++b) {
-              kern_ops.cos_norm_f32(query_norm[b], acc32.data() + b * len,
-                                    doc_norm.data() + lo, c.col(b).data() + lo,
-                                    len);
+              kern_ops.cos_norm_f32(query_norm[b], acc32.data() + b * len, dn,
+                                    c.col(b).data() + lo, len);
             }
             continue;
           }
+          const double* blk = space_.v.block(lo / kB);
           accumulate(c.data() + lo, n,
-                     [&](index_t i) { return space_.v.col(i).data(); }, lo,
-                     len, kern_ops.axpy, kern_ops.axpy4);
+                     [&](index_t i) { return blk + i * util::kBlockStride; },
+                     lo % kB, len, kern_ops.axpy, kern_ops.axpy4);
           // Normalize the tile in place: cosine = dot / (|q'| * |d'|), with
           // la::cosine's zero-norm guard. cos_norm is correctly rounded in
           // every kernel, so the cosines stay bit-identical under dispatch.
           for (index_t b = 0; b < bsz; ++b) {
-            kern_ops.cos_norm(query_norm[b], doc_norm.data() + lo,
-                              c.col(b).data() + lo, len);
+            kern_ops.cos_norm(query_norm[b], dn, c.col(b).data() + lo, len);
           }
         }
       },
@@ -401,9 +403,14 @@ std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank_pruned(
   // the stored bf16 words and divides by the decoded-value norms, so a
   // full-probe pruned ranking stays bit-identical to the exact bf16 sweep.
   const Bf16DocStore* bf16 = space_.compressed_docs();
-  const std::span<const double> doc_norm =
-      bf16 ? bf16->doc_norms(opts.mode)
-           : std::span<const double>(space_.doc_norms(opts.mode));
+  // The norms live in V's 512-row blocks; one pointer per block keeps a
+  // candidate's lookup to two loads.
+  const util::RowBlocks<double>& norms =
+      bf16 ? bf16->doc_norms(opts.mode) : space_.doc_norms(opts.mode);
+  std::vector<const double*> norm_blocks;
+  for (std::size_t b = 0; b < norms.num_blocks(); ++b) {
+    norm_blocks.push_back(norms.block(b));
+  }
   const std::size_t z = opts.z;
   const double min_cos = opts.min_cosine;
 
@@ -433,61 +440,61 @@ std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank_pruned(
         // before the min_cosine filter.
         std::vector<double> bg;
         std::uint64_t cand_count = 0;
+        // Each centroid's list is its base segment, then its tail: one
+        // ascending list, scanned in the order a single list would be.
         for (const index_t c : clusters) {
-          const auto docs = ann_->cluster_docs(c);
-          const auto rows = ann_->cluster_rows(c);
-          const auto rows16 = ann_bf16 ? ann_->cluster_rows_bf16(c)
-                                       : std::span<const std::uint16_t>{};
-          cand_count += docs.size();
-          for (std::size_t t = 0; t < docs.size(); ++t) {
-            const index_t j = docs[t];
-            double score;
-            if (bf16) {
-              // Decode the SAME encoded words the exact bf16 sweep streams
-              // (packed posting rows when available, else a strided gather
-              // from the store) and accumulate the same fp32 chain.
-              float acc = 0.0f;
-              if (ann_bf16) {
-                const std::uint16_t* row16 = rows16.data() + t * k;
-                for (index_t i = 0; i < k; ++i) {
-                  if (wb[i] == 0.0) continue;
-                  acc += w32[i] * la::kern::bf16_to_f32(row16[i]);
+          for (const AnnIndex::PostingSpan& seg : ann_->postings(c)) {
+            cand_count += seg.docs.size();
+            for (std::size_t t = 0; t < seg.docs.size(); ++t) {
+              const index_t j = seg.docs[t];
+              double score;
+              if (bf16) {
+                // Decode the SAME encoded words the exact bf16 sweep streams
+                // (packed posting rows when available, else a strided
+                // gather from the store) and accumulate the same fp32 chain.
+                float acc = 0.0f;
+                if (ann_bf16) {
+                  const std::uint16_t* row16 = seg.rows16.data() + t * k;
+                  for (index_t i = 0; i < k; ++i) {
+                    if (wb[i] == 0.0) continue;
+                    acc += w32[i] * la::kern::bf16_to_f32(row16[i]);
+                  }
+                } else {
+                  for (index_t i = 0; i < k; ++i) {
+                    if (wb[i] == 0.0) continue;
+                    acc += w32[i] * la::kern::bf16_to_f32(bf16->word(j, i));
+                  }
                 }
+                score = static_cast<double>(acc);
               } else {
+                const double* row = seg.rows.data() + t * k;
+                // Same accumulation as the exact sweep: i ascending, zero
+                // weights skipped (they are skipped there too, so skipping
+                // is not an approximation).
+                double acc = 0.0;
                 for (index_t i = 0; i < k; ++i) {
-                  if (wb[i] == 0.0) continue;
-                  acc += w32[i] * la::kern::bf16_to_f32(bf16->col(i)[j]);
+                  const double wib = wb[i];
+                  if (wib == 0.0) continue;
+                  acc += wib * row[i];
                 }
+                score = acc;
               }
-              score = static_cast<double>(acc);
-            } else {
-              const double* row = rows.data() + t * k;
-              // Same accumulation as the exact sweep: i ascending, zero
-              // weights skipped (they are skipped there too, so skipping is
-              // not an approximation).
-              double acc = 0.0;
-              for (index_t i = 0; i < k; ++i) {
-                const double wib = wb[i];
-                if (wib == 0.0) continue;
-                acc += wib * row[i];
+              const double dn =
+                  norm_blocks[j / util::kBlockRows][j % util::kBlockRows];
+              const ScoredDoc cand{
+                  j, (qn == 0.0 || dn == 0.0) ? 0.0 : score / (qn * dn)};
+              if (moments) bg.push_back(cand.cosine);
+              if (cand.cosine < min_cos) continue;
+              if (!bounded) {
+                keep.push_back(cand);
+              } else if (keep.size() < z) {
+                keep.push_back(cand);
+                std::push_heap(keep.begin(), keep.end(), by_rank);
+              } else if (by_rank(cand, keep.front())) {
+                std::pop_heap(keep.begin(), keep.end(), by_rank);
+                keep.back() = cand;
+                std::push_heap(keep.begin(), keep.end(), by_rank);
               }
-              score = acc;
-            }
-            const ScoredDoc cand{
-                j, (qn == 0.0 || doc_norm[j] == 0.0)
-                       ? 0.0
-                       : score / (qn * doc_norm[j])};
-            if (moments) bg.push_back(cand.cosine);
-            if (cand.cosine < min_cos) continue;
-            if (!bounded) {
-              keep.push_back(cand);
-            } else if (keep.size() < z) {
-              keep.push_back(cand);
-              std::push_heap(keep.begin(), keep.end(), by_rank);
-            } else if (by_rank(cand, keep.front())) {
-              std::pop_heap(keep.begin(), keep.end(), by_rank);
-              keep.back() = cand;
-              std::push_heap(keep.begin(), keep.end(), by_rank);
             }
           }
         }

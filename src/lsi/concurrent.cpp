@@ -22,7 +22,7 @@ std::vector<QueryResult> IndexSnapshot::query(std::string_view text,
   auto ranked = BatchedRetriever(space_, ann_).rank(one, opts, stats);
   std::vector<QueryResult> out;
   for (const ScoredDoc& sd : ranked.front()) {
-    out.push_back({(*labels_)[sd.doc], sd.doc, sd.cosine});
+    out.push_back({labels_[sd.doc], sd.doc, sd.cosine});
   }
   return out;
 }
@@ -219,19 +219,25 @@ void ConcurrentIndexer::consolidate_now() {
 void ConcurrentIndexer::publish() {
   (void)LSI_FAILPOINT("concurrent.publish", opts_.failpoint_tag);
   LSI_OBS_SPAN(span, "concurrent.publish");
-  // Copy-on-publish: the writer's master space stays private and mutable,
-  // readers get an immutable copy whose norm caches are warm by
-  // construction. The master is warmed first, so the copy inherits full
-  // caches: a full fill happens only on the first publish after the build
-  // or a consolidation, and between those, fold-ins extend the master's
-  // caches in O(p k) (extend_doc_norms). The master's prewarm is a no-op
-  // then, and so is the copy's.
+  // Share-on-publish: the writer's master space stays private and mutable,
+  // readers get a copy that shares every byte it holds. U, sigma and the
+  // term norms are immutable values behind shared pointers, replaced only
+  // by a consolidation; V and the doc-norm caches are append-only blocks
+  // whose rows a copy can see are never written again (util/row_blocks.hpp).
+  // Copying the space is therefore O(1), and what a fold-in publish costs is
+  // the fold-in's own O(p k) append. The master is warmed first, so the
+  // copy inherits full caches: a full fill happens only on the first publish
+  // after the build or a consolidation, and between those, fold-ins extend
+  // the master's caches in O(p k) (extend_doc_norms).
   const SemanticSpace& master_space = master_.index().space();
   master_space.prewarm_doc_norms();
-  auto space = std::make_shared<SemanticSpace>(master_space);
-  space->prewarm_doc_norms();
-  auto labels = std::make_shared<const std::vector<std::string>>(
-      master_.index().doc_labels());
+  auto space = std::make_shared<const SemanticSpace>(master_space);
+  // Labels follow V's blocks: append only the ones folded since.
+  const auto& labels = master_.index().doc_labels();
+  const std::size_t have = master_labels_.rows();
+  master_labels_.append(labels.size() - have, [&](std::size_t i, std::size_t) {
+    return labels[have + i];
+  });
   const std::uint64_t generation =
       publishes_.fetch_add(1, std::memory_order_relaxed) + 1;
   // ANN maintenance mirrors the norm caches: fold-ins only append V rows, so
@@ -261,7 +267,7 @@ void ConcurrentIndexer::publish() {
   }
   rotation_.reset();
   auto snap = std::make_shared<const IndexSnapshot>(
-      std::move(space), std::move(labels), master_.index().context_ptr(),
+      std::move(space), master_labels_, master_.index().context_ptr(),
       generation, master_.pending(), IndexSnapshot::clock::now(), master_ann_,
       master_profiles_);
   std::shared_ptr<const IndexSnapshot> old;

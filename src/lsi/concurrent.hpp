@@ -14,7 +14,11 @@
 //     hands out a std::shared_ptr<const IndexSnapshot> — an immutable
 //     (SemanticSpace, labels, generation) triple — copied under a mutex
 //     held only for that pointer copy, never during fold-in, SVD-update,
-//     or snapshot construction. A query's entire project/score/select
+//     or snapshot construction. Successive snapshots share every byte a
+//     fold-in did not change (U, sigma, the term norms, every 512-row block
+//     of V, its norms and labels, the ANN base), and no published byte is
+//     ever written again, so a fold-in publish costs O(p k) plus a small
+//     constant instead of a copy of the shard. A query's entire project/score/select
 //     pass runs against that one snapshot, so a reader can never observe a
 //     half-consolidated basis, a V/labels length mismatch, or a norm cache
 //     from a different generation. Every published space has its per-mode
@@ -58,6 +62,7 @@
 #include "lsi/search_options.hpp"
 #include "lsi/status.hpp"
 #include "util/bounded_queue.hpp"
+#include "util/row_blocks.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lsi::core {
@@ -69,8 +74,9 @@ struct ConcurrentOptions {
   /// documents accumulate (0 = only on explicit consolidate()).
   std::size_t consolidate_every = 64;
   /// Documents folded per snapshot publish: larger batches amortize the
-  /// O((m + n) k) copy-and-publish cost, smaller ones shrink the ingestion-
-  /// to-visibility latency.
+  /// publish's fixed cost (a few shared-pointer copies and the ANN tail
+  /// regroup; nothing of size n is copied), smaller ones shrink the
+  /// ingestion-to-visibility latency.
   std::size_t max_batch = 16;
   /// Use the exact (residual-carrying) SVD-update when consolidating.
   bool exact_update = false;
@@ -78,7 +84,8 @@ struct ConcurrentOptions {
   /// `ann.exact_cutoff` documents every published snapshot carries an
   /// AnnIndex, rotated at consolidation (V rotates; AnnIndex::rotate
   /// rebuilds by its fixed rules) and extended at fold-publishes (rows
-  /// append) — the same maintenance split as the prewarmed doc-norm caches.
+  /// append; the base partition is shared, only its tail is regrouped) —
+  /// the same maintenance split as the prewarmed doc-norm caches.
   AnnOptions ann;
   /// Instance tag this indexer passes to its failpoint sites
   /// (util/failpoint.hpp) — "s<shard>.r<replica>" under a ReplicaSet, so a
@@ -101,7 +108,7 @@ class IndexSnapshot {
   /// profiles of this space's U, sigma and V rows; without one the gather
   /// reconstructs every profile it needs.
   IndexSnapshot(std::shared_ptr<const SemanticSpace> space,
-                std::shared_ptr<const std::vector<std::string>> labels,
+                util::RowBlocks<std::string> labels,
                 std::shared_ptr<const SnapshotQueryContext> ctx,
                 std::uint64_t generation, std::size_t unconsolidated,
                 clock::time_point published_at,
@@ -125,8 +132,10 @@ class IndexSnapshot {
   /// at publish like the prewarmed norm caches; null below the exact-scan
   /// cutoff or when disabled — queries then take the exact path.
   const std::shared_ptr<const AnnIndex>& ann() const noexcept { return ann_; }
-  const std::vector<std::string>& doc_labels() const noexcept {
-    return *labels_;
+  /// One label per row of V, in V's 512-row blocks (shared with the
+  /// snapshots before and after this one, like V).
+  const util::RowBlocks<std::string>& doc_labels() const noexcept {
+    return labels_;
   }
   const SnapshotQueryContext& context() const noexcept { return *ctx_; }
   /// The term-profile cache the collapse gather reads and fills
@@ -163,7 +172,7 @@ class IndexSnapshot {
 
  private:
   std::shared_ptr<const SemanticSpace> space_;
-  std::shared_ptr<const std::vector<std::string>> labels_;
+  util::RowBlocks<std::string> labels_;
   std::shared_ptr<const SnapshotQueryContext> ctx_;
   std::shared_ptr<const AnnIndex> ann_;
   std::shared_ptr<gather::ProfileCache> profiles_;
@@ -259,7 +268,7 @@ class ConcurrentIndexer {
   /// SVD-update of the pending fold-ins (writer thread only); a publish()
   /// follows every call.
   void consolidate_now();
-  /// Prewarms the master's doc-norm caches, copies the master state into a
+  /// Prewarms the master's doc-norm caches, shares the master state into a
   /// fresh immutable snapshot (which inherits the warm caches), and
   /// atomically swaps it in (writer thread only).
   void publish();
@@ -290,6 +299,8 @@ class ConcurrentIndexer {
   /// structure is extended like extend_doc_norms and the profile cache is
   /// carried over as is.
   std::shared_ptr<const AnnIndex> master_ann_;
+  /// The master's labels in V's block layout, appended to at publish.
+  util::RowBlocks<std::string> master_labels_{1};
   std::shared_ptr<gather::ProfileCache> master_profiles_;
   std::optional<Rotation> rotation_;
 

@@ -10,20 +10,24 @@
 
 namespace lsi::core {
 
-std::span<const double> Bf16DocStore::doc_norms(
-    SimilarityMode mode) const noexcept {
-  return norms_[static_cast<std::size_t>(mode)];
+std::vector<std::uint16_t> Bf16DocStore::payload() const {
+  std::vector<std::uint16_t> out(num_docs_ * static_cast<std::size_t>(k_));
+  for (la::index_t i = 0; i < k_; ++i) {
+    for (la::index_t j = 0; j < num_docs_; ++j) {
+      out[i * static_cast<std::size_t>(num_docs_) + j] = word(j, i);
+    }
+  }
+  return out;
 }
 
-void Bf16DocStore::fill_norms(std::span<const double> sigma,
-                              la::index_t begin, la::index_t end) {
-  for (auto& n : norms_) n.resize(num_docs_);
+void Bf16DocStore::fill_norms(std::span<const double> sigma) {
+  const la::index_t begin = norms_[0].rows();
   for (std::size_t m = 0; m < kNumSimilarityModes; ++m) {
     const bool scale_docs =
         static_cast<SimilarityMode>(m) != SimilarityMode::kPlainV;
-    auto& norms = norms_[m];
+    std::vector<double> fresh(num_docs_ - begin);
     util::parallel_for_chunks(
-        begin, end,
+        begin, num_docs_,
         [&](std::size_t lo, std::size_t hi) {
           // Decoded-value norms, double accumulation: the scored vector is
           // the decoded bf16 row, so that is what the cosine divides by.
@@ -32,14 +36,16 @@ void Bf16DocStore::fill_norms(std::span<const double> sigma,
           la::Vector doc(k_);
           for (std::size_t j = lo; j < hi; ++j) {
             for (la::index_t i = 0; i < k_; ++i) {
-              doc[i] =
-                  static_cast<double>(la::kern::bf16_to_f32(col(i)[j]));
+              doc[i] = static_cast<double>(la::kern::bf16_to_f32(word(j, i)));
               if (scale_docs) doc[i] *= sigma[i];
             }
-            norms[j] = la::norm2(doc);
+            fresh[j - begin] = la::norm2(doc);
           }
         },
         /*grain=*/256);
+    if (norms_[m].width() == 0) norms_[m] = util::RowBlocks<double>(1);
+    norms_[m].append(fresh.size(),
+                     [&](std::size_t j, std::size_t) { return fresh[j]; });
   }
 }
 
@@ -49,22 +55,11 @@ std::shared_ptr<const Bf16DocStore> Bf16DocStore::build(
   auto store = std::shared_ptr<Bf16DocStore>(new Bf16DocStore());
   store->num_docs_ = space.num_docs();
   store->k_ = space.k();
-  store->norms_.resize(kNumSimilarityModes);
-  const std::size_t n = store->num_docs_;
-  store->data_.resize(n * static_cast<std::size_t>(store->k_));
-  for (la::index_t i = 0; i < store->k_; ++i) {
-    const double* vi = space.v.col(i).data();
-    std::uint16_t* ci = store->data_.data() + static_cast<std::size_t>(i) * n;
-    util::parallel_for_chunks(
-        0, n,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            ci[j] = la::kern::bf16_from_f64(vi[j]);
-          }
-        },
-        /*grain=*/4096);
-  }
-  store->fill_norms(space.sigma, 0, store->num_docs_);
+  store->words_ = util::RowBlocks<std::uint16_t>(store->k_);
+  store->words_.append(store->num_docs_, [&](std::size_t j, std::size_t i) {
+    return la::kern::bf16_from_f64(space.v(j, i));
+  });
+  store->fill_norms(space.sigma);
   obs::count("retrieval.bf16_store.builds");
   return store;
 }
@@ -74,30 +69,17 @@ std::shared_ptr<const Bf16DocStore> Bf16DocStore::extend(
   assert(space.k() == old.k_);
   assert(space.num_docs() >= old.num_docs_);
   LSI_OBS_SPAN(span, "retrieval.bf16_store.extend");
-  auto store = std::shared_ptr<Bf16DocStore>(new Bf16DocStore());
-  store->num_docs_ = space.num_docs();
-  store->k_ = old.k_;
-  store->norms_.resize(kNumSimilarityModes);
-  const std::size_t n = store->num_docs_;
+  // Old words and norms are shared; only the appended rows are encoded and
+  // normed — per element the exact arithmetic of a fresh build, so
+  // extension is bit-identical to it (tests/lsi/bf16_store_test.cpp).
+  auto store = std::shared_ptr<Bf16DocStore>(new Bf16DocStore(old));
   const std::size_t n0 = old.num_docs_;
-  store->data_.resize(n * static_cast<std::size_t>(store->k_));
-  for (la::index_t i = 0; i < store->k_; ++i) {
-    const double* vi = space.v.col(i).data();
-    std::uint16_t* ci = store->data_.data() + static_cast<std::size_t>(i) * n;
-    const std::uint16_t* oi = old.col(i);
-    for (std::size_t j = 0; j < n0; ++j) ci[j] = oi[j];
-    for (std::size_t j = n0; j < n; ++j) {
-      ci[j] = la::kern::bf16_from_f64(vi[j]);
-    }
-  }
-  // Old norms carry over verbatim; only the appended rows are computed —
-  // per element this is the exact arithmetic of a fresh build, so extension
-  // is bit-identical to it (asserted by tests/lsi/bf16_store_test.cpp).
-  for (std::size_t m = 0; m < kNumSimilarityModes; ++m) {
-    store->norms_[m] = old.norms_[m];
-  }
-  store->fill_norms(space.sigma, static_cast<la::index_t>(n0),
-                    store->num_docs_);
+  store->num_docs_ = space.num_docs();
+  store->words_.append(store->num_docs_ - n0,
+                       [&](std::size_t j, std::size_t i) {
+                         return la::kern::bf16_from_f64(space.v(n0 + j, i));
+                       });
+  store->fill_norms(space.sigma);
   obs::count("retrieval.bf16_store.extends",
              store->num_docs_ - old.num_docs_);
   return store;
@@ -111,9 +93,11 @@ std::shared_ptr<const Bf16DocStore> Bf16DocStore::from_payload(
   auto store = std::shared_ptr<Bf16DocStore>(new Bf16DocStore());
   store->num_docs_ = num_docs;
   store->k_ = k;
-  store->data_ = std::move(data);
-  store->norms_.resize(kNumSimilarityModes);
-  store->fill_norms(sigma, 0, num_docs);
+  store->words_ = util::RowBlocks<std::uint16_t>(k);
+  store->words_.append(num_docs, [&](std::size_t j, std::size_t i) {
+    return data[i * static_cast<std::size_t>(num_docs) + j];
+  });
+  store->fill_norms(sigma);
   return store;
 }
 

@@ -8,17 +8,20 @@
 // fp32 and every norm/normalization stays double, which keeps ranking
 // overlap@10 >= 0.99 against the fp64 path (gated by bench_kernel_roofline).
 //
-// Layout mirrors V: column-major (col(i) is factor i across all documents),
-// which is exactly the access order of the batched sweep. The store also
+// Layout mirrors V: 512-row blocks, column-major inside a block (factor i
+// of a block's rows is contiguous), which is exactly the access order of
+// the batched sweep. The store also
 // carries its own per-mode document norms, computed from the DECODED bf16
 // values — cosines must divide by the norm of the vector actually scored,
 // not the fp64 norm, or the quantization would bias every score.
 //
 // Lifecycle: owned by SemanticSpace behind the same lazy/extend/invalidate
 // protocol as the doc-norm caches (see semantic_space.hpp). The store is
-// immutable once built; "extension" builds a new store sharing nothing,
-// bit-identical to a fresh build over the larger space.
+// immutable once built; "extension" builds a new store that shares every
+// block of the old one and encodes only the appended rows, bit-identical
+// to a fresh build over the larger space.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -26,6 +29,7 @@
 
 #include "la/dense.hpp"
 #include "lsi/semantic_space.hpp"
+#include "util/row_blocks.hpp"
 
 namespace lsi::core {
 
@@ -36,7 +40,7 @@ class Bf16DocStore {
   /// space; building twice yields byte-identical stores.
   static std::shared_ptr<const Bf16DocStore> build(const SemanticSpace& space);
 
-  /// Append-only maintenance: copies `old`'s columns and encodes only rows
+  /// Append-only maintenance: shares `old`'s blocks and encodes only rows
   /// [old.num_docs(), space.num_docs()). Only valid when the mutation
   /// appended V rows and left existing rows and sigma untouched; the result
   /// is bit-identical to build(space).
@@ -53,28 +57,36 @@ class Bf16DocStore {
   la::index_t num_docs() const noexcept { return num_docs_; }
   la::index_t k() const noexcept { return k_; }
 
-  /// Factor i's bf16 document column (length num_docs()).
-  const std::uint16_t* col(la::index_t i) const noexcept {
-    return data_.data() + static_cast<std::size_t>(i) * num_docs_;
+  /// Encoded word of document j, factor i.
+  std::uint16_t word(la::index_t j, la::index_t i) const noexcept {
+    return words_(j, i);
   }
-  /// The full column-major payload (io serialization).
-  std::span<const std::uint16_t> payload() const noexcept { return data_; }
+  /// Block b of the encoded words: factor i of its rows starts at
+  /// block(b) + i * util::kBlockStride.
+  const std::uint16_t* block(std::size_t b) const noexcept {
+    return words_.block(b);
+  }
+  /// The words as one column-major num_docs() x k() array (io).
+  std::vector<std::uint16_t> payload() const;
 
   /// Per-document norms of the decoded coordinates `mode` compares against
   /// (decoded bf16 values scaled by sigma for the sigma-scaled modes),
-  /// computed with the same scalar la::norm2 as the fp64 caches.
-  std::span<const double> doc_norms(SimilarityMode mode) const noexcept;
+  /// computed with the same scalar la::norm2 as the fp64 caches, in the
+  /// same blocks.
+  const util::RowBlocks<double>& doc_norms(SimilarityMode mode) const noexcept {
+    return norms_[static_cast<std::size_t>(mode)];
+  }
 
  private:
   Bf16DocStore() = default;
 
-  void fill_norms(std::span<const double> sigma, la::index_t begin,
-                  la::index_t end);
+  /// Appends the norms of rows [norms_.rows(), num_docs()) in every mode.
+  void fill_norms(std::span<const double> sigma);
 
   la::index_t num_docs_ = 0;
   la::index_t k_ = 0;
-  std::vector<std::uint16_t> data_;  ///< column-major, num_docs * k
-  std::vector<std::vector<double>> norms_;  ///< one vector per SimilarityMode
+  util::RowBlocks<std::uint16_t> words_;  ///< num_docs x k, V's blocks
+  std::array<util::RowBlocks<double>, kNumSimilarityModes> norms_;
 };
 
 }  // namespace lsi::core

@@ -51,7 +51,9 @@ void fold_in_terms(SemanticSpace& space, const la::CscMatrix& t) {
           space.sigma[i] > 0.0 ? acc / space.sigma[i] : 0.0;
     }
   }
-  space.u.append_rows(new_rows);
+  la::DenseMatrix u = space.u;
+  u.append_rows(new_rows);
+  space.u = std::move(u);
 }
 
 void fold_in_documents(SemanticSpace& space, const la::DenseMatrix& d) {

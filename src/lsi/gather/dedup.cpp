@@ -10,7 +10,7 @@ namespace lsi::gather {
 
 std::vector<SparseTermVector> reconstruct_term_profiles(
     const lsi::la::DenseMatrix& u, const std::vector<double>& sigma,
-    const lsi::la::DenseMatrix& v, std::span<const index_t> doc_rows,
+    const lsi::la::BlockedMatrix& v, std::span<const index_t> doc_rows,
     const text::Vocabulary& vocabulary, std::size_t top_terms) {
   // Row r of A_k = U S V^T: U * (sigma .* v_r). The sigma scaling matters —
   // without it every factor contributes equally and the profile stops
@@ -93,7 +93,7 @@ std::vector<SparseTermVector> reconstruct_term_profiles(
 
 SparseTermVector reconstruct_term_profile(const lsi::la::DenseMatrix& u,
                                           const std::vector<double>& sigma,
-                                          const lsi::la::DenseMatrix& v,
+                                          const lsi::la::BlockedMatrix& v,
                                           index_t doc_row,
                                           const text::Vocabulary& vocabulary,
                                           std::size_t top_terms) {
@@ -109,7 +109,7 @@ std::size_t ProfileCache::size() const {
 
 std::vector<ProfileCache::Profile> term_profiles(
     ProfileCache* cache, const lsi::la::DenseMatrix& u,
-    const std::vector<double>& sigma, const lsi::la::DenseMatrix& v,
+    const std::vector<double>& sigma, const lsi::la::BlockedMatrix& v,
     std::span<const index_t> doc_rows, const text::Vocabulary& vocabulary) {
   std::vector<ProfileCache::Profile> out(doc_rows.size());
   std::vector<std::size_t> miss_at;  // positions in doc_rows to reconstruct

@@ -37,6 +37,7 @@
 #include <utility>
 #include <vector>
 
+#include "la/blocked_matrix.hpp"
 #include "la/dense.hpp"
 #include "lsi/gather/fusion.hpp"
 #include "text/vocabulary.hpp"
@@ -59,13 +60,13 @@ inline constexpr std::size_t kProfileTerms = 64;
 /// bit-identical to reconstructing its row alone.
 std::vector<SparseTermVector> reconstruct_term_profiles(
     const lsi::la::DenseMatrix& u, const std::vector<double>& sigma,
-    const lsi::la::DenseMatrix& v, std::span<const index_t> doc_rows,
+    const lsi::la::BlockedMatrix& v, std::span<const index_t> doc_rows,
     const text::Vocabulary& vocabulary, std::size_t top_terms = kProfileTerms);
 
 /// One document's profile: reconstruct_term_profiles over {doc_row}.
 SparseTermVector reconstruct_term_profile(const lsi::la::DenseMatrix& u,
                                           const std::vector<double>& sigma,
-                                          const lsi::la::DenseMatrix& v,
+                                          const lsi::la::BlockedMatrix& v,
                                           index_t doc_row,
                                           const text::Vocabulary& vocabulary,
                                           std::size_t top_terms = kProfileTerms);
@@ -87,7 +88,7 @@ class ProfileCache {
   friend std::vector<Profile> term_profiles(ProfileCache*,
                                             const lsi::la::DenseMatrix&,
                                             const std::vector<double>&,
-                                            const lsi::la::DenseMatrix&,
+                                            const lsi::la::BlockedMatrix&,
                                             std::span<const index_t>,
                                             const text::Vocabulary&);
 
@@ -101,7 +102,7 @@ class ProfileCache {
 /// every row. Counts gather.profile_cache.hits / .misses when cached.
 std::vector<ProfileCache::Profile> term_profiles(
     ProfileCache* cache, const lsi::la::DenseMatrix& u,
-    const std::vector<double>& sigma, const lsi::la::DenseMatrix& v,
+    const std::vector<double>& sigma, const lsi::la::BlockedMatrix& v,
     std::span<const index_t> doc_rows, const text::Vocabulary& vocabulary);
 
 /// Sum of a profile's squared weights, accumulated in its term order.

@@ -30,7 +30,7 @@ std::vector<double> term_norms(const lsi::la::DenseMatrix& u,
 
 std::vector<Facet> shard_facets(const lsi::la::DenseMatrix& u,
                                 const std::vector<double>& sigma,
-                                const lsi::la::DenseMatrix& v,
+                                const lsi::la::BlockedMatrix& v,
                                 const text::Vocabulary& vocabulary,
                                 const std::vector<lsi::la::index_t>& doc_rows,
                                 std::size_t top_terms,
@@ -84,7 +84,7 @@ std::vector<Facet> shard_facets(const lsi::la::DenseMatrix& u,
 
 std::vector<Facet> shard_facets(const lsi::la::DenseMatrix& u,
                                 const std::vector<double>& sigma,
-                                const lsi::la::DenseMatrix& v,
+                                const lsi::la::BlockedMatrix& v,
                                 const text::Vocabulary& vocabulary,
                                 const std::vector<lsi::la::index_t>& doc_rows,
                                 std::size_t top_terms) {

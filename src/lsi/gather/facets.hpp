@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "la/blocked_matrix.hpp"
 #include "la/dense.hpp"
 #include "text/vocabulary.hpp"
 
@@ -50,7 +51,7 @@ std::vector<double> term_norms(const lsi::la::DenseMatrix& u,
 /// la::cosine(sigma .* u_i, centroid).
 std::vector<Facet> shard_facets(const lsi::la::DenseMatrix& u,
                                 const std::vector<double>& sigma,
-                                const lsi::la::DenseMatrix& v,
+                                const lsi::la::BlockedMatrix& v,
                                 const text::Vocabulary& vocabulary,
                                 const std::vector<lsi::la::index_t>& doc_rows,
                                 std::size_t top_terms,
@@ -59,7 +60,7 @@ std::vector<Facet> shard_facets(const lsi::la::DenseMatrix& u,
 /// The same facets, computing term_norms(u, sigma) for this one call.
 std::vector<Facet> shard_facets(const lsi::la::DenseMatrix& u,
                                 const std::vector<double>& sigma,
-                                const lsi::la::DenseMatrix& v,
+                                const lsi::la::BlockedMatrix& v,
                                 const text::Vocabulary& vocabulary,
                                 const std::vector<lsi::la::index_t>& doc_rows,
                                 std::size_t top_terms);

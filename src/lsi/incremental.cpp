@@ -45,14 +45,9 @@ la::DenseMatrix IncrementalIndexer::consolidate() {
   const std::size_t p = pending_docs_.size();
 
   // Drop the folded rows (the last p rows of V) and redo the batch as a
-  // proper SVD-update so the decomposition is orthonormal again.
-  la::DenseMatrix v_trunc(space.num_docs() - p, space.k());
-  for (index_t j = 0; j < space.k(); ++j) {
-    for (index_t i = 0; i < v_trunc.rows(); ++i) {
-      v_trunc(i, j) = space.v(i, j);
-    }
-  }
-  space.v = std::move(v_trunc);
+  // proper SVD-update so the decomposition is orthonormal again. The rows
+  // stay in their blocks for any snapshot that still shows them.
+  space.v.truncate(space.num_docs() - p);
   space.invalidate_doc_norms();
 
   const la::CscMatrix d =

@@ -1,5 +1,6 @@
 #include "lsi/io.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -30,6 +31,18 @@ constexpr std::uint32_t kMagic = 0x4C534932;  // "LSI2"
 /// because old writers never had a store; new readers load old files as
 /// uncompressed).
 constexpr std::uint64_t kBf16SectionMarker = 0x4246313656454331ULL;  // "BF16VEC1"
+/// Marker for the OPTIONAL trailing parser section: the query-side parser
+/// options, written only when they differ from the defaults, after the bf16
+/// section when both are present. A file without it loads with the default
+/// options, so default databases keep their bytes.
+constexpr std::uint64_t kParserSectionMarker = 0x5041525345524F31ULL;  // "PARSERO1"
+
+/// The parser options a query or fold-in document is weighted through, in
+/// their on-disk order (min_document_frequency acts only at build time).
+std::array<std::uint64_t, 5> parser_fields(const text::ParserOptions& p) {
+  return {p.tokenizer.min_length, p.remove_stopwords, p.fold_plurals, p.stem,
+          p.add_bigrams};
+}
 
 void write_u64(std::ostream& os, std::uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof v);
@@ -128,7 +141,7 @@ void save_database_impl(std::ostream& os, const LsiDatabase& db) {
   os.write(reinterpret_cast<const char*>(db.space.sigma.data()),
            static_cast<std::streamsize>(db.space.sigma.size() *
                                         sizeof(double)));
-  write_matrix(os, db.space.v);
+  write_matrix(os, db.space.v.to_dense());
   write_u64(os, db.vocabulary.size());
   for (const auto& t : db.vocabulary.terms()) write_string(os, t);
   write_u64(os, db.doc_labels.size());
@@ -153,6 +166,10 @@ void save_database_impl(std::ostream& os, const LsiDatabase& db) {
              static_cast<std::streamsize>(payload.size() *
                                           sizeof(std::uint16_t)));
   }
+  if (parser_fields(db.parser) != parser_fields(text::ParserOptions{})) {
+    write_u64(os, kParserSectionMarker);
+    for (const std::uint64_t f : parser_fields(db.parser)) write_u64(os, f);
+  }
   if (!os) throw std::runtime_error("lsi::io: write failed");
 }
 
@@ -169,11 +186,12 @@ LsiDatabase load_database_impl(std::istream& is) {
   if (k != db.space.u.cols()) {
     throw std::runtime_error("lsi::io: sigma does not match U's columns");
   }
-  db.space.sigma.resize(k);
-  is.read(reinterpret_cast<char*>(db.space.sigma.data()),
+  std::vector<double> sigma(k);
+  is.read(reinterpret_cast<char*>(sigma.data()),
           static_cast<std::streamsize>(k * sizeof(double)));
   if (!is) throw std::runtime_error("lsi::io: truncated stream");
-  check_finite(db.space.sigma, "sigma");
+  check_finite(sigma, "sigma");
+  db.space.sigma = std::move(sigma);
   db.space.v = read_matrix(is, "V entry");
   if (db.space.v.cols() != k) {
     throw std::runtime_error("lsi::io: V's columns do not match sigma");
@@ -210,13 +228,31 @@ LsiDatabase load_database_impl(std::istream& is) {
   is.read(reinterpret_cast<char*>(db.global_weights.data()),
           static_cast<std::streamsize>(ng * sizeof(double)));
   if (!is) throw std::runtime_error("lsi::io: truncated stream");
-  // Optional trailing bf16 section (see kBf16SectionMarker): detected by
-  // peeking past the last mandatory field. EOF here means an uncompressed
-  // database; anything else must be the marker.
-  if (is.peek() != std::istream::traits_type::eof()) {
-    if (read_u64(is) != kBf16SectionMarker) {
+  // Optional trailing sections (kBf16SectionMarker, kParserSectionMarker):
+  // detected by peeking past the last mandatory field. EOF here means an
+  // uncompressed database under default parser options; anything else must
+  // be a marker.
+  bool seen_bf16 = false, seen_parser = false;
+  while (is.peek() != std::istream::traits_type::eof()) {
+    const std::uint64_t marker = read_u64(is);
+    if (marker == kParserSectionMarker && !seen_parser) {
+      seen_parser = true;
+      std::array<std::uint64_t, 5> f{};
+      for (std::uint64_t& x : f) x = read_u64(is);
+      if (f[0] > 1024 || f[1] > 1 || f[2] > 1 || f[3] > 1 || f[4] > 1) {
+        throw std::runtime_error("lsi::io: bad parser section");
+      }
+      db.parser.tokenizer.min_length = f[0];
+      db.parser.remove_stopwords = f[1] != 0;
+      db.parser.fold_plurals = f[2] != 0;
+      db.parser.stem = f[3] != 0;
+      db.parser.add_bigrams = f[4] != 0;
+      continue;
+    }
+    if (marker != kBf16SectionMarker || seen_bf16 || seen_parser) {
       throw std::runtime_error("lsi::io: bad trailing section marker");
     }
+    seen_bf16 = true;
     const std::uint64_t ndocs = read_u64(is);
     const std::uint64_t kk = read_u64(is);
     if (ndocs != static_cast<std::uint64_t>(db.space.num_docs()) ||

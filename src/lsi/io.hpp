@@ -6,16 +6,30 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lsi/semantic_space.hpp"
 #include "lsi/status.hpp"
+#include "text/parser.hpp"
 #include "text/vocabulary.hpp"
 #include "weighting/weighting.hpp"
 
 namespace lsi::core {
 
 struct LsiDatabase {
+  LsiDatabase() = default;
+  LsiDatabase(SemanticSpace space_in, text::Vocabulary vocabulary_in,
+              std::vector<std::string> labels_in, weighting::Scheme scheme_in,
+              std::vector<double> global_weights_in,
+              text::ParserOptions parser_in = {})
+      : space(std::move(space_in)),
+        vocabulary(std::move(vocabulary_in)),
+        doc_labels(std::move(labels_in)),
+        scheme(scheme_in),
+        global_weights(std::move(global_weights_in)),
+        parser(parser_in) {}
+
   SemanticSpace space;
   text::Vocabulary vocabulary;
   std::vector<std::string> doc_labels;
@@ -24,6 +38,9 @@ struct LsiDatabase {
   /// (empty = all ones).
   weighting::Scheme scheme = weighting::kRaw;
   std::vector<double> global_weights;
+  /// Parser options queries and fold-ins are tokenized with, so a database
+  /// built with --stem or --bigrams matches the terms it indexed.
+  text::ParserOptions parser;
 };
 
 /// Serializes to a stream. Fails with Internal on write failure. Runs under

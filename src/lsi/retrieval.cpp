@@ -44,7 +44,7 @@ la::Vector project_query(const SemanticSpace& space,
 la::Vector project_term(const SemanticSpace& space,
                         std::span<const double> doc_vector) {
   assert(doc_vector.size() == space.num_docs());
-  la::Vector t_hat = la::multiply_transpose(space.v, doc_vector);
+  la::Vector t_hat = la::multiply_transpose(space.v.to_dense(), doc_vector);
   scale_by_sigma_inverse(t_hat, space.sigma);
   return t_hat;
 }

@@ -11,10 +11,11 @@
 
 namespace lsi::core {
 
-void SemanticSpace::fill_doc_norm_range(SimilarityMode mode, index_t begin,
-                                        index_t end,
-                                        std::vector<double>& norms) const {
+void SemanticSpace::fill_doc_norm_range(SimilarityMode mode, index_t end,
+                                        util::RowBlocks<double>& norms) const {
+  const index_t begin = norms.rows();
   const bool scale_docs = mode != SimilarityMode::kPlainV;
+  std::vector<double> fresh(end - begin);
   util::parallel_for_chunks(
       begin, end,
       [&](std::size_t lo, std::size_t hi) {
@@ -23,42 +24,46 @@ void SemanticSpace::fill_doc_norm_range(SimilarityMode mode, index_t begin,
         // what la::cosine would have computed.
         la::Vector doc(k());
         for (std::size_t j = lo; j < hi; ++j) {
+          const double* row = &v(j, 0);
           for (index_t i = 0; i < k(); ++i) {
-            doc[i] = v(j, i);
+            doc[i] = row[i * util::kBlockStride];
             if (scale_docs) doc[i] *= sigma[i];
           }
-          norms[j] = la::norm2(doc);
+          fresh[j - begin] = la::norm2(doc);
         }
       },
       /*grain=*/256);
+  norms.append(fresh.size(),
+               [&](std::size_t j, std::size_t) { return fresh[j]; });
 }
 
-const std::vector<double>& SemanticSpace::doc_norms(SimilarityMode mode) const {
+const util::RowBlocks<double>& SemanticSpace::doc_norms(
+    SimilarityMode mode) const {
   auto& cache = doc_norm_cache_[static_cast<std::size_t>(mode)];
   // Row-count mismatch means documents were appended (folding) since the
   // cache was built; same-size mutation must call invalidate_doc_norms().
-  if (cache.size() == num_docs()) {
+  if (cache.rows() == num_docs()) {
     obs::count("retrieval.norm_cache.hit");
     return cache;
   }
   obs::count("retrieval.norm_cache.miss");
   LSI_OBS_SPAN(span, "retrieval.norm_cache.fill");
-  std::vector<double> norms(num_docs());
-  fill_doc_norm_range(mode, 0, num_docs(), norms);
-  cache = std::move(norms);
+  cache = util::RowBlocks<double>(1);
+  fill_doc_norm_range(mode, num_docs(), cache);
   return cache;
 }
 
 const std::vector<double>& SemanticSpace::term_norms() const {
-  if (term_norm_cache_.size() != num_terms()) {
-    term_norm_cache_ = gather::term_norms(u, sigma);
+  if (term_norm_cache_ == nullptr || term_norm_cache_->size() != num_terms()) {
+    term_norm_cache_ = std::make_shared<const std::vector<double>>(
+        gather::term_norms(u, sigma));
   }
-  return term_norm_cache_;
+  return *term_norm_cache_;
 }
 
 void SemanticSpace::invalidate_doc_norms() noexcept {
-  for (auto& cache : doc_norm_cache_) cache.clear();
-  term_norm_cache_.clear();
+  for (auto& cache : doc_norm_cache_) cache = {};
+  term_norm_cache_.reset();
   bf16_store_.reset();  // the flag survives; the store rebuilds lazily
 }
 
@@ -74,16 +79,14 @@ void SemanticSpace::extend_doc_norms(index_t old_num_docs) const {
   for (std::size_t m = 0; m < kNumSimilarityModes; ++m) {
     auto& cache = doc_norm_cache_[m];
     if (cache.empty()) continue;  // cold stays cold, lazy fill handles it
-    if (cache.size() != old_num_docs || old_num_docs > num_docs()) {
+    if (cache.rows() != old_num_docs || old_num_docs > num_docs()) {
       // Cache does not correspond to the pre-append row count (or the
       // "append" shrank V): length-stale, drop it.
-      cache.clear();
+      cache = {};
       continue;
     }
     obs::count("retrieval.norm_cache.extend", num_docs() - old_num_docs);
-    cache.resize(num_docs());
-    fill_doc_norm_range(static_cast<SimilarityMode>(m), old_num_docs,
-                        num_docs(), cache);
+    fill_doc_norm_range(static_cast<SimilarityMode>(m), num_docs(), cache);
   }
   if (bf16_store_) {
     // Same append-only contract as the norm caches: a store built at the
@@ -132,7 +135,7 @@ la::Vector SemanticSpace::term_coords(index_t i) const {
 }
 
 la::DenseMatrix SemanticSpace::reconstruct() const {
-  return la::multiply_a_bt(la::scale_cols(u, sigma), v);
+  return la::multiply_a_bt(la::scale_cols(u, sigma.get()), v.to_dense());
 }
 
 Expected<SemanticSpace> try_build_semantic_space(const la::CscMatrix& a,
@@ -175,15 +178,18 @@ Expected<SemanticSpace> try_build_semantic_space(const la::CscMatrix& a,
 }
 
 void align_signs_to(SemanticSpace& space, const la::DenseMatrix& reference) {
-  const index_t cols = std::min(space.u.cols(), reference.cols());
+  la::DenseMatrix u = space.u;
+  la::DenseMatrix v = space.v.to_dense();
+  const index_t cols = std::min(u.cols(), reference.cols());
   for (index_t j = 0; j < cols; ++j) {
-    const double agreement =
-        la::dot(space.u.col(j), reference.col(j));
+    const double agreement = la::dot(u.col(j), reference.col(j));
     if (agreement < 0.0) {
-      la::scale(space.u.col(j), -1.0);
-      la::scale(space.v.col(j), -1.0);
+      la::scale(u.col(j), -1.0);
+      la::scale(v.col(j), -1.0);
     }
   }
+  space.u = std::move(u);
+  space.v = v;
 }
 
 double energy_captured(const std::vector<double>& sigma, index_t k) {

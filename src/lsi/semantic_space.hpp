@@ -9,12 +9,21 @@
 //
 // Terms live in the rows of U, documents in the rows of V. Everything
 // downstream (queries, folding-in, SVD-updating) operates on this struct.
+//
+// Storage is shared, so copying a space costs O(1) per field: U and sigma
+// are immutable values behind shared pointers (la/shared.hpp) that only an
+// assignment replaces, and V and the per-document norm caches are append-
+// only 512-row blocks (la/blocked_matrix.hpp) that copies share. A copy of
+// a space therefore never sees the rows its source appends later, and the
+// snapshot publish of lsi/concurrent.hpp costs what a fold-in appends.
 
 #include <array>
 #include <memory>
 #include <vector>
 
+#include "la/blocked_matrix.hpp"
 #include "la/lanczos.hpp"
+#include "la/shared.hpp"
 #include "la/sparse.hpp"
 #include "la/svd_types.hpp"
 #include "lsi/status.hpp"
@@ -37,9 +46,9 @@ enum class SimilarityMode {
 inline constexpr std::size_t kNumSimilarityModes = 3;
 
 struct SemanticSpace {
-  la::DenseMatrix u;           ///< m x k, term vectors in rows
-  std::vector<double> sigma;   ///< k singular values, descending
-  la::DenseMatrix v;           ///< n x k, document vectors in rows
+  la::SharedMatrix u;          ///< m x k, term vectors in rows
+  la::SharedVector sigma;      ///< k singular values, descending
+  la::BlockedMatrix v;         ///< n x k, document vectors in rows
 
   index_t k() const noexcept { return sigma.size(); }
   index_t num_terms() const noexcept { return u.rows(); }
@@ -54,8 +63,8 @@ struct SemanticSpace {
   /// that writes u/sigma/v directly must call invalidate_doc_norms(). A
   /// row-count guard additionally catches appended documents. The lazy fill
   /// is not safe under concurrent first use; call once before sharing a
-  /// space across threads.
-  const std::vector<double>& doc_norms(SimilarityMode mode) const;
+  /// space across threads. Stored in V's 512-row blocks, shared by copies.
+  const util::RowBlocks<double>& doc_norms(SimilarityMode mode) const;
 
   /// Drops every cached per-mode norm vector (call after mutating v/sigma).
   void invalidate_doc_norms() noexcept;
@@ -63,7 +72,8 @@ struct SemanticSpace {
   /// Per-term norms ||sigma .* u_i|| (gather::term_norms), the denominators
   /// of the facet scorer. Same cache protocol as doc_norms(): filled lazily
   /// and by prewarm_doc_norms(), dropped by invalidate_doc_norms(), refilled
-  /// when the row count of U changes. Appending documents leaves it valid.
+  /// when the row count of U changes. Appending documents leaves it valid,
+  /// and copies of the space share it.
   const std::vector<double>& term_norms() const;
 
   /// Eagerly fills the norm cache for every SimilarityMode and the term-norm
@@ -119,14 +129,15 @@ struct SemanticSpace {
 
  private:
   /// Shared fill kernel for the lazy fill / prewarm / append-extension
-  /// paths: computes norms for rows [begin, end) into `norms` (pre-sized).
-  void fill_doc_norm_range(SimilarityMode mode, index_t begin, index_t end,
-                           std::vector<double>& norms) const;
+  /// paths: appends the norms of rows [norms.rows(), end) to `norms`.
+  void fill_doc_norm_range(SimilarityMode mode, index_t end,
+                           util::RowBlocks<double>& norms) const;
 
-  /// One lazily-filled norm vector per SimilarityMode; empty = not computed.
-  mutable std::array<std::vector<double>, kNumSimilarityModes> doc_norm_cache_;
-  /// Lazily-filled term_norms(); size != num_terms() = not computed.
-  mutable std::vector<double> term_norm_cache_;
+  /// One lazily-filled norm array per SimilarityMode; empty = not computed.
+  mutable std::array<util::RowBlocks<double>, kNumSimilarityModes>
+      doc_norm_cache_;
+  /// Lazily-filled term_norms(); null or size != num_terms() = not computed.
+  mutable std::shared_ptr<const std::vector<double>> term_norm_cache_;
 
   /// Compressed-store request flag + lazily-built immutable store (shared
   /// with copies of this space until a mutation invalidates it).
@@ -163,6 +174,9 @@ void align_signs_to(SemanticSpace& space, const la::DenseMatrix& reference);
 /// Orthogonality loss ||Q^T Q - I||_2 (spectral norm), the Section 4.3
 /// measure of how much folding-in has corrupted a basis.
 double orthogonality_loss(const la::DenseMatrix& q);
+inline double orthogonality_loss(const la::BlockedMatrix& q) {
+  return orthogonality_loss(q.to_dense());
+}
 
 /// Fraction of the matrix's squared Frobenius norm captured by the first k
 /// singular values of `sigma` (Theorem 2.1: ||A||_F^2 = sum sigma_i^2).

@@ -31,7 +31,6 @@ la::DenseMatrix update_documents(SemanticSpace& space,
   assert(d.rows() == space.num_terms());
   const index_t k = space.k();
   const index_t p = d.cols();
-  const index_t n = space.num_docs();
   if (p == 0) return la::DenseMatrix::identity(k);
   LSI_OBS_SPAN(span, "update.documents");
   obs::count("update.documents_added", p);
@@ -58,12 +57,8 @@ la::DenseMatrix update_documents(SemanticSpace& space,
     for (index_t i = 0; i < k; ++i) vf_top(i, j) = fs.v(i, j);
     for (index_t i = 0; i < p; ++i) vf_bottom(i, j) = fs.v(k + i, j);
   }
-  la::DenseMatrix new_v(n + p, k);
-  la::DenseMatrix rotated = la::multiply(space.v, vf_top);
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) new_v(i, j) = rotated(i, j);
-    for (index_t i = 0; i < p; ++i) new_v(n + i, j) = vf_bottom(i, j);
-  }
+  la::BlockedMatrix new_v = space.v.multiply(vf_top);
+  new_v.append_rows(vf_bottom);
   space.v = std::move(new_v);
   space.sigma = std::move(fs.s);
   space.invalidate_doc_norms();
@@ -112,7 +107,7 @@ void update_terms(SemanticSpace& space, const la::CscMatrix& t) {
     for (index_t i = 0; i < q; ++i) new_u(m + i, j) = uh_bottom(i, j);
   }
   space.u = std::move(new_u);
-  space.v = la::multiply(space.v, hs.v);
+  space.v = la::multiply(space.v.to_dense(), hs.v);
   space.sigma = std::move(hs.s);
   space.invalidate_doc_norms();
 }
@@ -125,8 +120,9 @@ void update_weights(SemanticSpace& space, const la::DenseMatrix& y,
   const index_t k = space.k();
 
   // Q = S_k + (U_k^T Y)(V_k^T Z)^T, a k x k dense matrix.
+  const la::DenseMatrix v = space.v.to_dense();         // n x k
   la::DenseMatrix uty = la::multiply_at_b(space.u, y);  // k x j
-  la::DenseMatrix vtz = la::multiply_at_b(space.v, z);  // k x j
+  la::DenseMatrix vtz = la::multiply_at_b(v, z);        // k x j
   la::DenseMatrix qm = la::multiply_a_bt(uty, vtz);     // k x k
   for (index_t i = 0; i < k; ++i) qm(i, i) += space.sigma[i];
 
@@ -134,7 +130,7 @@ void update_weights(SemanticSpace& space, const la::DenseMatrix& y,
   qs.truncate(k);
 
   space.u = la::multiply(space.u, qs.u);
-  space.v = la::multiply(space.v, qs.v);
+  space.v = la::multiply(v, qs.v);
   space.sigma = std::move(qs.s);
   space.invalidate_doc_norms();
 }
@@ -206,9 +202,10 @@ void update_terms_exact(SemanticSpace& space, const la::CscMatrix& t) {
 
   // T = (T V) V^T + residual; QR the residual's transpose (n x q).
   const la::DenseMatrix td = t.to_dense();               // q x n
-  const la::DenseMatrix tv = la::multiply(td, space.v);  // T V, q x k
+  const la::DenseMatrix v = space.v.to_dense();          // n x k
+  const la::DenseMatrix tv = la::multiply(td, v);        // T V, q x k
   la::DenseMatrix resid_t = td.transposed();                    // n x q
-  resid_t.add_scaled(la::multiply_a_bt(space.v, tv), -1.0);     // n x q
+  resid_t.add_scaled(la::multiply_a_bt(v, tv), -1.0);           // n x q
   const la::QrResult rq = la::qr_decompose(resid_t);            // Q: n x q
 
   // K = [[Sigma, 0], [T V, R_r^T]], (k+q) x (k+q); then
@@ -234,7 +231,7 @@ void update_terms_exact(SemanticSpace& space, const la::CscMatrix& t) {
   }
   space.u = std::move(new_u);
   // V' = [V Q] V_K.
-  space.v = la::multiply(hstack(space.v, rq.q), ks.v);
+  space.v = la::multiply(hstack(v, rq.q), ks.v);
   space.sigma = std::move(ks.s);
   space.invalidate_doc_norms();
 }
@@ -254,9 +251,10 @@ void update_weights_exact(SemanticSpace& space, const la::DenseMatrix& y,
   ry.add_scaled(la::multiply(space.u, uty), -1.0);
   const la::QrResult qy = la::qr_decompose(ry);               // Q: m x j
 
-  const la::DenseMatrix vtz = la::multiply_at_b(space.v, z);  // k x j
+  const la::DenseMatrix v = space.v.to_dense();               // n x k
+  const la::DenseMatrix vtz = la::multiply_at_b(v, z);        // k x j
   la::DenseMatrix rz = z;
-  rz.add_scaled(la::multiply(space.v, vtz), -1.0);
+  rz.add_scaled(la::multiply(v, vtz), -1.0);
   const la::QrResult qz = la::qr_decompose(rz);               // Q: n x j
 
   // K = [[Sigma, 0], [0, 0]] + [U^T Y; R_y] [V^T Z; R_z]^T, (k+j) square.
@@ -271,7 +269,7 @@ void update_weights_exact(SemanticSpace& space, const la::DenseMatrix& y,
   ks.truncate(k);
 
   space.u = la::multiply(hstack(space.u, qy.q), ks.u);
-  space.v = la::multiply(hstack(space.v, qz.q), ks.v);
+  space.v = la::multiply(hstack(v, qz.q), ks.v);
   space.sigma = std::move(ks.s);
   space.invalidate_doc_norms();
 }

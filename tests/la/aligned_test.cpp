@@ -95,7 +95,7 @@ TEST(AlignedStorage, IndexFactorsAreAlignedAndRankingsReproducible) {
   // The factor matrices the Eq. 6 hot path sweeps are the point of the
   // whole exercise: their bases must be cache-line aligned.
   EXPECT_TRUE(is_aligned64(index.space().u.data()));
-  EXPECT_TRUE(is_aligned64(index.space().v.data()));
+  EXPECT_TRUE(is_aligned64(index.space().v.block(0)));
 
   // Build-to-build and query-to-query reproducibility on aligned storage:
   // the allocator changes where the bytes live, never what they are.

@@ -272,7 +272,7 @@ void expect_regroup_of_assignment(const AnnIndex& base, const AnnIndex& grown,
     for (std::size_t t = 0; t < docs.size(); ++t) {
       for (index_t i = 0; i < k; ++i) {
         rows[t * k + i] = space.v(docs[t], i);
-        if (store != nullptr) rows16[t * k + i] = store->col(i)[docs[t]];
+        if (store != nullptr) rows16[t * k + i] = store->word(docs[t], i);
       }
     }
     EXPECT_EQ(std::memcmp(rows.data(), grown.cluster_rows(c).data(),

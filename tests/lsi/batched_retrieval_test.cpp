@@ -104,17 +104,20 @@ TEST(BatchedRetrieval, TiesBreakByAscendingDocIndex) {
   // Documents 2 and 5 occupy the same point in factor space, so their
   // cosines are computed from identical inputs and must tie exactly; the
   // deterministic order puts the lower index first.
-  SemanticSpace space;
   util::Rng rng(31);
   const index_t m = 12, n = 8, k = 3;
-  space.u = la::DenseMatrix(m, k);
-  space.v = la::DenseMatrix(n, k);
+  la::DenseMatrix u(m, k), v(n, k);
+  std::vector<double> sigma;
   for (index_t j = 0; j < k; ++j) {
-    for (auto& x : space.u.col(j)) x = rng.normal();
-    for (auto& x : space.v.col(j)) x = rng.normal();
-    space.sigma.push_back(static_cast<double>(k - j));
+    for (auto& x : u.col(j)) x = rng.normal();
+    for (auto& x : v.col(j)) x = rng.normal();
+    sigma.push_back(static_cast<double>(k - j));
   }
-  for (index_t i = 0; i < k; ++i) space.v(5, i) = space.v(2, i);
+  for (index_t i = 0; i < k; ++i) v(5, i) = v(2, i);
+  SemanticSpace space;
+  space.u = std::move(u);
+  space.v = v;
+  space.sigma = std::move(sigma);
 
   const auto queries = sparse_queries(m, 3, 41);
   for (const auto& q : queries) {
@@ -295,7 +298,9 @@ TEST(BatchedRetrieval, DocNormCacheInvalidatesOnMutation) {
   // Fill the cache, then mutate V in place (same row count, so only the
   // explicit invalidation protects against stale norms).
   (void)retrieve(space, queries[0], {});
-  for (index_t i = 0; i < space.k(); ++i) space.v(3, i) *= 2.5;
+  la::DenseMatrix v = space.v.to_dense();
+  for (index_t i = 0; i < space.k(); ++i) v(3, i) *= 2.5;
+  space.v = v;
   space.invalidate_doc_norms();
 
   SemanticSpace fresh;

@@ -34,15 +34,17 @@ using la::kern::bf16_to_f32;
 
 SemanticSpace random_space(la::index_t n, la::index_t k, std::uint64_t seed) {
   util::Rng rng(seed);
-  SemanticSpace space;
-  space.u = la::DenseMatrix(4, k);
-  space.v = la::DenseMatrix(n, k);
-  space.sigma.resize(k);
+  la::DenseMatrix u(4, k), v(n, k);
+  std::vector<double> sigma(k);
   for (la::index_t i = 0; i < k; ++i) {
-    space.sigma[i] = 2.0 / (1.0 + static_cast<double>(i));
-    for (la::index_t j = 0; j < n; ++j) space.v(j, i) = rng.normal();
-    for (la::index_t j = 0; j < 4; ++j) space.u(j, i) = rng.normal();
+    sigma[i] = 2.0 / (1.0 + static_cast<double>(i));
+    for (la::index_t j = 0; j < n; ++j) v(j, i) = rng.normal();
+    for (la::index_t j = 0; j < 4; ++j) u(j, i) = rng.normal();
   }
+  SemanticSpace space;
+  space.u = std::move(u);
+  space.v = v;
+  space.sigma = std::move(sigma);
   return space;
 }
 
@@ -113,7 +115,7 @@ TEST(Bf16Store, BuildEncodesEveryEntryCanonically) {
   ASSERT_EQ(store->k(), space.k());
   for (la::index_t i = 0; i < space.k(); ++i) {
     for (la::index_t j = 0; j < space.num_docs(); ++j) {
-      ASSERT_EQ(store->col(i)[j], bf16_from_f64(space.v(j, i)))
+      ASSERT_EQ(store->word(j, i), bf16_from_f64(space.v(j, i)))
           << "i=" << i << " j=" << j;
     }
   }
@@ -130,7 +132,7 @@ TEST(Bf16Store, NormsAreDecodedValueNorms) {
     for (la::index_t j = 0; j < space.num_docs(); ++j) {
       la::Vector doc(space.k());
       for (la::index_t i = 0; i < space.k(); ++i) {
-        doc[i] = static_cast<double>(bf16_to_f32(store->col(i)[j]));
+        doc[i] = static_cast<double>(bf16_to_f32(store->word(j, i)));
         if (scaled) doc[i] *= space.sigma[i];
       }
       ASSERT_EQ(norms[j], la::norm2(doc)) << "j=" << j;
@@ -191,7 +193,7 @@ TEST(Bf16Store, SpaceExtendHookKeepsStoreConsistent) {
 
   const la::index_t n0 = space.num_docs();
   const auto tail = random_space(6, 4, 16);
-  space.v.append_rows(tail.v);
+  space.v.append_rows(tail.v.to_dense());
   space.extend_doc_norms(n0);
 
   const Bf16DocStore* got = space.compressed_docs();
@@ -217,12 +219,14 @@ TEST(Bf16Store, InvalidateDropsStoreButKeepsFlag) {
   space.set_compress_docs(true);
   const Bf16DocStore* first = space.compressed_docs();
   ASSERT_NE(first, nullptr);
-  space.v(0, 0) += 1.0;  // same-shape mutation
+  la::DenseMatrix v = space.v.to_dense();
+  v(0, 0) += 1.0;  // same-shape mutation
+  space.v = v;
   space.invalidate_doc_norms();
   EXPECT_TRUE(space.compress_docs());
   const Bf16DocStore* second = space.compressed_docs();
   ASSERT_NE(second, nullptr);
-  EXPECT_EQ(second->col(0)[0], bf16_from_f64(space.v(0, 0)));
+  EXPECT_EQ(second->word(0, 0), bf16_from_f64(space.v(0, 0)));
 }
 
 // --- .lsidb serialization ---------------------------------------------------

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -200,6 +201,98 @@ TEST(Concurrent, FoldInPublishesNeverRefillNormCaches) {
             core::kNumSimilarityModes);
 }
 
+/// Everything a snapshot lets a reader see, copied out element by element.
+struct DeepCopy {
+  std::vector<double> u, sigma, v;
+  std::vector<std::vector<double>> norms;
+  std::vector<std::string> labels;
+  std::vector<std::vector<core::index_t>> docs;
+  std::vector<std::vector<double>> rows;
+
+  explicit DeepCopy(const core::IndexSnapshot& snap) {
+    const core::SemanticSpace& sp = snap.space();
+    u.assign(sp.u.data(), sp.u.data() + sp.num_terms() * sp.k());
+    sigma.assign(sp.sigma.begin(), sp.sigma.end());
+    const la::DenseMatrix dense = sp.v.to_dense();
+    v.assign(dense.data(), dense.data() + sp.num_docs() * sp.k());
+    for (std::size_t m = 0; m < core::kNumSimilarityModes; ++m) {
+      norms.push_back(
+          sp.doc_norms(static_cast<core::SimilarityMode>(m)).to_vector());
+    }
+    labels = snap.doc_labels().to_vector();
+    for (core::index_t c = 0; c < snap.ann()->num_centroids(); ++c) {
+      docs.push_back(snap.ann()->cluster_docs(c));
+      rows.push_back(snap.ann()->cluster_rows(c));
+    }
+  }
+
+  friend bool operator==(const DeepCopy&, const DeepCopy&) = default;
+};
+
+TEST(Concurrent, FoldInPublishSharesWhatItDidNotChange) {
+  synth::CorpusSpec spec;
+  spec.topics = 10;
+  spec.docs_per_topic = 90;
+  spec.seed = 23;
+  const auto corpus = synth::generate_corpus(spec);
+  ASSERT_GE(corpus.docs.size(), 850u);
+  core::ConcurrentOptions opts;
+  opts.consolidate_every = 0;  // fold-ins only, until consolidate() below
+  opts.ann.exact_cutoff = 64;  // an ANN structure from the base index on
+  core::ConcurrentIndexer indexer(base_index(corpus, 300), opts);
+  const std::uint64_t base_build = indexer.snapshot()->ann()->build_generation();
+
+  // Grow past one full 512-row block, then take two fold-in publishes.
+  for (std::size_t d = 300; d < 540; ++d) {
+    ASSERT_TRUE(indexer.add(corpus.docs[d]).ok());
+  }
+  indexer.flush();
+  const auto a = indexer.snapshot();
+  ASSERT_TRUE(indexer.add(corpus.docs[540]).ok());
+  indexer.flush();
+  const auto b = indexer.snapshot();
+  ASSERT_EQ(b->generation(), a->generation() + 1);
+  ASSERT_EQ(b->space().num_docs(), 541u);
+
+  // The publish shared U, sigma, the term norms, every block of V, the
+  // norms and the labels, and the ANN base; it copied none of them.
+  const core::SemanticSpace& sa = a->space();
+  const core::SemanticSpace& sb = b->space();
+  EXPECT_TRUE(sa.u.same_object(sb.u));
+  EXPECT_TRUE(sa.sigma.same_object(sb.sigma));
+  EXPECT_EQ(&sa.term_norms(), &sb.term_norms());
+  ASSERT_EQ(sa.v.num_blocks(), 2u);
+  for (std::size_t blk = 0; blk < sa.v.num_blocks(); ++blk) {
+    EXPECT_TRUE(sa.v.shares_block(sb.v, blk)) << "V block " << blk;
+    EXPECT_TRUE(a->doc_labels().shares_block(b->doc_labels(), blk))
+        << "label block " << blk;
+    for (std::size_t m = 0; m < core::kNumSimilarityModes; ++m) {
+      const auto mode = static_cast<core::SimilarityMode>(m);
+      EXPECT_TRUE(sa.doc_norms(mode).shares_block(sb.doc_norms(mode), blk))
+          << "norm block " << blk << " mode " << m;
+    }
+  }
+  ASSERT_NE(a->ann(), nullptr);
+  EXPECT_TRUE(a->ann()->shares_base(*b->ann()));
+
+  // Pinned bytes never change: 300 more fold-ins with 3 consolidations (the
+  // first past twice the build's size rebuilds the ANN structure), compared
+  // against a deep copy while the writer runs and after it is done.
+  const DeepCopy pinned(*a);
+  for (std::size_t d = 541; d < 841; ++d) {
+    ASSERT_TRUE(indexer.add(corpus.docs[d]).ok());
+    EXPECT_TRUE(DeepCopy(*a) == pinned) << "doc " << d;
+    if (d % 100 == 40) {
+      ASSERT_TRUE(indexer.consolidate().ok());
+    }
+  }
+  indexer.flush();
+  EXPECT_EQ(indexer.consolidations(), 3u);
+  EXPECT_NE(indexer.snapshot()->ann()->build_generation(), base_build);
+  EXPECT_EQ(indexer.snapshot()->space().num_docs(), 841u);
+  EXPECT_TRUE(DeepCopy(*a) == pinned);
+}
+
 TEST(Concurrent, BatchChoppingDoesNotChangeTheIndex) {
   // Replicas see the same document sequence in differently-sized writer
   // batches; folding a batch in runs between consolidation boundaries must
@@ -244,8 +337,8 @@ TEST(Concurrent, BatchChoppingDoesNotChangeTheIndex) {
   EXPECT_LT(batched.publishes(), single.publishes());
   const auto a = single.snapshot();
   const auto b = batched.snapshot();
-  const la::DenseMatrix& va = a->space().v;
-  const la::DenseMatrix& vb = b->space().v;
+  const la::DenseMatrix va = a->space().v.to_dense();
+  const la::DenseMatrix vb = b->space().v.to_dense();
   ASSERT_EQ(va.rows(), 60u);
   ASSERT_EQ(vb.rows(), va.rows());
   ASSERT_EQ(vb.cols(), va.cols());
@@ -261,10 +354,10 @@ TEST(Concurrent, BatchChoppingDoesNotChangeTheIndex) {
     const auto da = a->ann()->cluster_docs(c);
     const auto db = b->ann()->cluster_docs(c);
     ASSERT_EQ(da.size(), db.size()) << "centroid " << c;
-    EXPECT_EQ(std::memcmp(da.data(), db.data(), da.size_bytes()), 0);
+    EXPECT_EQ(std::memcmp(da.data(), db.data(), da.size() * sizeof(da[0])), 0);
     const auto ra = a->ann()->cluster_rows(c);
     const auto rb = b->ann()->cluster_rows(c);
-    EXPECT_EQ(std::memcmp(ra.data(), rb.data(), ra.size_bytes()), 0);
+    EXPECT_EQ(std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(ra[0])), 0);
   }
 }
 

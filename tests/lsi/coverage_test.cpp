@@ -64,6 +64,45 @@ TEST(IoV2, DefaultSchemeRoundTrips) {
   EXPECT_TRUE(loaded.global_weights.empty());
 }
 
+TEST(IoV2, ParserOptionsRoundTripAndDefaultsAddNoBytes) {
+  core::LsiDatabase db;
+  db.space = paper_space(2);
+  db.vocabulary = text::Vocabulary(data::table3_terms());
+  std::stringstream plain;
+  core::try_save_database(plain, db).or_throw();
+  const std::string plain_bytes = plain.str();
+  // Only min_document_frequency differs: it acts at build time alone, so
+  // the file keeps the default bytes.
+  db.parser.min_document_frequency = 2;
+  std::stringstream same;
+  core::try_save_database(same, db).or_throw();
+  EXPECT_EQ(same.str(), plain_bytes);
+
+  db.parser.stem = true;
+  db.parser.add_bigrams = true;
+  db.parser.remove_stopwords = false;
+  db.parser.tokenizer.min_length = 3;
+  std::stringstream buffer;
+  core::try_save_database(buffer, db).or_throw();
+  const std::string bytes = buffer.str();
+  EXPECT_EQ(bytes.size(), plain_bytes.size() + 6 * sizeof(std::uint64_t));
+  auto loaded = core::try_load_database(buffer).value();
+  EXPECT_TRUE(loaded.parser.stem);
+  EXPECT_TRUE(loaded.parser.add_bigrams);
+  EXPECT_FALSE(loaded.parser.remove_stopwords);
+  EXPECT_FALSE(loaded.parser.fold_plurals);
+  EXPECT_EQ(loaded.parser.tokenizer.min_length, 3u);
+
+  // A flag that is neither 0 nor 1 is a corrupt section.
+  std::string bad = bytes;
+  bad[bad.size() - sizeof(std::uint64_t)] = 7;  // add_bigrams
+  std::stringstream corrupt(bad);
+  const auto status = core::try_load_database(corrupt);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.status().message().find("parser section"),
+            std::string::npos);
+}
+
 TEST(SimilarityModes, AllProduceValidRankings) {
   auto space = paper_space(4);
   const auto q_hat = core::project_query(space, paper_query_raw());

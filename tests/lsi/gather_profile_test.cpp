@@ -42,7 +42,7 @@ using la::index_t;
 
 SparseTermVector oracle_term_profile(const la::DenseMatrix& u,
                                      const std::vector<double>& sigma,
-                                     const la::DenseMatrix& v, index_t doc_row,
+                                     const la::BlockedMatrix& v, index_t doc_row,
                                      const text::Vocabulary& vocabulary,
                                      std::size_t top_terms = 64) {
   la::Vector coords = v.row(doc_row);
@@ -78,7 +78,7 @@ bool facet_before(const Facet& a, const Facet& b) {
 
 std::vector<Facet> oracle_shard_facets(const la::DenseMatrix& u,
                                        const std::vector<double>& sigma,
-                                       const la::DenseMatrix& v,
+                                       const la::BlockedMatrix& v,
                                        const text::Vocabulary& vocabulary,
                                        const std::vector<index_t>& doc_rows,
                                        std::size_t top_terms) {
@@ -400,7 +400,9 @@ TEST(GatherFacetOracle, TermNormsFollowTheDocNormCacheProtocol) {
   EXPECT_EQ(copy.term_norms(), before);
 
   // A rotation invalidates it and the next read refills from the new U.
-  la::scale(space.u.col(0), 2.0);
+  la::DenseMatrix u = space.u;
+  la::scale(u.col(0), 2.0);
+  space.u = std::move(u);
   space.invalidate_doc_norms();
   EXPECT_EQ(space.term_norms(), gather::term_norms(space.u, space.sigma));
   EXPECT_NE(space.term_norms(), before);

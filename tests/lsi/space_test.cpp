@@ -82,8 +82,11 @@ TEST(AlignSigns, MatchesReferenceOrientation) {
   auto space = try_build_semantic_space(a, 3).value();
   // Flip a column, then align back to the original orientation.
   auto reference = space.u;
-  la::scale(space.u.col(1), -1.0);
-  la::scale(space.v.col(1), -1.0);
+  la::DenseMatrix u = space.u, v = space.v.to_dense();
+  la::scale(u.col(1), -1.0);
+  la::scale(v.col(1), -1.0);
+  space.u = std::move(u);
+  space.v = v;
   align_signs_to(space, reference);
   EXPECT_LT(la::max_abs_diff(space.u, reference), 1e-12);
 }

@@ -148,15 +148,17 @@ la::Vector oracle_projection(const SemanticSpace& space,
 SemanticSpace random_space(index_t m, index_t n, index_t k,
                            std::uint64_t seed) {
   util::Rng rng(seed);
-  SemanticSpace space;
-  space.u = la::DenseMatrix(m, k);
-  space.v = la::DenseMatrix(n, k);
-  space.sigma.resize(k);
+  la::DenseMatrix u(m, k), v(n, k);
+  std::vector<double> sigma(k);
   for (index_t j = 0; j < k; ++j) {
-    for (auto& x : space.u.col(j)) x = rng.normal();
-    for (auto& x : space.v.col(j)) x = rng.normal();
-    space.sigma[j] = 10.0 / static_cast<double>(j + 1);
+    for (auto& x : u.col(j)) x = rng.normal();
+    for (auto& x : v.col(j)) x = rng.normal();
+    sigma[j] = 10.0 / static_cast<double>(j + 1);
   }
+  SemanticSpace space;
+  space.u = std::move(u);
+  space.v = v;
+  space.sigma = std::move(sigma);
   return space;
 }
 
@@ -257,7 +259,9 @@ TEST(SparseProjection, BitIdenticalToDenseDotUnderEveryKernel) {
   ForceGuard guard;
   const index_t m = 61;  // not a multiple of 4
   SemanticSpace space = random_space(m, 30, 7, 5);
-  space.sigma[3] = 0.0;  // a zero singular value maps to zero
+  std::vector<double> sigma = space.sigma;
+  sigma[3] = 0.0;  // a zero singular value maps to zero
+  space.sigma = std::move(sigma);
 
   std::vector<la::SparseVector> queries = random_queries(m, 12, 9);
   queries.push_back({});                               // all OOV: empty

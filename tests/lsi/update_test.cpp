@@ -54,7 +54,7 @@ TEST(UpdateDocuments, EqualsRecomputeOfProjectedMatrix) {
   auto space = core::try_build_semantic_space(a, k).value();
   const auto u_before = space.u;
   const auto sigma_before = space.sigma;
-  const auto v_before = space.v;
+  const auto v_before = space.v.to_dense();
 
   // Build (A_k | P_U D) explicitly.
   auto ak = la::multiply_a_bt(la::scale_cols(u_before, sigma_before),
@@ -207,7 +207,7 @@ TEST(UpdateOrder, DocumentsThenTermsMatchesRecompute) {
   for (index_t j = 0; j < 8; ++j) {
     for (index_t i = 0; i < 3; ++i) c(i, j) = rng.normal();
   }
-  auto t = la::multiply_a_bt(c, space.v);  // 3 x (n+p)
+  auto t = la::multiply_a_bt(c, space.v.to_dense());  // 3 x (n+p)
   core::update_terms(space, la::CscMatrix::from_dense(t));
 
   auto big = a.with_appended_cols(d).to_dense();
