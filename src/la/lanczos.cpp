@@ -7,6 +7,8 @@
 
 #include "la/jacobi_svd.hpp"
 #include "la/kernels.hpp"
+#include "la/ritz_check.hpp"
+#include "la/tridiag_eig.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
 
@@ -14,9 +16,10 @@ namespace lsi::la {
 
 namespace {
 
-/// Two passes of classical Gram-Schmidt of `w` against the first `count`
-/// columns of `basis`. Full (not selective) reorthogonalization: at LSI
-/// problem sizes the O(j * n) cost per step is cheap insurance against the
+/// Two passes of modified Gram-Schmidt of `w` against the first `count`
+/// columns of `basis` (each projection is taken against the already-updated
+/// `w`). Full (not selective) reorthogonalization: at LSI problem sizes the
+/// O(j * n) cost per step is cheap insurance against the
 /// ghost-singular-value problem of plain Lanczos.
 void reorthogonalize(std::span<double> w, const DenseMatrix& basis,
                      index_t count) {
@@ -65,6 +68,31 @@ DenseMatrix build_bidiagonal(const std::vector<double>& alphas,
 
 }  // namespace
 
+index_t ritz_converged(std::span<const double> alphas,
+                       std::span<const double> betas, index_t k, double tol) {
+  const index_t j = alphas.size();
+  assert(betas.size() == j);
+  if (j == 0) return k;
+  std::vector<double> off(2 * j - 1);
+  for (index_t i = 0; i < j; ++i) {
+    off[2 * i] = alphas[i];
+    if (i + 1 < j) off[2 * i + 1] = betas[i];
+  }
+  const TridiagEig eig =
+      tridiag_eigen_last_row(std::vector<double>(2 * j, 0.0), std::move(off));
+  // Ascending values: +sigma_i sits at 2j - 1 - i and -sigma_i at i.
+  const double sigma1 = eig.values.back();
+  if (sigma1 == 0.0) return k;
+  const double beta_tail = betas[j - 1];
+  index_t good = 0;
+  for (index_t i = 0; i < std::min(k, j); ++i) {
+    const double p_last =
+        std::hypot(eig.vectors(0, 2 * j - 1 - i), eig.vectors(0, i));
+    if (std::fabs(beta_tail * p_last) / sigma1 <= tol) ++good;
+  }
+  return good;
+}
+
 SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
                       LanczosStats* stats) {
   LSI_OBS_SPAN(span_total, "lanczos");
@@ -100,25 +128,10 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
 
   Vector scratch_m(m), scratch_n(n);
   bool exhausted = false;
-  SvdResult small;  // SVD of the bidiagonal projection
 
   // Checks are periodic once the basis could possibly contain k triplets.
   const index_t check_margin = std::max<index_t>(8, k / 8);
   index_t next_check = std::min<index_t>(max_dim, k + check_margin);
-
-  auto converged_count = [&](const SvdResult& s, index_t dim) -> index_t {
-    if (exhausted || dim == minmn) return k;  // spectrum fully captured
-    const double sigma1 = s.s.empty() ? 0.0 : s.s[0];
-    if (sigma1 == 0.0) return k;
-    const double beta_tail = betas[dim - 1];
-    index_t good = 0;
-    const index_t keep = std::min<index_t>(k, dim);
-    for (index_t i = 0; i < keep; ++i) {
-      const double resid = std::fabs(beta_tail * s.u(dim - 1, i)) / sigma1;
-      if (resid <= opts.tol) ++good;
-    }
-    return good;
-  };
 
   // Measured flops of the dominant kernels; recorded into st.flops and the
   // active obs sink at exit. One reorthogonalize(w, basis, count) costs two
@@ -187,10 +200,11 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
       std::copy(scratch_n.begin(), scratch_n.end(), vbasis.col(j).begin());
     }
 
+    // A check never sees an exhausted space or j == minmn (both end the
+    // loop first), so the residual test alone decides.
     if (j >= next_check && j < max_dim) {
       LSI_OBS_SPAN(span_check, "lanczos.ritz_check");
-      small = jacobi_svd(build_bidiagonal(alphas, betas, j));
-      if (converged_count(small, j) >= std::min<index_t>(k, j)) break;
+      if (ritz_converged(alphas, betas, k, opts.tol) >= std::min(k, j)) break;
       next_check = std::min<index_t>(max_dim, j + std::max<index_t>(8, k / 4));
     }
   }
@@ -199,6 +213,7 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
   st.steps = dim;
   if (dim == 0) return out;
 
+  SvdResult small;  // SVD of the bidiagonal projection: the final factors
   {
     LSI_OBS_SPAN(span_check, "lanczos.ritz_check");
     small = jacobi_svd(build_bidiagonal(alphas, betas, dim));

@@ -37,8 +37,9 @@ struct LanczosStats {
   double max_residual = 0.0;    ///< worst accepted Ritz residual / sigma_1
   /// Measured flops of the dominant kernels: matvecs (via
   /// LinearOperator::apply_flops), Gram-Schmidt reorthogonalization, and the
-  /// final basis-rotation GEMMs. Ritz-check bidiagonal SVDs are excluded
-  /// (O(steps^3), negligible at LSI shapes), so this slightly undercounts.
+  /// final basis-rotation GEMMs. Excluded, so this undercounts: the periodic
+  /// Ritz checks (O(steps^2) each, la/ritz_check.hpp) and the one
+  /// O(steps^3) bidiagonal SVD at exit that yields the factors.
   /// Compare against the Section 4.2 model via lsi::flops to get the
   /// predicted-vs-actual rows the benches emit.
   std::uint64_t flops = 0;

@@ -12,11 +12,17 @@ namespace {
 
 double hypot2(double a, double b) { return std::hypot(a, b); }
 
-}  // namespace
-
-TridiagEig tridiag_eigen(std::vector<double> diag, std::vector<double> off) {
+/// Implicit-shift QL on the tridiagonal (diag, off). Every rotation is
+/// applied to the columns of `z`, which holds rows of the identity on entry:
+/// all n rows accumulate the full eigenvector matrix in O(n^3), one row
+/// accumulates just that row of it in O(n^2). Values come out ascending with
+/// the columns of `z` permuted alongside.
+TridiagEig tql(std::vector<double> diag, std::vector<double> off,
+               DenseMatrix z) {
   const std::size_t n = diag.size();
+  const std::size_t rows = z.rows();
   assert(off.size() + 1 == n || (n == 0 && off.empty()));
+  assert(z.cols() == n);
   TridiagEig out;
   if (n == 0) return out;
 
@@ -25,8 +31,6 @@ TridiagEig tridiag_eigen(std::vector<double> diag, std::vector<double> off) {
   std::vector<double> e(n, 0.0);
   for (std::size_t i = 1; i < n; ++i) e[i - 1] = off[i - 1];
   e[n - 1] = 0.0;
-
-  DenseMatrix z = DenseMatrix::identity(n);
 
   for (std::size_t l = 0; l < n; ++l) {
     int iterations = 0;
@@ -68,8 +72,8 @@ TridiagEig tridiag_eigen(std::vector<double> diag, std::vector<double> off) {
         p = s * r;
         d[i + 1] = g + p;
         g = c * r - b;
-        // Accumulate the rotation into the eigenvector matrix.
-        for (std::size_t k = 0; k < n; ++k) {
+        // Accumulate the rotation into the kept eigenvector rows.
+        for (std::size_t k = 0; k < rows; ++k) {
           f = z(k, i + 1);
           z(k, i + 1) = s * z(k, i) + c * f;
           z(k, i) = c * z(k, i) - s * f;
@@ -88,14 +92,29 @@ TridiagEig tridiag_eigen(std::vector<double> diag, std::vector<double> off) {
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return d[a] < d[b]; });
   out.values.resize(n);
-  out.vectors = DenseMatrix(n, n);
+  out.vectors = DenseMatrix(rows, n);
   for (std::size_t j = 0; j < n; ++j) {
     out.values[j] = d[order[j]];
     auto dst = out.vectors.col(j);
     auto src = z.col(order[j]);
-    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+    for (std::size_t i = 0; i < rows; ++i) dst[i] = src[i];
   }
   return out;
+}
+
+}  // namespace
+
+TridiagEig tridiag_eigen(std::vector<double> diag, std::vector<double> off) {
+  const std::size_t n = diag.size();
+  return tql(std::move(diag), std::move(off), DenseMatrix::identity(n));
+}
+
+TridiagEig tridiag_eigen_last_row(std::vector<double> diag,
+                                  std::vector<double> off) {
+  const std::size_t n = diag.size();
+  DenseMatrix last(1, n);
+  if (n > 0) last(0, n - 1) = 1.0;
+  return tql(std::move(diag), std::move(off), std::move(last));
 }
 
 TridiagEig symmetric_eigen(const DenseMatrix& a) {

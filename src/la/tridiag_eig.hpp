@@ -19,6 +19,12 @@ struct TridiagEig {
 /// Throws std::runtime_error if the QL iteration fails to converge.
 TridiagEig tridiag_eigen(std::vector<double> diag, std::vector<double> off);
 
+/// The same QL iteration accumulating only the last row of the eigenvector
+/// matrix: `vectors` is 1 x n, entry i the last component of the eigenvector
+/// of values[i]. O(n^2) instead of O(n^3) (the Lanczos Ritz check).
+TridiagEig tridiag_eigen_last_row(std::vector<double> diag,
+                                  std::vector<double> off);
+
 /// Full eigendecomposition of a dense symmetric matrix via Householder
 /// tridiagonalization + QL. Values ascend. Intended for small matrices
 /// (orthogonality measurement, tests).

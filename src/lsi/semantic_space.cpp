@@ -181,15 +181,20 @@ void align_signs_to(SemanticSpace& space, const la::DenseMatrix& reference) {
   la::DenseMatrix u = space.u;
   la::DenseMatrix v = space.v.to_dense();
   const index_t cols = std::min(u.cols(), reference.cols());
+  bool flipped = false;
   for (index_t j = 0; j < cols; ++j) {
     const double agreement = la::dot(u.col(j), reference.col(j));
     if (agreement < 0.0) {
       la::scale(u.col(j), -1.0);
       la::scale(v.col(j), -1.0);
+      flipped = true;
     }
   }
   space.u = std::move(u);
   space.v = v;
+  // A flip keeps V's shape, which the caches' row-count guard cannot see;
+  // the bf16 store would go on decoding the old signs.
+  if (flipped) space.invalidate_doc_norms();
 }
 
 double energy_captured(const std::vector<double>& sigma, index_t k) {

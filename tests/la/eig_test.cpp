@@ -51,6 +51,30 @@ TEST(TridiagEig, LaplacianKnownSpectrum) {
   }
 }
 
+TEST(TridiagEig, LastRowMatchesFullSolveBitForBit) {
+  // The last-row variant runs the same rotations, so its values and its one
+  // eigenvector row are the full solve's, bit for bit. The Golub–Kahan
+  // shape (zero diagonal) is the one the Lanczos check feeds it.
+  lsi::util::Rng rng(9);
+  for (const bool golub_kahan : {false, true}) {
+    const std::size_t n = 40;
+    std::vector<double> d(n, 0.0), off(n - 1);
+    if (!golub_kahan) {
+      for (auto& x : d) x = rng.normal();
+    }
+    for (auto& x : off) x = rng.normal();
+    const auto full = tridiag_eigen(d, off);
+    const auto last = tridiag_eigen_last_row(d, off);
+    EXPECT_EQ(last.values, full.values);
+    ASSERT_EQ(last.vectors.rows(), 1u);
+    ASSERT_EQ(last.vectors.cols(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(last.vectors(0, i), full.vectors(n - 1, i)) << i;
+    }
+  }
+  EXPECT_TRUE(tridiag_eigen_last_row({}, {}).values.empty());
+}
+
 TEST(TridiagEig, ReconstructsMatrix) {
   lsi::util::Rng rng(5);
   const std::size_t n = 20;

@@ -1,13 +1,20 @@
 // Lanczos truncated-SVD tests: agreement with the dense Jacobi reference,
-// convergence reporting, determinism, and degenerate inputs.
+// convergence reporting, determinism, degenerate inputs, and the O(j^2)
+// convergence check against a dense Jacobi reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "la/jacobi_svd.hpp"
 #include "la/lanczos.hpp"
+#include "la/ritz_check.hpp"
+#include "synth/corpus.hpp"
+#include "text/parser.hpp"
 #include "util/rng.hpp"
+#include "weighting/weighting.hpp"
 
 namespace {
 
@@ -188,6 +195,201 @@ TEST(TruncatedSvd, LanczosPathForLarge) {
   auto got = truncated_svd(a, 6, /*dense_cutoff=*/32);
   auto want = jacobi_svd(a);
   expect_triplets_match(got, want, 6, 1e-7);
+}
+
+// ---------------------------------------------------------------------------
+// The convergence check. ritz_converged must count exactly what the dense
+// reference counts: a Jacobi SVD of the bidiagonal and the residual test on
+// the last row of its left singular vectors. The bidiagonals come from real
+// solves, rebuilt from the Lanczos vectors each solve applied its operator to.
+
+/// Keeps a copy of every vector a solve applies the operator to: the right
+/// Lanczos vectors v_1, v_2, ... (apply) and the left ones u_1, u_2, ...
+/// (apply_transpose), one of each per step.
+class RecordingOperator final : public LinearOperator {
+ public:
+  explicit RecordingOperator(const LinearOperator& a) : a_(a) {}
+  index_t rows() const noexcept override { return a_.rows(); }
+  index_t cols() const noexcept override { return a_.cols(); }
+  void apply(std::span<const double> x, std::span<double> y) const override {
+    v.emplace_back(x.begin(), x.end());
+    a_.apply(x, y);
+  }
+  void apply_transpose(std::span<const double> x,
+                       std::span<double> y) const override {
+    u.emplace_back(x.begin(), x.end());
+    a_.apply_transpose(x, y);
+  }
+
+  mutable std::vector<Vector> v, u;
+
+ private:
+  const LinearOperator& a_;
+};
+
+struct Bidiagonal {
+  std::vector<double> alphas, betas;
+};
+
+/// The first j steps' bidiagonal, B = U_j^T A V_j (av[i] = A v_i), with
+/// beta_j the norm of A^T u_j after two Gram-Schmidt passes against
+/// v_1..v_j (as the solver takes it).
+Bidiagonal rebuild(const LinearOperator& a, const RecordingOperator& rec,
+                   const std::vector<Vector>& av, index_t j) {
+  Bidiagonal b;
+  for (index_t i = 0; i < j; ++i) {
+    b.alphas.push_back(dot(rec.u[i], av[i]));
+    if (i + 1 < j) b.betas.push_back(dot(rec.u[i], av[i + 1]));
+  }
+  Vector atu(a.cols());
+  a.apply_transpose(rec.u[j - 1], atu);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (index_t i = 0; i < j; ++i) axpy(-dot(atu, rec.v[i]), rec.v[i], atu);
+  }
+  b.betas.push_back(norm2(atu));
+  return b;
+}
+
+/// The reference rule: a Jacobi SVD of B and the residual test on the last
+/// row of its left singular vectors.
+index_t jacobi_converged(const Bidiagonal& b, index_t k, double tol) {
+  const index_t j = b.alphas.size();
+  DenseMatrix m(j, j);
+  for (index_t i = 0; i < j; ++i) {
+    m(i, i) = b.alphas[i];
+    if (i + 1 < j) m(i, i + 1) = b.betas[i];
+  }
+  const SvdResult s = jacobi_svd(m);
+  const double sigma1 = s.s.empty() ? 0.0 : s.s[0];
+  if (sigma1 == 0.0) return k;
+  index_t good = 0;
+  for (index_t i = 0; i < std::min(k, j); ++i) {
+    if (std::fabs(b.betas[j - 1] * s.u(j - 1, i)) / sigma1 <= tol) ++good;
+  }
+  return good;
+}
+
+/// Solves for k triplets and, at every step where the solver ran its
+/// periodic check and at its last step, expects ritz_converged to equal the
+/// Jacobi rule on the rebuilt bidiagonal. Also expects the solve to have
+/// continued past every check the Jacobi rule rejects and stopped at the
+/// first it accepts. Returns the number of periodic checks compared.
+int expect_checks_match_jacobi(const LinearOperator& a, index_t k) {
+  RecordingOperator rec(a);
+  LanczosOptions opts;
+  opts.k = k;
+  LanczosStats stats;
+  (void)lanczos_svd(rec, opts, &stats);
+  const index_t steps = stats.steps;
+  EXPECT_GT(steps, 0u);
+  if (steps == 0) return 0;
+  rec.v.resize(std::min<index_t>(rec.v.size(), steps + 1));
+  rec.u.resize(steps);
+  std::vector<Vector> av(rec.v.size(), Vector(a.rows()));
+  for (index_t i = 0; i < rec.v.size(); ++i) a.apply(rec.v[i], av[i]);
+
+  // The solver's check schedule (la/lanczos.cpp).
+  const index_t minmn = std::min(a.rows(), a.cols());
+  k = std::min(k, minmn);
+  const index_t max_dim =
+      std::min<index_t>(minmn, std::max<index_t>(6 * k + 48, 128));
+  int checks = 0;
+  for (index_t j = std::min(max_dim, k + std::max<index_t>(8, k / 8));
+       j < max_dim && j <= steps; j += std::max<index_t>(8, k / 4)) {
+    const Bidiagonal b = rebuild(a, rec, av, j);
+    const index_t want = jacobi_converged(b, k, opts.tol);
+    EXPECT_EQ(ritz_converged(b.alphas, b.betas, k, opts.tol), want)
+        << "check at step " << j;
+    if (j < steps) {
+      EXPECT_LT(want, std::min(k, j)) << "solve went past step " << j;
+    } else {
+      EXPECT_GE(want, std::min(k, j)) << "solve stopped at step " << j;
+    }
+    ++checks;
+  }
+  const Bidiagonal last = rebuild(a, rec, av, steps);
+  EXPECT_EQ(ritz_converged(last.alphas, last.betas, k, opts.tol),
+            jacobi_converged(last, k, opts.tol))
+      << "last step " << steps;
+  return checks;
+}
+
+TEST(RitzCheck, MatchesJacobiRuleOnSparse) {
+  auto s = random_sparse(300, 200, 0.05, 13);
+  CscOperator op(s);
+  EXPECT_GT(expect_checks_match_jacobi(op, 12), 1);
+}
+
+TEST(RitzCheck, MatchesJacobiRuleOnRepeatedSingularValues) {
+  // Five distinct values, each 40 times: the Krylov space holds one copy of
+  // each until a restart.
+  CooBuilder b(200, 200);
+  for (index_t i = 0; i < 200; ++i) {
+    b.add(i, i, 1.0 + static_cast<double>(i % 5));
+  }
+  auto s = b.to_csc();
+  CscOperator op(s);
+  EXPECT_GE(expect_checks_match_jacobi(op, 8), 1);
+}
+
+TEST(RitzCheck, MatchesJacobiRuleOnRankOne) {
+  CooBuilder b(60, 50);
+  b.add(0, 0, 6.0);
+  auto s = b.to_csc();
+  CscOperator op(s);
+  EXPECT_GE(expect_checks_match_jacobi(op, 3), 1);
+}
+
+TEST(RitzCheck, MatchesJacobiRuleOnZeroMatrix) {
+  CooBuilder b(60, 50);
+  auto s = b.to_csc();
+  CscOperator op(s);
+  EXPECT_GE(expect_checks_match_jacobi(op, 3), 1);
+}
+
+TEST(RitzCheck, MatchesJacobiRuleOnWideMatrix) {
+  auto s = random_sparse(30, 100, 0.1, 29);
+  CscOperator op(s);
+  EXPECT_GE(expect_checks_match_jacobi(op, 6), 1);
+}
+
+TEST(RitzCheck, MatchesJacobiRuleWhenKrylovSpaceIsExhausted) {
+  // k = min(m, n): no periodic check fits, and the last step has
+  // dim == minmn with beta_j ~ 0.
+  auto a = random_matrix(15, 10, 17);
+  DenseOperator op(a);
+  EXPECT_EQ(expect_checks_match_jacobi(op, 10), 0);
+}
+
+TEST(RitzCheck, MatchesJacobiRuleOnCorpusShard) {
+  lsi::synth::CorpusSpec spec;
+  spec.topics = 12;
+  spec.docs_per_topic = 60;
+  const auto corpus = lsi::synth::generate_corpus(spec);
+  const auto tdm = lsi::text::build_term_document_matrix(corpus.docs);
+  const CscMatrix a =
+      lsi::weighting::apply(tdm.counts, lsi::weighting::kLogEntropy);
+  ASSERT_GT(std::min(a.rows(), a.cols()), 240u);
+  CscOperator op(a);
+  EXPECT_GT(expect_checks_match_jacobi(op, 32), 5);
+}
+
+TEST(RitzCheck, ZeroSingularValueReadsItsOwnLeftVector) {
+  // B = [3 4; 0 0] has sigma = {5, 0}. The left vector of 5 is e_1, so the
+  // top residual is 0 whatever beta_j is; the left vector of 0 is e_2, so
+  // the second residual is |beta_j| / 5. The zero pair of the Golub–Kahan
+  // tridiagonal does not split as (q, +-p) / sqrt(2); the check still reads
+  // |p_last| = 1 from it.
+  const Bidiagonal b{{3.0, 0.0}, {4.0, 1e-3}};
+  EXPECT_EQ(ritz_converged(b.alphas, b.betas, 1, 1e-10), 1u);
+  EXPECT_EQ(ritz_converged(b.alphas, b.betas, 2, 1e-10), 1u);
+  EXPECT_EQ(ritz_converged(b.alphas, b.betas, 2, 1e-3), 2u);
+  // The Jacobi rule differs for a zero singular value: jacobi_svd leaves a
+  // zero U column there, so the rule read a residual of 0. In the rank-one
+  // and zero-matrix solves above, zero singular values meet beta_j = 0,
+  // where both rules count them.
+  EXPECT_EQ(jacobi_converged(b, 2, 1e-10), 2u);
+  EXPECT_EQ(ritz_converged({}, {}, 4, 1e-10), 4u);
 }
 
 }  // namespace

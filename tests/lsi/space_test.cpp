@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "la/jacobi_svd.hpp"
+#include "la/kernels.hpp"
+#include "lsi/doc_store.hpp"
 #include "lsi/semantic_space.hpp"
 #include "synth/sparse_random.hpp"
 
@@ -89,6 +91,23 @@ TEST(AlignSigns, MatchesReferenceOrientation) {
   space.v = v;
   align_signs_to(space, reference);
   EXPECT_LT(la::max_abs_diff(space.u, reference), 1e-12);
+}
+
+TEST(AlignSigns, FlipRebuildsCompressedStore) {
+  auto a = synth::random_sparse_matrix(30, 20, 0.3, 9);
+  auto space = try_build_semantic_space(a, 3).value();
+  space.set_compress_docs(true);
+  const Bf16DocStore* before = space.compressed_docs();
+  ASSERT_NE(before, nullptr);
+  const std::uint16_t old_word = before->word(0, 1);
+  la::DenseMatrix reference = space.u;
+  la::scale(reference.col(1), -1.0);
+  align_signs_to(space, reference);
+  ASSERT_LT(space.v(0, 1) * la::kern::bf16_to_f32(old_word), 0.0);
+  const Bf16DocStore* after = space.compressed_docs();
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->word(0, 1), la::kern::bf16_from_f64(space.v(0, 1)));
+  EXPECT_GT(space.v(0, 1) * la::kern::bf16_to_f32(after->word(0, 1)), 0.0);
 }
 
 TEST(OrthogonalityLoss, ZeroForOrthonormal) {
