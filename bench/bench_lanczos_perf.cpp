@@ -3,8 +3,10 @@
 // dense rotations (the (2k^2-k)(m+n) term), and the full Lanczos driver.
 // A custom main additionally runs one instrumented Lanczos solve under an
 // observability sink and emits BENCH_lanczos_perf.json with per-stage spans,
-// each kernel's share of the solve spent in "lanczos.ritz_check", and the
-// cost model's prediction next to the solver's measured flops.
+// each kernel's share of the solve spent in the periodic convergence checks
+// ("lanczos.ritz_check") and in the final bidiagonal SVD
+// ("lanczos.factor_svd"), the rate of DGKS second Gram-Schmidt passes, and
+// the cost model's prediction next to the solver's measured flops.
 
 #include <benchmark/benchmark.h>
 
@@ -130,6 +132,7 @@ void emit_instrumented_run() {
 
   obs::SpanStats& solve_span = stats.sink().span("lanczos");
   obs::SpanStats& check_span = stats.sink().span("lanczos.ritz_check");
+  obs::SpanStats& factor_span = stats.sink().span("lanczos.factor_svd");
   for (const auto& name : kernels) {
     la::kern::force(name);
     la::LanczosOptions opts;
@@ -137,10 +140,12 @@ void emit_instrumented_run() {
     la::LanczosStats lstats;
     const double solve0 = solve_span.total_seconds.load();
     const double check0 = check_span.total_seconds.load();
+    const double factor0 = factor_span.total_seconds.load();
     auto svd = la::lanczos_svd(a, opts, &lstats);
     benchmark::DoNotOptimize(svd.s.data());
     const double solve_s = solve_span.total_seconds.load() - solve0;
     const double check_s = check_span.total_seconds.load() - check0;
+    const double factor_s = factor_span.total_seconds.load() - factor0;
 
     // Convergence counters are per-kernel: the reassociating reductions may
     // legally walk a slightly different convergence path.
@@ -151,10 +156,19 @@ void emit_instrumented_run() {
     stats.param("converged[" + name + "]",
                 static_cast<double>(lstats.converged));
     stats.param("max_residual[" + name + "]", lstats.max_residual);
-    // Share of the solve spent on convergence checks and the final
-    // bidiagonal SVD (the "lanczos.ritz_check" span); reported, not gated.
+    // Shares of the solve spent on the periodic convergence checks and on
+    // the final bidiagonal SVD, and the fraction of Gram-Schmidt calls (one
+    // after each matvec) whose DGKS test ran a second pass; reported, not
+    // gated.
     stats.param("ritz_check_share[" + name + "]",
                 solve_s > 0.0 ? check_s / solve_s : 0.0);
+    stats.param("factor_svd_share[" + name + "]",
+                solve_s > 0.0 ? factor_s / solve_s : 0.0);
+    const auto gs_calls = lstats.matvecs + lstats.matvecs_transpose;
+    stats.param("reorth_second_pass_rate[" + name + "]",
+                gs_calls > 0 ? static_cast<double>(lstats.reorth_second_passes) /
+                                   static_cast<double>(gs_calls)
+                             : 0.0);
 
     core::FlopModelParams fp;
     fp.m = m;

@@ -2,8 +2,10 @@
 // Dense SVD by one-sided Jacobi rotations.
 //
 // This is the workhorse for the *small dense* decompositions in the LSI
-// pipeline: the bidiagonal matrix inside the Lanczos driver and the inner
-// matrices F, H, Q of the SVD-updating phases (Section 4.2 of the paper).
+// pipeline: the inner matrices F, H, Q of the SVD-updating phases (Section
+// 4.2 of the paper), subspace iteration's projected block, and dense inputs
+// below truncated_svd's cutoff. (The Lanczos solver's bidiagonal has its
+// own QR SVD, la::bidiagonal_svd in la/tridiag_eig.hpp.)
 // One-sided Jacobi is chosen because it is simple, unconditionally stable,
 // and computes small singular values to high relative accuracy.
 

@@ -16,54 +16,62 @@ namespace lsi::la {
 
 namespace {
 
-/// Two passes of modified Gram-Schmidt of `w` against the first `count`
-/// columns of `basis` (each projection is taken against the already-updated
-/// `w`). Full (not selective) reorthogonalization: at LSI problem sizes the
-/// O(j * n) cost per step is cheap insurance against the
-/// ghost-singular-value problem of plain Lanczos.
+/// Daniel–Gragg–Kaufman–Stewart threshold ("twice is enough"): a second
+/// Gram-Schmidt pass runs only when the first left at most this fraction of
+/// ||w||, i.e. when cancellation may have left w short of orthogonal.
+constexpr double kDgksEta = 0.70710678118654752;  // 1 / sqrt(2)
+
+/// Gram-Schmidt work done in one solve.
+struct GramSchmidtTally {
+  std::uint64_t flops = 0;   ///< 4 * |w| per basis vector per pass run
+  index_t second_passes = 0;  ///< calls whose DGKS test asked for a second
+};
+
+/// Modified Gram-Schmidt of `w` against the first `count` columns of `basis`
+/// (each projection is taken against the already-updated `w`), with a second
+/// pass when the DGKS test asks for one. Full (not selective)
+/// reorthogonalization: at LSI problem sizes the O(j * n) cost per step is
+/// cheap insurance against the ghost-singular-value problem of plain
+/// Lanczos.
 void reorthogonalize(std::span<double> w, const DenseMatrix& basis,
-                     index_t count) {
+                     index_t count, GramSchmidtTally& tally) {
+  if (count == 0) return;
   // The projection dot and the correction axpy are the solver's O(j * n)
   // hot loops; they run through the dispatched kernels (la/kernels.hpp).
   // The dot is a reduction, so different kernels converge along slightly
   // different (equally valid) paths; within one kernel the solve stays
   // deterministic.
   const kern::Ops& kern_ops = kern::active();
-  for (int pass = 0; pass < 2; ++pass) {
+  const auto pass = [&] {
     for (index_t j = 0; j < count; ++j) {
       auto bj = basis.col(j);
       const double proj = kern_ops.dot(w.data(), bj.data(), w.size());
       if (proj != 0.0) kern_ops.axpy(-proj, bj.data(), w.data(), w.size());
     }
-  }
+    tally.flops += 4ull * w.size() * count;
+  };
+  // Squared norms: ||w_after|| <= eta ||w_before|| as a comparison of dots.
+  // A w that is exactly zero (a zero operator) has nothing left to project.
+  const double before = kern_ops.dot(w.data(), w.data(), w.size());
+  pass();
+  const double after = kern_ops.dot(w.data(), w.data(), w.size());
+  if (after > kDgksEta * kDgksEta * before || after == 0.0) return;
+  ++tally.second_passes;
+  pass();
 }
 
 /// Fills `w` with unit-norm random data orthogonal to the current basis;
 /// returns false if no such direction can be found (space exhausted).
 bool random_orthogonal(std::span<double> w, const DenseMatrix& basis,
-                       index_t count, util::Rng& rng) {
+                       index_t count, util::Rng& rng,
+                       GramSchmidtTally& tally) {
   for (int attempt = 0; attempt < 5; ++attempt) {
     for (double& x : w) x = rng.normal();
     normalize(w);
-    reorthogonalize(w, basis, count);
+    reorthogonalize(w, basis, count, tally);
     if (normalize(w) > 1e-8) return true;
   }
   return false;
-}
-
-/// Builds the dim x dim upper-bidiagonal projection B:
-///   B(i, i) = alpha_i,  B(i, i+1) = beta_i.
-/// (From the recurrences A v_j = beta_{j-1} u_{j-1} + alpha_j u_j and
-///  A^T u_j = alpha_j v_j + beta_j v_{j+1}, so A V = U B exactly.)
-DenseMatrix build_bidiagonal(const std::vector<double>& alphas,
-                             const std::vector<double>& betas,
-                             index_t dim) {
-  DenseMatrix b(dim, dim);
-  for (index_t i = 0; i < dim; ++i) {
-    b(i, i) = alphas[i];
-    if (i + 1 < dim) b(i, i + 1) = betas[i];
-  }
-  return b;
 }
 
 }  // namespace
@@ -134,10 +142,11 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
   index_t next_check = std::min<index_t>(max_dim, k + check_margin);
 
   // Measured flops of the dominant kernels; recorded into st.flops and the
-  // active obs sink at exit. One reorthogonalize(w, basis, count) costs two
-  // passes x count x (dot + axpy) = 8 * |w| * count flops.
+  // active obs sink at exit. Each Gram-Schmidt pass costs
+  // count x (dot + axpy) = 4 * |w| * count flops (`gs` tallies them).
   const std::uint64_t matvec_flops = op.apply_flops();
   std::uint64_t measured_flops = 0;
+  GramSchmidtTally gs;
 
   index_t j = 0;
   for (; j < max_dim;) {
@@ -151,13 +160,12 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
     if (j > 0) axpy(-betas[j - 1], ubasis.col(j - 1), scratch_m);
     {
       LSI_OBS_SPAN(span_reorth, "lanczos.reorth");
-      reorthogonalize(scratch_m, ubasis, j);
+      reorthogonalize(scratch_m, ubasis, j, gs);
     }
-    measured_flops += 8ull * m * j;
     double alpha = norm2(scratch_m);
     if (alpha <= 1e-13) {
       // A v_j already lies in span(U_{j-1}); restart an orthogonal block.
-      if (!random_orthogonal(scratch_m, ubasis, j, rng)) {
+      if (!random_orthogonal(scratch_m, ubasis, j, rng, gs)) {
         exhausted = true;
         break;
       }
@@ -178,14 +186,13 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
     axpy(-alphas[j], vbasis.col(j), scratch_n);
     {
       LSI_OBS_SPAN(span_reorth, "lanczos.reorth");
-      reorthogonalize(scratch_n, vbasis, j + 1);
+      reorthogonalize(scratch_n, vbasis, j + 1, gs);
     }
-    measured_flops += 8ull * n * (j + 1);
     double beta = norm2(scratch_n);
     if (beta <= 1e-13) {
       beta = 0.0;
       if (j + 1 < max_dim &&
-          !random_orthogonal(scratch_n, vbasis, j + 1, rng)) {
+          !random_orthogonal(scratch_n, vbasis, j + 1, rng, gs)) {
         betas.push_back(0.0);
         ++j;
         exhausted = true;
@@ -215,8 +222,10 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
 
   SvdResult small;  // SVD of the bidiagonal projection: the final factors
   {
-    LSI_OBS_SPAN(span_check, "lanczos.ritz_check");
-    small = jacobi_svd(build_bidiagonal(alphas, betas, dim));
+    // B(i, i) = alpha_i and B(i, i+1) = beta_i, so A V = U B exactly; the
+    // last beta couples step dim to the next Lanczos vector, outside B.
+    LSI_OBS_SPAN(span_factor, "lanczos.factor_svd");
+    small = bidiagonal_svd(alphas, std::span(betas).first(dim - 1));
   }
   const index_t keep = std::min<index_t>(k, dim);
   const double sigma1 = small.s.empty() ? 0.0 : small.s[0];
@@ -230,7 +239,8 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
   }
   // The two assembly GEMMs: (m x dim)(dim x keep) and (n x dim)(dim x keep).
   measured_flops += 2ull * (m + n) * dim * keep;
-  st.flops = measured_flops;
+  st.flops = measured_flops + gs.flops;
+  st.reorth_second_passes = gs.second_passes;
   if (obs::Sink* sink = obs::Sink::active()) {
     obs::MetricsRegistry& reg = sink->metrics();
     reg.counter("lanczos.steps").add(st.steps);
@@ -238,6 +248,7 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
     reg.counter("lanczos.matvecs_transpose").add(st.matvecs_transpose);
     reg.counter("lanczos.converged").add(st.converged);
     reg.counter("lanczos.flops_measured").add(st.flops);
+    reg.counter("lanczos.reorth_second_passes").add(st.reorth_second_passes);
     reg.gauge("lanczos.max_residual").set(st.max_residual);
   }
   if (opts.throw_if_not_converged && st.converged < keep) {

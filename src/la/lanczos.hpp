@@ -35,11 +35,14 @@ struct LanczosStats {
   index_t matvecs_transpose = 0;  ///< A^T*x products
   index_t converged = 0;        ///< triplets meeting the residual tolerance
   double max_residual = 0.0;    ///< worst accepted Ritz residual / sigma_1
+  /// Gram-Schmidt calls whose DGKS test ran a second pass.
+  index_t reorth_second_passes = 0;
   /// Measured flops of the dominant kernels: matvecs (via
-  /// LinearOperator::apply_flops), Gram-Schmidt reorthogonalization, and the
-  /// final basis-rotation GEMMs. Excluded, so this undercounts: the periodic
-  /// Ritz checks (O(steps^2) each, la/ritz_check.hpp) and the one
-  /// O(steps^3) bidiagonal SVD at exit that yields the factors.
+  /// LinearOperator::apply_flops), the Gram-Schmidt passes actually run
+  /// (4 * |w| * count each; a second pass only when the DGKS test asks),
+  /// and the final basis-rotation GEMMs. Excluded, so this undercounts: the
+  /// periodic Ritz checks (O(steps^2) each, la/ritz_check.hpp) and the one
+  /// bidiagonal QR SVD at exit that yields the factors.
   /// Compare against the Section 4.2 model via lsi::flops to get the
   /// predicted-vs-actual rows the benches emit.
   std::uint64_t flops = 0;

@@ -1,14 +1,16 @@
 #include "text/parser.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "text/stemmer.hpp"
 #include "text/stopwords.hpp"
+#include "text/term_hash.hpp"
 
 namespace lsi::text {
 
@@ -54,33 +56,73 @@ std::string fold_token(const std::string& token,
 TermDocumentMatrix build_term_document_matrix(const Collection& docs,
                                               const ParserOptions& opts) {
   LSI_OBS_SPAN(span, "build.parse");
-  // Pass 1: tokenize everything and record the token universe (needed by the
-  // plural-folding rule before counting).
-  std::vector<std::vector<std::string>> doc_tokens(docs.size());
-  std::unordered_set<std::string> universe;
+  using TermId = std::uint32_t;
+  // Pass 1: intern every token once; each document becomes a run of ids in
+  // `tokens`. The map's keys never move, so `names` can point at them.
+  std::unordered_map<std::string, TermId, TermHash, std::equal_to<>> ids;
+  std::vector<const std::string*> names;  // id -> token
+  std::vector<TermId> tokens;
+  std::vector<std::size_t> doc_start(docs.size() + 1, 0);
   for (std::size_t d = 0; d < docs.size(); ++d) {
-    doc_tokens[d] = content_tokens(docs[d].body, opts);
-    universe.insert(doc_tokens[d].begin(), doc_tokens[d].end());
+    for (std::string& token : content_tokens(docs[d].body, opts)) {
+      const auto next = static_cast<TermId>(names.size());
+      const auto [it, inserted] = ids.try_emplace(std::move(token), next);
+      if (inserted) names.push_back(&it->first);
+      tokens.push_back(it->second);
+    }
+    doc_start[d + 1] = tokens.size();
   }
 
-  // Pass 2: fold plurals, count per-document frequencies and document
-  // frequencies of the folded terms.
-  std::vector<std::map<std::string, double>> tf(docs.size());
-  std::map<std::string, std::size_t> df;  // ordered -> alphabetical rows
-  for (std::size_t d = 0; d < docs.size(); ++d) {
-    for (const auto& raw : doc_tokens[d]) {
-      tf[d][fold_token(raw, universe, opts)] += 1.0;
-    }
-    for (const auto& [term, count] : tf[d]) {
-      (void)count;
-      ++df[term];
+  // Plural folding, once per distinct token: "xs" -> "x" iff "x" itself
+  // occurs somewhere in the collection.
+  std::vector<TermId> folded(names.size());
+  for (TermId id = 0; id < names.size(); ++id) {
+    folded[id] = id;
+    const std::string_view token = *names[id];
+    if (opts.fold_plurals && token.size() >= 4 && token.back() == 's') {
+      const auto it = ids.find(token.substr(0, token.size() - 1));
+      if (it != ids.end()) folded[id] = it->second;
     }
   }
 
-  // Vocabulary: alphabetical, df-filtered.
+  // Pass 2: sorting a document's folded ids groups each term's occurrences;
+  // each run is one (term, tf) entry and adds one to the term's df.
+  std::vector<TermId> run_ids;
+  std::vector<double> run_tf;
+  std::vector<std::size_t> run_start(docs.size() + 1, 0);
+  std::vector<std::size_t> df(names.size(), 0);
+  for (std::size_t d = 0; d < docs.size(); ++d) {
+    const auto first = tokens.begin() + doc_start[d];
+    const auto last = tokens.begin() + doc_start[d + 1];
+    for (auto it = first; it != last; ++it) *it = folded[*it];
+    std::sort(first, last);
+    for (auto p = first; p != last;) {
+      auto q = p + 1;
+      while (q != last && *q == *p) ++q;
+      run_ids.push_back(*p);
+      run_tf.push_back(static_cast<double>(q - p));
+      ++df[*p];
+      p = q;
+    }
+    run_start[d + 1] = run_ids.size();
+  }
+
+  // Vocabulary: the terms occurring in enough documents, alphabetical.
+  std::vector<TermId> kept;
+  for (TermId id = 0; id < names.size(); ++id) {
+    if (df[id] > 0 && df[id] >= opts.min_document_frequency) {
+      kept.push_back(id);
+    }
+  }
+  std::sort(kept.begin(), kept.end(),
+            [&](TermId a, TermId b) { return *names[a] < *names[b]; });
+  constexpr auto kDropped = static_cast<lsi::la::index_t>(-1);
+  std::vector<lsi::la::index_t> row_of(names.size(), kDropped);
   std::vector<std::string> terms;
-  for (const auto& [term, count] : df) {
-    if (count >= opts.min_document_frequency) terms.push_back(term);
+  terms.reserve(kept.size());
+  for (std::size_t r = 0; r < kept.size(); ++r) {
+    row_of[kept[r]] = r;
+    terms.push_back(*names[kept[r]]);
   }
 
   TermDocumentMatrix out;
@@ -88,15 +130,27 @@ TermDocumentMatrix build_term_document_matrix(const Collection& docs,
   out.doc_labels.reserve(docs.size());
   for (const auto& d : docs) out.doc_labels.push_back(d.label);
 
-  lsi::la::CooBuilder builder(out.vocabulary.size(), docs.size());
+  // CSC, one column per document: its kept runs as (row, tf), rows sorted.
+  std::vector<lsi::la::index_t> col_ptr(docs.size() + 1, 0);
+  std::vector<lsi::la::index_t> row_idx;
+  std::vector<double> values;
+  std::vector<std::pair<lsi::la::index_t, double>> column;
   for (std::size_t d = 0; d < docs.size(); ++d) {
-    for (const auto& [term, count] : tf[d]) {
-      if (auto row = out.vocabulary.find(term)) {
-        builder.add(*row, d, count);
-      }
+    column.clear();
+    for (std::size_t p = run_start[d]; p < run_start[d + 1]; ++p) {
+      const lsi::la::index_t row = row_of[run_ids[p]];
+      if (row != kDropped) column.emplace_back(row, run_tf[p]);
     }
+    std::sort(column.begin(), column.end());
+    for (const auto& [row, tf] : column) {
+      row_idx.push_back(row);
+      values.push_back(tf);
+    }
+    col_ptr[d + 1] = row_idx.size();
   }
-  out.counts = builder.to_csc();
+  out.counts = lsi::la::CscMatrix(out.vocabulary.size(), docs.size(),
+                                  std::move(col_ptr), std::move(row_idx),
+                                  std::move(values));
   obs::gauge("build.terms", static_cast<double>(out.counts.rows()));
   obs::gauge("build.docs", static_cast<double>(out.counts.cols()));
   obs::gauge("build.nnz", static_cast<double>(out.counts.nnz()));

@@ -2,8 +2,8 @@
 
 namespace lsi::text {
 
-const std::unordered_set<std::string>& default_stopwords() {
-  static const std::unordered_set<std::string> words = {
+const TermSet& default_stopwords() {
+  static const TermSet words = {
       // articles / determiners
       "a", "an", "the", "this", "that", "these", "those", "each", "every",
       "either", "neither", "some", "any", "all", "both", "such", "no",
@@ -41,7 +41,7 @@ const std::unordered_set<std::string>& default_stopwords() {
 }
 
 bool is_stopword(std::string_view token) {
-  return default_stopwords().count(std::string(token)) > 0;
+  return default_stopwords().contains(token);
 }
 
 }  // namespace lsi::text

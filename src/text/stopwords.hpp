@@ -3,17 +3,23 @@
 // function words ("of", "children", "with" ... actually only function words)
 // as non-indexable; content words are filtered by document frequency instead.
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_set>
 
+#include "text/term_hash.hpp"
+
 namespace lsi::text {
+
+/// A set of terms that looks a std::string_view up without a copy.
+using TermSet = std::unordered_set<std::string, TermHash, std::equal_to<>>;
 
 /// Shared default stop list (lower-case). Covers standard English function
 /// words; content words are never stop words.
-const std::unordered_set<std::string>& default_stopwords();
+const TermSet& default_stopwords();
 
-/// Convenience membership test against the default list.
+/// Membership test against the default list; allocates nothing.
 bool is_stopword(std::string_view token);
 
 }  // namespace lsi::text

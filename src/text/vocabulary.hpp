@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "la/dense.hpp"
+#include "text/term_hash.hpp"
 
 namespace lsi::text {
 
@@ -30,15 +31,6 @@ class Vocabulary {
   lsi::la::index_t size() const noexcept { return terms_.size(); }
 
  private:
-  /// Hashes std::string and std::string_view alike, so find() can look a
-  /// view up without building a string (heterogeneous lookup).
-  struct TermHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   std::vector<std::string> terms_;
   std::unordered_map<std::string, lsi::la::index_t, TermHash,
                      std::equal_to<>>

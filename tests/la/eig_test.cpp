@@ -1,9 +1,12 @@
-// Symmetric tridiagonal / dense eigensolver tests.
+// Symmetric tridiagonal / dense eigensolver tests, and the bidiagonal QR
+// SVD held against the dense Jacobi reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "la/jacobi_svd.hpp"
 #include "la/tridiag_eig.hpp"
 #include "util/rng.hpp"
 
@@ -97,6 +100,152 @@ TEST(TridiagEig, ReconstructsMatrix) {
       EXPECT_NEAR(t(i, j), expect, 1e-9);
     }
   }
+}
+
+TEST(TridiagEig, ExtremeScalesMatchTheUnscaledSolve) {
+  // Scaled by 1e200 the rotation pairs overflow when squared, and by 1e-200
+  // they underflow; both fall back to std::hypot and must give the unscaled
+  // eigenvalues, scaled, and the same eigenvectors.
+  lsi::util::Rng rng(17);
+  const std::size_t n = 30;
+  std::vector<double> d(n), off(n - 1);
+  for (auto& x : d) x = rng.normal();
+  for (auto& x : off) x = rng.normal();
+  const auto base = tridiag_eigen(d, off);
+  double top = 0.0;
+  for (double v : base.values) top = std::max(top, std::fabs(v));
+  for (const double scale : {1e200, 1e-200}) {
+    std::vector<double> ds = d, offs = off;
+    for (auto& x : ds) x *= scale;
+    for (auto& x : offs) x *= scale;
+    const auto got = tridiag_eigen(ds, offs);
+    ASSERT_EQ(got.values.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(got.values[i] / scale, base.values[i], 1e-14 * top)
+          << "scale " << scale << " value " << i;
+      // Same eigenvector up to sign.
+      EXPECT_NEAR(std::fabs(dot(got.vectors.col(i), base.vectors.col(i))),
+                  1.0, 1e-13)
+          << "scale " << scale << " vector " << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// bidiagonal_svd against jacobi_svd of the same dense bidiagonal.
+
+DenseMatrix dense_bidiagonal(const std::vector<double>& d,
+                             const std::vector<double>& e) {
+  DenseMatrix b(d.size(), d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    b(i, i) = d[i];
+    if (i + 1 < d.size()) b(i, i + 1) = e[i];
+  }
+  return b;
+}
+
+/// Orthonormal factors to 1e-13, B = U diag(s) V^T to 1e-14 ||B||_F, and
+/// singular values within 1e-13 sigma_1 of the Jacobi reference.
+void expect_bidiagonal_svd_matches_jacobi(const std::vector<double>& d,
+                                          const std::vector<double>& e) {
+  const std::size_t n = d.size();
+  const DenseMatrix b = dense_bidiagonal(d, e);
+  const SvdResult got = bidiagonal_svd(d, e);
+  const SvdResult want = jacobi_svd(b);
+  ASSERT_EQ(got.rank(), n);
+  ASSERT_EQ(got.u.rows(), n);
+  ASSERT_EQ(got.v.rows(), n);
+  EXPECT_LE(orthonormality_error(got.u), 1e-13);
+  EXPECT_LE(orthonormality_error(got.v), 1e-13);
+  DenseMatrix diff = got.reconstruct();
+  diff.add_scaled(b, -1.0);
+  EXPECT_LE(diff.frobenius_norm(), 1e-14 * b.frobenius_norm());
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_GE(got.s[i], 0.0) << i;
+    if (i > 0) {
+      EXPECT_LE(got.s[i], got.s[i - 1]) << i;
+    }
+    EXPECT_NEAR(got.s[i], want.s[i], 1e-13 * want.s[0]) << i;
+  }
+}
+
+std::vector<double> normals(std::size_t n, lsi::util::Rng& rng) {
+  std::vector<double> x(n);
+  for (auto& v : x) v = rng.normal();
+  return x;
+}
+
+TEST(BidiagonalSvd, Random) {
+  lsi::util::Rng rng(31);
+  for (const std::size_t n : {2u, 3u, 17u, 60u}) {
+    expect_bidiagonal_svd_matches_jacobi(normals(n, rng), normals(n - 1, rng));
+  }
+}
+
+TEST(BidiagonalSvd, ZeroDiagonalEntry) {
+  // A zero on the diagonal gives a zero singular value; the cancellation
+  // sweep chases its row's superdiagonal away first. In the middle, at the
+  // top and at the bottom.
+  lsi::util::Rng rng(32);
+  for (const std::size_t at : {0u, 7u, 19u}) {
+    auto d = normals(20, rng);
+    d[at] = 0.0;
+    expect_bidiagonal_svd_matches_jacobi(d, normals(19, rng));
+  }
+  expect_bidiagonal_svd_matches_jacobi({0.0, 2.0}, {3.0});
+}
+
+TEST(BidiagonalSvd, ZeroSuperdiagonal) {
+  lsi::util::Rng rng(33);
+  auto e = normals(24, rng);
+  e[5] = 0.0;
+  e[23] = 0.0;
+  expect_bidiagonal_svd_matches_jacobi(normals(25, rng), e);
+  // Diagonal: the singular values are |d_i|, sorted.
+  const SvdResult diag = bidiagonal_svd(std::vector<double>{-1.0, 3.0, 2.0},
+                                        std::vector<double>{0.0, 0.0});
+  EXPECT_EQ(diag.s, (std::vector<double>{3.0, 2.0, 1.0}));
+  expect_bidiagonal_svd_matches_jacobi({-1.0, 3.0, 2.0}, {0.0, 0.0});
+}
+
+TEST(BidiagonalSvd, AllZeros) {
+  const std::vector<double> d(6, 0.0), e(5, 0.0);
+  expect_bidiagonal_svd_matches_jacobi(d, e);
+  const SvdResult got = bidiagonal_svd(d, e);
+  for (double s : got.s) EXPECT_EQ(s, 0.0);
+}
+
+TEST(BidiagonalSvd, OneByOne) {
+  expect_bidiagonal_svd_matches_jacobi({-2.5}, {});
+  const SvdResult got = bidiagonal_svd(std::vector<double>{-2.5}, {});
+  EXPECT_EQ(got.s[0], 2.5);
+  EXPECT_EQ(got.u(0, 0) * got.v(0, 0), -1.0);
+  EXPECT_TRUE(bidiagonal_svd({}, {}).s.empty());
+}
+
+TEST(BidiagonalSvd, ExactlyRepeatedSingularValues) {
+  // Two copies of the same 3x3 block, split by a zero superdiagonal: every
+  // singular value occurs exactly twice.
+  const std::vector<double> d{3.0, 1.0, 2.0, 3.0, 1.0, 2.0};
+  const std::vector<double> e{2.0, 0.5, 0.0, 2.0, 0.5};
+  expect_bidiagonal_svd_matches_jacobi(d, e);
+  const SvdResult got = bidiagonal_svd(d, e);
+  for (std::size_t i = 0; i < 6; i += 2) {
+    EXPECT_NEAR(got.s[i], got.s[i + 1], 1e-14 * got.s[0]) << i;
+  }
+}
+
+TEST(BidiagonalSvd, GradedMagnitudes) {
+  // Entries falling from 1 to 1e-15 down the diagonal, in both directions.
+  std::vector<double> d(16), e(15);
+  for (std::size_t i = 0; i < 16; ++i) {
+    d[i] = std::pow(10.0, -static_cast<double>(i));
+    if (i < 15) e[i] = 0.5 * d[i];
+  }
+  expect_bidiagonal_svd_matches_jacobi(d, e);
+  std::reverse(d.begin(), d.end());
+  std::reverse(e.begin(), e.end());
+  expect_bidiagonal_svd_matches_jacobi(d, e);
 }
 
 TEST(SymmetricEigen, RandomSymmetricReconstructs) {

@@ -1,6 +1,8 @@
 // Lanczos truncated-SVD tests: agreement with the dense Jacobi reference,
-// convergence reporting, determinism, degenerate inputs, and the O(j^2)
-// convergence check against a dense Jacobi reference.
+// convergence reporting, determinism, degenerate inputs, accuracy at machine
+// precision (orthogonality and residuals, with and without the DGKS second
+// Gram-Schmidt pass), and the O(j^2) convergence check against a dense
+// Jacobi reference.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include "la/jacobi_svd.hpp"
 #include "la/lanczos.hpp"
 #include "la/ritz_check.hpp"
+#include "obs/trace.hpp"
 #include "synth/corpus.hpp"
 #include "text/parser.hpp"
 #include "util/rng.hpp"
@@ -195,6 +198,97 @@ TEST(TruncatedSvd, LanczosPathForLarge) {
   auto got = truncated_svd(a, 6, /*dense_cutoff=*/32);
   auto want = jacobi_svd(a);
   expect_triplets_match(got, want, 6, 1e-7);
+}
+
+// ---------------------------------------------------------------------------
+// Accuracy. One Gram-Schmidt pass (a second only when the DGKS test asks)
+// and the bidiagonal QR SVD must keep the factors orthonormal and
+// A v_i = sigma_i u_i at machine precision, far inside the invariant
+// suite's 1e-8.
+
+/// max_i ||A v_i - sigma_i u_i|| and max_i ||A^T u_i - sigma_i v_i||.
+std::pair<double, double> residuals(const LinearOperator& a,
+                                    const SvdResult& svd) {
+  double av = 0.0;
+  double atu = 0.0;
+  Vector y(a.rows()), x(a.cols());
+  for (index_t i = 0; i < svd.rank(); ++i) {
+    a.apply(svd.v.col(i), y);
+    axpy(-svd.s[i], svd.u.col(i), y);
+    av = std::max(av, norm2(y));
+    a.apply_transpose(svd.u.col(i), x);
+    axpy(-svd.s[i], svd.v.col(i), x);
+    atu = std::max(atu, norm2(x));
+  }
+  return {av, atu};
+}
+
+/// Runs one solve under a sink; returns the DGKS second-pass counter.
+std::uint64_t solve_counting_second_passes(const LinearOperator& op,
+                                           const LanczosOptions& opts,
+                                           SvdResult& svd,
+                                           LanczosStats& stats) {
+  lsi::obs::Sink sink;
+  lsi::obs::ScopedSink scoped(&sink);
+  svd = lanczos_svd(op, opts, &stats);
+  return sink.metrics().counter("lanczos.reorth_second_passes").value();
+}
+
+TEST(LanczosAccuracy, CorpusShardAtMachinePrecision) {
+  lsi::synth::CorpusSpec spec;
+  spec.topics = 12;
+  spec.docs_per_topic = 60;
+  const auto corpus = lsi::synth::generate_corpus(spec);
+  const auto tdm = lsi::text::build_term_document_matrix(corpus.docs);
+  const CscMatrix a =
+      lsi::weighting::apply(tdm.counts, lsi::weighting::kLogEntropy);
+  CscOperator op(a);
+  LanczosOptions opts;
+  opts.k = 32;
+  LanczosStats stats;
+  SvdResult svd;
+  const std::uint64_t second =
+      solve_counting_second_passes(op, opts, svd, stats);
+  ASSERT_EQ(svd.rank(), 32u);
+  EXPECT_EQ(stats.converged, 32u);
+  EXPECT_EQ(second, stats.reorth_second_passes);
+  EXPECT_LE(orthonormality_error(svd.u), 1e-12);
+  EXPECT_LE(orthonormality_error(svd.v), 1e-12);
+  const auto [av, atu] = residuals(op, svd);
+  EXPECT_LE(av, 1e-12 * svd.s[0]);
+  // A^T u_i - sigma_i v_i is the Ritz residual the solver accepted.
+  EXPECT_LE(atu, opts.tol * svd.s[0]);
+}
+
+TEST(LanczosAccuracy, DgksSecondPassKeepsRankDeficientFactorsOrthonormal) {
+  // Rank 6 asked for 12 triplets: once the Krylov space holds the range,
+  // A v_j falls almost entirely inside span(U_{j-1}), the first pass
+  // cancels most of w, and the DGKS test must ask for the second.
+  const index_t m = 90;
+  const index_t n = 70;
+  const index_t rank = 6;
+  const DenseMatrix left = random_matrix(m, rank, 51);
+  const DenseMatrix right = random_matrix(n, rank, 52);
+  const DenseMatrix a = multiply_a_bt(left, right);
+  DenseOperator op(a);
+  LanczosOptions opts;
+  opts.k = 12;
+  LanczosStats stats;
+  SvdResult svd;
+  const std::uint64_t second =
+      solve_counting_second_passes(op, opts, svd, stats);
+  EXPECT_GT(second, 0u);
+  EXPECT_EQ(second, stats.reorth_second_passes);
+  ASSERT_EQ(svd.rank(), 12u);
+  EXPECT_LE(orthonormality_error(svd.u), 1e-12);
+  EXPECT_LE(orthonormality_error(svd.v), 1e-12);
+  const SvdResult want = jacobi_svd(a);
+  for (index_t i = 0; i < 12; ++i) {
+    EXPECT_NEAR(svd.s[i], want.s[i], 1e-12 * want.s[0]) << i;
+  }
+  const auto [av, atu] = residuals(op, svd);
+  EXPECT_LE(av, 1e-12 * svd.s[0]);
+  EXPECT_LE(atu, 1e-12 * svd.s[0]);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <unordered_set>
+
 #include "data/med_topics.hpp"
+#include "la/sparse.hpp"
+#include "synth/corpus.hpp"
 #include "text/parser.hpp"
+#include "text/stemmer.hpp"
+#include "text/stopwords.hpp"
 
 namespace {
 
@@ -122,6 +129,109 @@ TEST(Parser, EmptyCollection) {
   auto tdm = build_term_document_matrix({}, {});
   EXPECT_EQ(tdm.vocabulary.size(), 0u);
   EXPECT_EQ(tdm.counts.cols(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Parity with the map-based parser build_term_document_matrix replaced
+// (kept here as the reference): per-document std::map term counts, a global
+// std::map of document frequencies, a vocabulary lookup per (document, term)
+// and a CooBuilder.
+
+TermDocumentMatrix map_based_parser(const Collection& docs,
+                                    const ParserOptions& opts) {
+  std::vector<std::vector<std::string>> doc_tokens(docs.size());
+  std::unordered_set<std::string> universe;
+  for (std::size_t d = 0; d < docs.size(); ++d) {
+    std::vector<std::string> tokens = tokenize(docs[d].body, opts.tokenizer);
+    if (opts.remove_stopwords) {
+      std::erase_if(tokens,
+                    [](const std::string& t) { return is_stopword(t); });
+    }
+    if (opts.stem) {
+      for (auto& t : tokens) t = porter_stem(t);
+    }
+    if (opts.add_bigrams && tokens.size() >= 2) {
+      const std::size_t unigrams = tokens.size();
+      for (std::size_t i = 0; i + 1 < unigrams; ++i) {
+        tokens.push_back(tokens[i] + "_" + tokens[i + 1]);
+      }
+    }
+    doc_tokens[d] = std::move(tokens);
+    universe.insert(doc_tokens[d].begin(), doc_tokens[d].end());
+  }
+  const auto fold = [&](const std::string& token) {
+    if (!opts.fold_plurals || token.size() < 4 || token.back() != 's') {
+      return token;
+    }
+    std::string stem = token.substr(0, token.size() - 1);
+    return universe.count(stem) ? stem : token;
+  };
+  std::vector<std::map<std::string, double>> tf(docs.size());
+  std::map<std::string, std::size_t> df;
+  for (std::size_t d = 0; d < docs.size(); ++d) {
+    for (const auto& raw : doc_tokens[d]) tf[d][fold(raw)] += 1.0;
+    for (const auto& entry : tf[d]) ++df[entry.first];
+  }
+  std::vector<std::string> terms;
+  for (const auto& [term, count] : df) {
+    if (count >= opts.min_document_frequency) terms.push_back(term);
+  }
+  TermDocumentMatrix out;
+  out.vocabulary = Vocabulary(std::move(terms));
+  for (const auto& d : docs) out.doc_labels.push_back(d.label);
+  lsi::la::CooBuilder builder(out.vocabulary.size(), docs.size());
+  for (std::size_t d = 0; d < docs.size(); ++d) {
+    for (const auto& [term, count] : tf[d]) {
+      if (auto row = out.vocabulary.find(term)) builder.add(*row, d, count);
+    }
+  }
+  out.counts = builder.to_csc();
+  return out;
+}
+
+template <class T>
+std::vector<T> to_vector(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+TEST(Parser, MatchesMapBasedParserUnderEveryOptionCombination) {
+  Collection docs = lsi::data::med_all_topics();
+  // Plurals whose stem occurs (also as bigrams), stop words, words the
+  // stemmer conflates, numbers, repeated terms and an empty document.
+  docs.push_back({"X1", "The cell cultures of the rats; cell culture tests."});
+  docs.push_back({"X2", "Running runners ran; the runner runs 42 tests"});
+  docs.push_back({"X3", ""});
+  docs.push_back({"X4", "cell cultures cell cultures CELL CULTURE rats rat"});
+  docs.push_back({"X5", "connection connections connected connecting"});
+  lsi::synth::CorpusSpec spec;
+  spec.topics = 3;
+  spec.docs_per_topic = 20;
+  for (auto& d : lsi::synth::generate_corpus(spec).docs) {
+    docs.push_back(std::move(d));
+  }
+
+  // min_document_frequency 0 must behave as 1: a term folded away occurs
+  // in no document and is not indexed.
+  for (int mask = 0; mask < 48; ++mask) {
+    ParserOptions opts;
+    opts.stem = (mask & 1) != 0;
+    opts.add_bigrams = (mask & 2) != 0;
+    opts.fold_plurals = (mask & 4) != 0;
+    opts.remove_stopwords = (mask & 8) == 0;
+    opts.min_document_frequency = static_cast<std::size_t>(mask / 16);
+    const TermDocumentMatrix got = build_term_document_matrix(docs, opts);
+    const TermDocumentMatrix want = map_based_parser(docs, opts);
+    EXPECT_EQ(got.vocabulary.terms(), want.vocabulary.terms()) << mask;
+    EXPECT_EQ(got.doc_labels, want.doc_labels) << mask;
+    EXPECT_EQ(got.counts.rows(), want.counts.rows()) << mask;
+    EXPECT_EQ(got.counts.cols(), want.counts.cols()) << mask;
+    EXPECT_EQ(to_vector(got.counts.col_ptr()), to_vector(want.counts.col_ptr()))
+        << mask;
+    EXPECT_EQ(to_vector(got.counts.row_idx()), to_vector(want.counts.row_idx()))
+        << mask;
+    EXPECT_EQ(to_vector(got.counts.values()), to_vector(want.counts.values()))
+        << mask;
+  }
 }
 
 TEST(TextToTermVector, MapsQueryWords) {
