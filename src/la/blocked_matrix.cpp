@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "util/thread_pool.hpp"
+#include "la/kernels.hpp"
 
 namespace lsi::la {
 
@@ -52,31 +52,11 @@ void BlockedMatrix::append_rows(const DenseMatrix& other) {
 BlockedMatrix BlockedMatrix::multiply(const DenseMatrix& b) const {
   assert(b.rows() == cols());
   BlockedMatrix c(b.cols());
-  // One stretch per block; filled after the append (the rows are c's alone)
-  // so the blocks can be computed in parallel.
-  struct Stretch {
-    double* dst;
-    std::size_t first, len;
-  };
-  std::vector<Stretch> stretches;
+  const kern::Ops& ops = kern::active();
   c.append_stretches(rows(), [&](double* dst, std::size_t i, std::size_t len) {
-    stretches.push_back({dst, i, len});
+    ops.matmul(block(i / util::kBlockRows), util::kBlockStride, b.data(),
+               b.rows(), dst, util::kBlockStride, len, b.cols(), cols());
   });
-  util::parallel_for(
-      0, stretches.size(),
-      [&](std::size_t s) {
-        const Stretch& st = stretches[s];
-        const double* src = block(st.first / util::kBlockRows);
-        for (index_t j = 0; j < b.cols(); ++j) {
-          const std::span<double> cj(st.dst + j * util::kBlockStride, st.len);
-          for (index_t l = 0; l < cols(); ++l) {
-            const double blj = b(l, j);
-            if (blj == 0.0) continue;
-            axpy(blj, {src + l * util::kBlockStride, st.len}, cj);
-          }
-        }
-      },
-      /*grain=*/1);
   return c;
 }
 

@@ -34,9 +34,9 @@ class BlockedMatrix : public util::RowBlocks<double> {
   DenseMatrix to_dense() const;
   /// Appends the rows of `other` (same column count; any count when empty).
   void append_rows(const DenseMatrix& other);
-  /// this * b as a new matrix with this one's rows: each column is the sum
-  /// of the b(l, j)-scaled columns l of this, l ascending, zero terms
-  /// skipped — la::multiply's arithmetic, so the bits are the same.
+  /// this * b as a new matrix with this one's rows, one dispatched matmul
+  /// per block on the calling thread — la::multiply's arithmetic, so the
+  /// bits are the same.
   BlockedMatrix multiply(const DenseMatrix& b) const;
 };
 

@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "la/kernels.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lsi::la {
@@ -102,20 +103,10 @@ void DenseMatrix::scale_all(double alpha) noexcept {
 DenseMatrix multiply(const DenseMatrix& a, const DenseMatrix& b) {
   assert(a.cols() == b.rows());
   DenseMatrix c(a.rows(), b.cols());
-  // Column-of-C parallelism; each column of C is A * (column of B), computed
-  // as a sum of scaled A-columns to keep the inner loop stride-1.
-  util::parallel_for(
-      0, b.cols(),
-      [&](std::size_t j) {
-        auto cj = c.col(j);
-        auto bj = b.col(j);
-        for (index_t l = 0; l < a.cols(); ++l) {
-          const double blj = bj[l];
-          if (blj == 0.0) continue;
-          axpy(blj, a.col(l), cj);
-        }
-      },
-      /*grain=*/8);
+  // Register-tiled on the calling thread: each entry of C sums its products
+  // l ascending, which is the bits of one axpy per (column, column) pair.
+  kern::active().matmul(a.data(), a.rows(), b.data(), b.rows(), c.data(),
+                        c.rows(), a.rows(), b.cols(), a.cols());
   return c;
 }
 

@@ -94,7 +94,9 @@ class DenseMatrix {
   util::aligned_vector<double> data_;
 };
 
-/// C = A * B. Parallelized over columns of C.
+/// C = A * B on the calling thread, through the dispatched matmul kernel:
+/// entry (i, j) adds a(i, l) * b(l, j) for l ascending, so the bits are the
+/// same under every kernel.
 DenseMatrix multiply(const DenseMatrix& a, const DenseMatrix& b);
 
 /// C = A^T * B without forming A^T.

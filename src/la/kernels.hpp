@@ -10,12 +10,13 @@
 //
 // Precision policy (enforced by tests/la/kernel_parity_test.cpp):
 //
-//   * elementwise kernels (axpy, axpy4, axpy_bf16, axpy4_bf16) perform one
-//     multiply and one add per element in a fixed order, never fused, so
-//     every kernel produces BIT-IDENTICAL results. The batched score sweep
-//     is built only from these, which is why batched-vs-single,
+//   * elementwise kernels (axpy, axpy4, axpy_bf16, axpy4_bf16, matmul)
+//     perform one multiply and one add per element in a fixed order, never
+//     fused, so every kernel produces BIT-IDENTICAL results. The batched
+//     score sweep is built only from these, which is why batched-vs-single,
 //     exact-vs-full-probe, concurrent and replicated parity hold under any
-//     kernel.
+//     kernel; the dense products (la::multiply, BlockedMatrix::multiply)
+//     run on matmul, so the SVD-update's rotations are kernel-invariant.
 //   * the reduction kernel (dot) may reassociate the sum (wider
 //     accumulators, FMA), so results differ across kernels within a small
 //     ULP bound — but each kernel is DETERMINISTIC: for a given input length
@@ -52,6 +53,15 @@ struct Ops {
   /// Four fp32 streams sharing the bf16 decode of x.
   void (*axpy4_bf16)(const float* a4, const std::uint16_t* x, float* y0,
                      float* y1, float* y2, float* y3, std::size_t n);
+  /// C = A B over column-major operands with leading dimensions lda, ldb,
+  /// ldc: for i < m, j < n, c[i + j ldc] starts at +0 and adds
+  /// a[i + l lda] * b[l + j ldb] for l = 0, 1, ..., depth - 1. Bit-identical
+  /// to zeroing column j of C and calling axpy(b(l, j), A col l, C col j)
+  /// for each l ascending (register-tiled: an 8 x 4 tile of C stays in
+  /// registers over the whole depth).
+  void (*matmul)(const double* a, std::size_t lda, const double* b,
+                 std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
+                 std::size_t n, std::size_t depth);
 
   // --- correctly-rounded kernels (bit-identical across kernels) ---
   // Multiplication and division are correctly rounded in both scalar and

@@ -4,9 +4,10 @@
 // where written explicitly, in the reduction kernels whose contract already
 // allows reassociation.
 //
-//   * axpy / axpy4 / axpy_bf16 / axpy4_bf16 are elementwise (packed multiply
-//     then packed add, one rounding each — the same two roundings the scalar
-//     code performs per element), so they are bit-identical to portable.
+//   * axpy / axpy4 / axpy_bf16 / axpy4_bf16 / matmul are elementwise (packed
+//     multiply then packed add, one rounding each — the same two roundings
+//     the scalar code performs per element), so they are bit-identical to
+//     portable.
 //   * dot uses 4-lane FMA accumulators with a fixed lane-reduction order
 //     ((l0+l2) + (l1+l3)); results differ from portable within the ULP bound
 //     stated in docs/KERNELS.md, but are deterministic per length.
@@ -14,6 +15,8 @@
 #include "la/kernels.hpp"
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 namespace lsi::la::kern {
 
@@ -81,6 +84,60 @@ void axpy4_avx2(const double* a4, const double* x, double* y0, double* y1,
     y2[i] += a4[2] * xi;
     y3[i] += a4[3] * xi;
   }
+}
+
+/// Columns [0, C) of rows [0, 8) of C = A B: 8 x C sums in 2 x C registers
+/// over the whole depth, each a packed multiply then a packed add per l
+/// (the scalar loop's two roundings), l ascending.
+template <std::size_t C>
+void matmul_tile_avx2(const double* a, std::size_t lda, const double* b,
+                      std::size_t ldb, double* c, std::size_t ldc,
+                      std::size_t depth) {
+  __m256d acc[C][2];
+  for (std::size_t q = 0; q < C; ++q) {
+    acc[q][0] = _mm256_setzero_pd();
+    acc[q][1] = _mm256_setzero_pd();
+  }
+  for (std::size_t l = 0; l < depth; ++l) {
+    const __m256d a0 = _mm256_loadu_pd(a + l * lda);
+    const __m256d a1 = _mm256_loadu_pd(a + l * lda + 4);
+    for (std::size_t q = 0; q < C; ++q) {
+      const __m256d vb = _mm256_broadcast_sd(b + l + q * ldb);
+      acc[q][0] = _mm256_add_pd(acc[q][0], _mm256_mul_pd(a0, vb));
+      acc[q][1] = _mm256_add_pd(acc[q][1], _mm256_mul_pd(a1, vb));
+    }
+  }
+  for (std::size_t q = 0; q < C; ++q) {
+    _mm256_storeu_pd(c + q * ldc, acc[q][0]);
+    _mm256_storeu_pd(c + q * ldc + 4, acc[q][1]);
+  }
+}
+
+void matmul_avx2(const double* a, std::size_t lda, const double* b,
+                 std::size_t ldb, double* c, std::size_t ldc, std::size_t m,
+                 std::size_t n, std::size_t depth) {
+  // 128-row panels of A (32 KiB at depth 32) stay cache-resident while every
+  // column tile of C passes over them.
+  constexpr std::size_t kPanel = 128;
+  const std::size_t m8 = m - m % 8;
+  for (std::size_t i = 0; i < m8; i += kPanel) {
+    const std::size_t end = std::min(m8, i + kPanel);
+    std::size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      for (std::size_t r = i; r < end; r += 8) {
+        matmul_tile_avx2<4>(a + r, lda, b + j * ldb, ldb, c + r + j * ldc,
+                            ldc, depth);
+      }
+    }
+    for (; j < n; ++j) {
+      for (std::size_t r = i; r < end; r += 8) {
+        matmul_tile_avx2<1>(a + r, lda, b + j * ldb, ldb, c + r + j * ldc,
+                            ldc, depth);
+      }
+    }
+  }
+  // The last m % 8 rows take the scalar kernel, which rounds the same way.
+  portable().matmul(a + m8, lda, b, ldb, c + m8, ldc, m - m8, n, depth);
 }
 
 inline __m256 bf16_decode8(const std::uint16_t* x) {
@@ -173,8 +230,9 @@ void cos_norm_f32_avx2(double qn, const float* acc, const double* dn,
 }
 
 constexpr Ops kAvx2Ops = {
-    "avx2",         dot_avx2,           axpy_avx2,     axpy4_avx2,
-    axpy_bf16_avx2, axpy4_bf16_avx2,    cos_norm_avx2, cos_norm_f32_avx2,
+    "avx2",          dot_avx2,        axpy_avx2,
+    axpy4_avx2,      axpy_bf16_avx2,  axpy4_bf16_avx2,
+    matmul_avx2,     cos_norm_avx2,   cos_norm_f32_avx2,
 };
 
 }  // namespace

@@ -258,8 +258,16 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
   // Assemble: U = U_dim * P, V = V_dim * Q, truncated to `keep`.
   LSI_OBS_SPAN(span_assemble, "lanczos.assemble");
   small.truncate(keep);
-  out.u = multiply(ubasis.first_cols(dim), small.u);
-  out.v = multiply(vbasis.first_cols(dim), small.v);
+  // The first dim columns of a column-major basis are a prefix of its
+  // storage: the GEMMs read them in place instead of from an (m + n) x dim
+  // copy, with la::multiply's arithmetic.
+  const kern::Ops& ops = kern::active();
+  out.u = DenseMatrix(m, keep);
+  ops.matmul(ubasis.data(), m, small.u.data(), dim, out.u.data(), m, m, keep,
+             dim);
+  out.v = DenseMatrix(n, keep);
+  ops.matmul(vbasis.data(), n, small.v.data(), dim, out.v.data(), n, n, keep,
+             dim);
   out.s = std::move(small.s);
   normalize_signs(out);
   return out;

@@ -161,26 +161,33 @@ std::shared_ptr<const AnnIndex::Postings> AnnIndex::regroup(
     out->docs[cursor[assign[t]]++] = first + t;
   }
   // Pack each posting's raw V_k row (bit-exact copies: the pruned re-rank
-  // must reproduce the exact sweep's arithmetic). Column by column, so the
-  // reads of V run along each block's column segments.
-  out->rows.resize(n * static_cast<std::size_t>(k_));
-  for (index_t i = 0; i < k_; ++i) {
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      out->rows[pos * k_ + i] = space.v(out->docs[pos], i);
-    }
+  // must reproduce the exact sweep's arithmetic). V is walked in document
+  // order, one block at a time, and each row lands at its posting position.
+  std::vector<index_t> position(n);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    position[out->docs[pos] - first] = pos;
   }
+  const auto pack = [&](const auto& blocks, auto& rows) {
+    constexpr std::size_t kB = util::kBlockRows;
+    rows.resize(n * static_cast<std::size_t>(k_));
+    for (std::size_t t = 0; t < n;) {
+      const std::size_t j = first + t;
+      const std::size_t len = std::min(n - t, kB - j % kB);
+      const auto* blk = blocks.block(j / kB) + j % kB;
+      for (std::size_t r = 0; r < len; ++r) {
+        auto* dst = rows.data() + position[t + r] * k_;
+        for (index_t i = 0; i < k_; ++i) {
+          dst[i] = blk[i * util::kBlockStride + r];
+        }
+      }
+      t += len;
+    }
+  };
+  pack(space.v, out->rows);
   // When the space carries a compressed store, mirror its encoded words into
   // posting order too (verbatim copies, never re-encoded from V: the pruned
   // bf16 re-rank must decode exactly what the exact bf16 sweep decodes).
-  if (bf16_) {
-    const Bf16DocStore* store = space.compressed_docs();
-    out->rows16.resize(n * static_cast<std::size_t>(k_));
-    for (index_t i = 0; i < k_; ++i) {
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        out->rows16[pos * k_ + i] = store->word(out->docs[pos], i);
-      }
-    }
-  }
+  if (bf16_) pack(*space.compressed_docs(), out->rows16);
   return out;
 }
 

@@ -11,10 +11,19 @@
 
 namespace lsi::core {
 
-void SemanticSpace::fill_doc_norm_range(SimilarityMode mode, index_t end,
+namespace {
+
+/// The doc_norm_cache_ slot of a mode's norm vector: 0 for ||v_j sigma||,
+/// 1 for ||v_j||.
+std::size_t norm_slot(SimilarityMode mode) noexcept {
+  return mode == SimilarityMode::kPlainV ? 1 : 0;
+}
+
+}  // namespace
+
+void SemanticSpace::fill_doc_norm_range(bool scale_docs, index_t end,
                                         util::RowBlocks<double>& norms) const {
   const index_t begin = norms.rows();
-  const bool scale_docs = mode != SimilarityMode::kPlainV;
   std::vector<double> fresh(end - begin);
   util::parallel_for_chunks(
       begin, end,
@@ -39,7 +48,8 @@ void SemanticSpace::fill_doc_norm_range(SimilarityMode mode, index_t end,
 
 const util::RowBlocks<double>& SemanticSpace::doc_norms(
     SimilarityMode mode) const {
-  auto& cache = doc_norm_cache_[static_cast<std::size_t>(mode)];
+  const std::size_t slot = norm_slot(mode);
+  auto& cache = doc_norm_cache_[slot];
   // Row-count mismatch means documents were appended (folding) since the
   // cache was built; same-size mutation must call invalidate_doc_norms().
   if (cache.rows() == num_docs()) {
@@ -49,7 +59,7 @@ const util::RowBlocks<double>& SemanticSpace::doc_norms(
   obs::count("retrieval.norm_cache.miss");
   LSI_OBS_SPAN(span, "retrieval.norm_cache.fill");
   cache = util::RowBlocks<double>(1);
-  fill_doc_norm_range(mode, num_docs(), cache);
+  fill_doc_norm_range(slot == 0, num_docs(), cache);
   return cache;
 }
 
@@ -76,8 +86,8 @@ void SemanticSpace::prewarm_doc_norms() const {
 }
 
 void SemanticSpace::extend_doc_norms(index_t old_num_docs) const {
-  for (std::size_t m = 0; m < kNumSimilarityModes; ++m) {
-    auto& cache = doc_norm_cache_[m];
+  for (std::size_t slot = 0; slot < kNumDocNormVectors; ++slot) {
+    auto& cache = doc_norm_cache_[slot];
     if (cache.empty()) continue;  // cold stays cold, lazy fill handles it
     if (cache.rows() != old_num_docs || old_num_docs > num_docs()) {
       // Cache does not correspond to the pre-append row count (or the
@@ -86,7 +96,7 @@ void SemanticSpace::extend_doc_norms(index_t old_num_docs) const {
       continue;
     }
     obs::count("retrieval.norm_cache.extend", num_docs() - old_num_docs);
-    fill_doc_norm_range(static_cast<SimilarityMode>(m), num_docs(), cache);
+    fill_doc_norm_range(slot == 0, num_docs(), cache);
   }
   if (bf16_store_) {
     // Same append-only contract as the norm caches: a store built at the

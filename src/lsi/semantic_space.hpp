@@ -44,6 +44,10 @@ enum class SimilarityMode {
 };
 
 inline constexpr std::size_t kNumSimilarityModes = 3;
+/// Distinct per-document norm vectors behind the modes: kColumnSpace and
+/// kProjected both divide by ||v_j sigma||, kPlainV by ||v_j||. A fill or an
+/// extension of the doc-norm caches computes each of these once.
+inline constexpr std::size_t kNumDocNormVectors = 2;
 
 struct SemanticSpace {
   la::SharedMatrix u;          ///< m x k, term vectors in rows
@@ -64,6 +68,7 @@ struct SemanticSpace {
   /// row-count guard additionally catches appended documents. The lazy fill
   /// is not safe under concurrent first use; call once before sharing a
   /// space across threads. Stored in V's 512-row blocks, shared by copies.
+  /// The sigma-scaled modes return the same vector (kNumDocNormVectors).
   const util::RowBlocks<double>& doc_norms(SimilarityMode mode) const;
 
   /// Drops every cached per-mode norm vector (call after mutating v/sigma).
@@ -76,7 +81,7 @@ struct SemanticSpace {
   /// and copies of the space share it.
   const std::vector<double>& term_norms() const;
 
-  /// Eagerly fills the norm cache for every SimilarityMode and the term-norm
+  /// Eagerly fills the norm cache of every SimilarityMode and the term-norm
   /// cache. After this call, doc_norms() and term_norms() are pure reads, so
   /// the space can be shared read-only across threads (the snapshot-publish
   /// path of lsi/concurrent.hpp prewarms every published space — see
@@ -85,7 +90,7 @@ struct SemanticSpace {
   void prewarm_doc_norms() const;
 
   /// Append-only cache maintenance: after new document rows were appended
-  /// to V (folding-in), extends every already-filled mode cache with the
+  /// to V (folding-in), extends every already-filled norm vector with the
   /// norms of rows [old_num_docs, num_docs()) instead of recomputing all n
   /// of them. The extended entries are computed exactly like the lazy fill,
   /// so the result is bit-identical to an invalidate-and-refill. Caches that
@@ -129,12 +134,14 @@ struct SemanticSpace {
 
  private:
   /// Shared fill kernel for the lazy fill / prewarm / append-extension
-  /// paths: appends the norms of rows [norms.rows(), end) to `norms`.
-  void fill_doc_norm_range(SimilarityMode mode, index_t end,
+  /// paths: appends the norms of rows [norms.rows(), end) to `norms`, of
+  /// the sigma-scaled rows when `scale_docs`.
+  void fill_doc_norm_range(bool scale_docs, index_t end,
                            util::RowBlocks<double>& norms) const;
 
-  /// One lazily-filled norm array per SimilarityMode; empty = not computed.
-  mutable std::array<util::RowBlocks<double>, kNumSimilarityModes>
+  /// One lazily-filled norm array per distinct norm vector, the sigma-
+  /// scaled one first; empty = not computed.
+  mutable std::array<util::RowBlocks<double>, kNumDocNormVectors>
       doc_norm_cache_;
   /// Lazily-filled term_norms(); null or size != num_terms() = not computed.
   mutable std::shared_ptr<const std::vector<double>> term_norm_cache_;

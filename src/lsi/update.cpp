@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "la/golub_kahan_svd.hpp"
 #include "la/jacobi_svd.hpp"
 #include "la/qr.hpp"
 #include "obs/trace.hpp"
@@ -21,6 +22,22 @@ la::DenseMatrix diag_of(const std::vector<double>& sigma) {
 la::DenseMatrix hstack(const la::DenseMatrix& a, const la::DenseMatrix& b) {
   la::DenseMatrix out = a;
   out.append_cols(b);
+  return out;
+}
+
+/// [[V_k, 0], [0, I_p]] W for a (k+p) x k W: the k old columns' rows rotate
+/// by W's top k rows, and the p new documents take W's bottom rows.
+la::BlockedMatrix rotate_and_append(const la::BlockedMatrix& v,
+                                    const la::DenseMatrix& w) {
+  const index_t k = v.cols();
+  const index_t p = w.rows() - k;
+  la::DenseMatrix top(k, w.cols()), bottom(p, w.cols());
+  for (index_t j = 0; j < w.cols(); ++j) {
+    for (index_t i = 0; i < k; ++i) top(i, j) = w(i, j);
+    for (index_t i = 0; i < p; ++i) bottom(i, j) = w(k + i, j);
+  }
+  la::BlockedMatrix out = v.multiply(top);
+  out.append_rows(bottom);
   return out;
 }
 
@@ -45,21 +62,22 @@ la::DenseMatrix update_documents(SemanticSpace& space,
   la::DenseMatrix f = diag_of(space.sigma);
   f.append_cols(utd);
 
-  la::SvdResult fs = la::jacobi_svd(f);  // k x (k+p): rank k
-  fs.truncate(k);
+  la::SvdResult fs;
+  {
+    LSI_OBS_SPAN(svd_span, "update.svd");
+    fs = la::golub_kahan_svd(f);  // k x (k+p): rank k
+    fs.truncate(k);
+  }
 
   // U_B = U_k U_F ;  V_B = [[V_k, 0], [0, I_p]] V_F.
-  space.u = la::multiply(space.u, fs.u);
-  // V_F is (k+p) x k; split into top k rows (rotating old documents) and
-  // bottom p rows (the new documents' coordinates).
-  la::DenseMatrix vf_top(k, k), vf_bottom(p, k);
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < k; ++i) vf_top(i, j) = fs.v(i, j);
-    for (index_t i = 0; i < p; ++i) vf_bottom(i, j) = fs.v(k + i, j);
+  {
+    LSI_OBS_SPAN(rotate_span, "update.rotate_u");
+    space.u = la::multiply(space.u, fs.u);
   }
-  la::BlockedMatrix new_v = space.v.multiply(vf_top);
-  new_v.append_rows(vf_bottom);
-  space.v = std::move(new_v);
+  {
+    LSI_OBS_SPAN(rotate_span, "update.rotate_v");
+    space.v = rotate_and_append(space.v, fs.v);
+  }
   space.sigma = std::move(fs.s);
   space.invalidate_doc_norms();
   return std::move(fs.u);
@@ -149,7 +167,6 @@ la::DenseMatrix update_documents_exact(SemanticSpace& space,
   assert(d.rows() == space.num_terms());
   const index_t k = space.k();
   const index_t p = d.cols();
-  const index_t n = space.num_docs();
   if (p == 0) return la::DenseMatrix::identity(k);
 
   // Split D into its in-subspace part U (U^T D) and residual R = D - U U^T D.
@@ -167,23 +184,14 @@ la::DenseMatrix update_documents_exact(SemanticSpace& space,
   la::DenseMatrix kmat = k_top;
   kmat.append_rows(k_bottom);
 
-  la::SvdResult ks = la::jacobi_svd(kmat);
+  la::SvdResult ks = la::golub_kahan_svd(kmat);
   ks.truncate(k);
 
   // U' = [U Q] U_K.
   la::DenseMatrix uq = hstack(space.u, rq.q);                  // m x (k+p)
   space.u = la::multiply(uq, ks.u);
   // V' = [[V, 0], [0, I_p]] V_K.
-  la::DenseMatrix new_v(n + p, k);
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (index_t l = 0; l < k; ++l) acc += space.v(i, l) * ks.v(l, j);
-      new_v(i, j) = acc;
-    }
-    for (index_t i = 0; i < p; ++i) new_v(n + i, j) = ks.v(k + i, j);
-  }
-  space.v = std::move(new_v);
+  space.v = rotate_and_append(space.v, ks.v);
   space.sigma = std::move(ks.s);
   space.invalidate_doc_norms();
   la::DenseMatrix map(k, k);

@@ -5,8 +5,8 @@
 // shapes that exercise the main vector loops.
 //
 // The contracts are the precision policy of la/kernels.hpp:
-//   * elementwise kernels (axpy, axpy4, axpy_bf16, axpy4_bf16) must be
-//     BIT-IDENTICAL to the scalar mul-then-add loop, for every kernel;
+//   * elementwise kernels (axpy, axpy4, axpy_bf16, axpy4_bf16, matmul) must
+//     be BIT-IDENTICAL to the scalar mul-then-add loop, for every kernel;
 //   * the reduction kernel (dot) may reassociate, so it is checked against
 //     a compensated reference within a stated ULP bound.
 
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "la/kernels.hpp"
+#include "util/row_blocks.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -158,6 +159,73 @@ TEST(KernelParity, Axpy4Bf16BitIdenticalLarge) {
         }
       }
     }
+  }
+}
+
+/// Checks ops->matmul on an m x depth A (leading dimension lda) times a
+/// depth x n B against the axpy sequence la::multiply ran before the tile
+/// kernel: column j of C starts at zero and takes axpy(b(l, j), A col l)
+/// for l ascending, skipping zero coefficients. Every third coefficient and
+/// every fifth entry of A is zero (one coefficient -0.0).
+void expect_matmul_matches_axpys(const kern::Ops* ops, std::size_t m,
+                                 std::size_t n, std::size_t depth,
+                                 std::size_t lda, std::uint64_t seed) {
+  auto a = random_vec(lda * depth, seed);
+  for (std::size_t l = 0; l < depth; ++l) {
+    for (std::size_t i = 0; i < m; i += 5) a[i + l * lda] = 0.0;
+  }
+  auto b = random_vec(depth * n, seed + 1);
+  for (std::size_t t = 0; t < b.size(); t += 3) b[t] = 0.0;
+  if (b.size() > 1) b[1] = -0.0;
+  std::vector<double> want(lda * n, 0.0);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t l = 0; l < depth; ++l) {
+      const double blj = b[l + j * depth];
+      if (blj == 0.0) continue;
+      kern::portable().axpy(blj, a.data() + l * lda, want.data() + j * lda,
+                            m);
+    }
+  }
+  std::vector<double> got(lda * n, 42.0);
+  ops->matmul(a.data(), lda, b.data(), depth, got.data(), lda, m, n, depth);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < m; ++i) {
+      ASSERT_EQ(want[i + j * lda], got[i + j * lda])
+          << ops->name << " m=" << m << " n=" << n << " depth=" << depth
+          << " i=" << i << " j=" << j;
+    }
+    // Rows past m are outside C and stay untouched.
+    for (std::size_t i = m; i < lda; ++i) {
+      ASSERT_EQ(got[i + j * lda], 42.0) << ops->name << " i=" << i;
+    }
+  }
+}
+
+TEST(KernelParity, MatmulBitIdenticalToAxpysExhaustive) {
+  // Every row count through two 8-row tiles plus the 4-row and scalar
+  // tails, every column count through two 4-column tiles plus the tail.
+  for (const kern::Ops* ops : registered_kernels()) {
+    for (std::size_t m = 0; m <= 19; ++m) {
+      for (std::size_t n = 0; n <= 9; ++n) {
+        for (std::size_t depth : {0ul, 1ul, 5ul}) {
+          expect_matmul_matches_axpys(ops, m, n, depth, m + 3,
+                                      800 + 31 * m + n + depth);
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParity, MatmulBitIdenticalOnBlockStride) {
+  // V's layout: a full 512-row block and a partial one at the blocks'
+  // leading dimension, rotated by a k x k map; also a tall U-like operand
+  // that crosses several 128-row panels.
+  for (const kern::Ops* ops : registered_kernels()) {
+    expect_matmul_matches_axpys(ops, lsi::util::kBlockRows, 32, 32,
+                                lsi::util::kBlockStride, 900);
+    expect_matmul_matches_axpys(ops, 301, 30, 30, lsi::util::kBlockStride,
+                                901);
+    expect_matmul_matches_axpys(ops, 1037, 13, 21, 1037, 902);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -180,10 +181,26 @@ TEST(AnnConcurrent, PrunedReadersRaceWriterPublishes) {
     });
   }
 
+  // Before each consolidation the writer waits for the readers to finish
+  // one more comparison, so reads overlap the writer's publishes however
+  // the threads are scheduled. The deadline only bounds a hung reader.
+  const auto wait_for_a_reader = [&] {
+    const std::uint64_t seen = checked.load();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (checked.load() == seen) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        ADD_FAILURE() << "no reader finished a comparison within 60 s";
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
   for (std::size_t d = 60; d < corpus.docs.size(); ++d) {
     ASSERT_TRUE(indexer.add(corpus.docs[d]).ok());
     if (d % 20 == 0) {
       indexer.flush();
+      wait_for_a_reader();
       ASSERT_TRUE(indexer.consolidate().ok());
     }
   }

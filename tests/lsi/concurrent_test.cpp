@@ -179,7 +179,7 @@ TEST(Concurrent, FoldInPublishesNeverRefillNormCaches) {
 
   // The writer's master space is warm from the first publish on, so every
   // fold-in publish extends its caches by the new rows (one extension per
-  // document per mode) and never recomputes a full norm vector.
+  // document per distinct norm vector) and never recomputes a full one.
   obs::Sink sink;
   obs::ScopedSink scoped(&sink);
   const std::uint64_t publishes_before = indexer.publishes();
@@ -191,14 +191,14 @@ TEST(Concurrent, FoldInPublishesNeverRefillNormCaches) {
   EXPECT_GE(indexer.publishes() - publishes_before, 4u);
   EXPECT_EQ(counter(sink, "retrieval.norm_cache.miss"), 0u);
   EXPECT_EQ(counter(sink, "retrieval.norm_cache.extend"),
-            12 * core::kNumSimilarityModes);
+            12 * core::kNumDocNormVectors);
 
-  // A consolidation rotates V: its publish refills each mode exactly once
-  // (on the master; the published copy inherits the warm caches).
+  // A consolidation rotates V: its publish refills each norm vector exactly
+  // once (on the master; the published copy inherits the warm caches).
   ASSERT_TRUE(indexer.consolidate().ok());
   EXPECT_EQ(indexer.consolidations(), 1u);
   EXPECT_EQ(counter(sink, "retrieval.norm_cache.miss"),
-            core::kNumSimilarityModes);
+            core::kNumDocNormVectors);
 }
 
 /// Everything a snapshot lets a reader see, copied out element by element.

@@ -85,12 +85,35 @@ TEST(DocNormCache, FoldInExtendsWarmCachesInsteadOfRefilling) {
   const la::CscMatrix d = synth::random_sparse_matrix(40, 4, 0.2, 10);
   core::fold_in_documents(space, d);
   EXPECT_EQ(counter_value(sink, "retrieval.norm_cache.extend"),
-            4u * core::kNumSimilarityModes);
+            4u * core::kNumDocNormVectors);
 
   space.prewarm_doc_norms();  // all three modes must now be pure hits
   EXPECT_EQ(counter_value(sink, "retrieval.norm_cache.hit"),
             core::kNumSimilarityModes);
   EXPECT_EQ(counter_value(sink, "retrieval.norm_cache.miss"), 0u);
+}
+
+// The two sigma-scaled modes divide by the same ||v_j sigma||: one vector,
+// filled once, serves both with the same bits.
+TEST(DocNormCache, SigmaScaledModesShareOneNormVector) {
+  core::SemanticSpace space = small_space(17);
+  obs::Sink sink;
+  obs::ScopedSink scoped(&sink);
+  const auto& column_space =
+      space.doc_norms(core::SimilarityMode::kColumnSpace);
+  const auto& projected = space.doc_norms(core::SimilarityMode::kProjected);
+  EXPECT_EQ(&column_space, &projected);
+  ASSERT_EQ(projected.size(), space.num_docs());
+  for (std::size_t j = 0; j < space.num_docs(); ++j) {
+    EXPECT_EQ(column_space[j], projected[j]) << "doc " << j;
+    EXPECT_EQ(projected[j], la::norm2(space.doc_coords(j))) << "doc " << j;
+  }
+  EXPECT_EQ(counter_value(sink, "retrieval.norm_cache.miss"), 1u);
+  EXPECT_EQ(counter_value(sink, "retrieval.norm_cache.hit"), 1u);
+
+  space.prewarm_doc_norms();  // only the plain-V vector is still cold
+  EXPECT_EQ(counter_value(sink, "retrieval.norm_cache.miss"),
+            core::kNumDocNormVectors);
 }
 
 // Cold caches stay cold across a fold-in: extension must not eagerly build

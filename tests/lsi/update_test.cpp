@@ -7,9 +7,13 @@
 #include <cmath>
 
 #include "data/med_topics.hpp"
+#include "la/golub_kahan_svd.hpp"
+#include "la/jacobi_svd.hpp"
 #include "lsi/folding.hpp"
+#include "lsi/lsi_index.hpp"
 #include "lsi/retrieval.hpp"
 #include "lsi/update.hpp"
+#include "synth/corpus.hpp"
 #include "synth/sparse_random.hpp"
 #include "util/rng.hpp"
 #include "weighting/weighting.hpp"
@@ -99,6 +103,47 @@ TEST(UpdateDocuments, BetterThanFoldingOnTruncatedSpace) {
   auto err_update = truth;
   err_update.add_scaled(updated.reconstruct(), -1.0);
   EXPECT_LE(err_update.frobenius_norm(), err_fold.frobenius_norm() + 1e-9);
+}
+
+TEST(UpdateDocuments, GolubKahanSvdOfFMatchesJacobi) {
+  // The F = (Sigma_k | U_k^T D) a consolidation decomposes, from a synthetic
+  // corpus shard and a batch of its held-out documents.
+  synth::CorpusSpec spec;
+  spec.topics = 6;
+  spec.docs_per_topic = 30;
+  spec.seed = 5;
+  const auto corpus = synth::generate_corpus(spec);
+  const text::Collection head(corpus.docs.begin(), corpus.docs.end() - 24);
+  core::IndexOptions opts;
+  opts.k = 20;
+  const auto index = core::LsiIndex::try_build(head, opts).value();
+  const SemanticSpace& space = index.space();
+  std::vector<la::SparseVector> cols;
+  for (auto it = corpus.docs.end() - 24; it != corpus.docs.end(); ++it) {
+    cols.push_back(index.weighted_terms(it->body));
+  }
+  const auto d = la::CscMatrix::from_columns(space.num_terms(), cols);
+  const index_t k = space.k();
+  la::DenseMatrix f(k, k + d.cols());
+  for (index_t i = 0; i < k; ++i) f(i, i) = space.sigma[i];
+  la::Vector utd(k);
+  for (index_t j = 0; j < d.cols(); ++j) {
+    la::multiply_transpose(space.u, d.col_rows(j), d.col_values(j), utd);
+    for (index_t i = 0; i < k; ++i) f(i, k + j) = utd[i];
+  }
+
+  const la::SvdResult gk = la::golub_kahan_svd(f);
+  const la::SvdResult jac = la::jacobi_svd(f);
+  ASSERT_EQ(gk.rank(), k);
+  for (index_t i = 0; i < k; ++i) {
+    EXPECT_NEAR(gk.s[i], jac.s[i], 1e-13 * jac.s[0]) << "sigma " << i;
+  }
+  EXPECT_LT(la::orthonormality_error(gk.u), 1e-13);
+  EXPECT_LT(la::orthonormality_error(gk.v), 1e-13);
+  EXPECT_LT(la::max_abs_diff(gk.reconstruct(), f), 1e-13 * jac.s[0]);
+  // Same signs: normalize_signs orients both the same way, so U_F (the map
+  // the ANN rotation carries) agrees entry by entry.
+  EXPECT_LT(la::max_abs_diff(gk.u, jac.u), 1e-9);
 }
 
 TEST(UpdateTerms, EqualsRecomputeWhenSubspaceCoversT) {
