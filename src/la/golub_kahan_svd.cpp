@@ -2,55 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <utility>
 #include <vector>
 
+#include "la/householder.hpp"
 #include "la/tridiag_eig.hpp"
 
 namespace lsi::la {
 
 namespace {
 
-/// A Householder reflector H = I - beta v v^T acting on entries
-/// [first, first + v.size()) of a vector; beta = 0 is the identity.
-struct Reflector {
-  index_t first = 0;
-  Vector v;
-  double beta = 0.0;
-};
-
-/// The reflector that takes x to (alpha, 0, ..., 0), alpha = -sign(x0) ||x||
-/// (the sign that avoids cancellation in v0 = x0 - alpha). Returns alpha.
-double make_reflector(index_t first, Vector x, Reflector& h) {
-  h.first = first;
-  const double norm = norm2(x);
-  if (x.size() <= 1 || norm == 0.0) {
-    h.beta = 0.0;
-    h.v.clear();
-    return x.empty() ? 0.0 : x[0];
-  }
-  const double alpha = x[0] >= 0.0 ? -norm : norm;
-  x[0] -= alpha;
-  h.beta = 2.0 / dot(x, x);
-  h.v = std::move(x);
-  return alpha;
-}
-
-/// Column `c` of `m` (rows from h.first) <- H times it.
-void reflect_col(const Reflector& h, DenseMatrix& m, index_t c) {
-  if (h.beta == 0.0) return;
-  double* col = m.col(c).data() + h.first;
-  const std::size_t len = h.v.size();
-  double w = 0.0;
-  for (std::size_t i = 0; i < len; ++i) w += h.v[i] * col[i];
-  w *= h.beta;
-  for (std::size_t i = 0; i < len; ++i) col[i] -= w * h.v[i];
-}
-
 /// Rows [row0, m.rows()) of `m` times H on columns [h.first, ...).
 void reflect_rows(const Reflector& h, DenseMatrix& m, index_t row0) {
-  if (h.beta == 0.0) return;
+  if (h.tau == 0.0) return;
   const std::size_t rows = m.rows() - row0;
   Vector w(rows, 0.0);
   for (std::size_t t = 0; t < h.v.size(); ++t) {
@@ -59,7 +23,7 @@ void reflect_rows(const Reflector& h, DenseMatrix& m, index_t row0) {
   }
   for (std::size_t t = 0; t < h.v.size(); ++t) {
     double* col = m.col(h.first + t).data() + row0;
-    const double s = h.beta * h.v[t];
+    const double s = h.tau * h.v[t];
     for (std::size_t i = 0; i < rows; ++i) col[i] -= w[i] * s;
   }
 }

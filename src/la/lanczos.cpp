@@ -5,7 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "la/jacobi_svd.hpp"
+#include "la/golub_kahan_svd.hpp"
 #include "la/kernels.hpp"
 #include "la/ritz_check.hpp"
 #include "la/tridiag_eig.hpp"
@@ -283,7 +283,7 @@ SvdResult truncated_svd(const DenseMatrix& a, index_t k,
                         index_t dense_cutoff) {
   const index_t minmn = std::min(a.rows(), a.cols());
   if (minmn <= dense_cutoff) {
-    SvdResult full = jacobi_svd(a);
+    SvdResult full = golub_kahan_svd(a);
     full.truncate(std::min<index_t>(k, full.rank()));
     return full;
   }

@@ -1,7 +1,10 @@
 #include "la/qr.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "la/householder.hpp"
 
 namespace lsi::la {
 
@@ -10,55 +13,27 @@ QrResult qr_decompose(const DenseMatrix& a) {
   const index_t n = a.cols();
   const index_t t = std::min(m, n);
 
-  DenseMatrix work = a;                       // will hold R in its upper part
-  std::vector<Vector> reflectors;             // Householder vectors
-  reflectors.reserve(t);
-
-  for (index_t k = 0; k < t; ++k) {
-    // Build the reflector annihilating work(k+1.., k).
-    Vector v(m - k);
-    for (index_t i = k; i < m; ++i) v[i - k] = work(i, k);
-    const double alpha = norm2(v);
-    if (alpha == 0.0) {
-      reflectors.emplace_back();  // identity step
-      continue;
-    }
-    const double sign = v[0] >= 0.0 ? 1.0 : -1.0;
-    v[0] += sign * alpha;
-    const double vnorm = norm2(v);
-    if (vnorm == 0.0) {
-      reflectors.emplace_back();
-      continue;
-    }
-    scale(v, 1.0 / vnorm);
-    // Apply (I - 2 v v^T) to the trailing columns.
-    for (index_t j = k; j < n; ++j) {
-      double proj = 0.0;
-      for (index_t i = k; i < m; ++i) proj += v[i - k] * work(i, j);
-      proj *= 2.0;
-      for (index_t i = k; i < m; ++i) work(i, j) -= proj * v[i - k];
-    }
-    reflectors.push_back(std::move(v));
-  }
-
+  // Reflector k clears column k below the diagonal; R is what is left.
+  DenseMatrix work = a;
+  std::vector<Reflector> reflectors(t);
   QrResult out;
   out.r = DenseMatrix(t, n);
-  for (index_t i = 0; i < t; ++i) {
-    for (index_t j = i; j < n; ++j) out.r(i, j) = work(i, j);
+  for (index_t k = 0; k < t; ++k) {
+    auto ck = work.col(k);
+    out.r(k, k) =
+        make_reflector(k, Vector(ck.begin() + k, ck.end()), reflectors[k]);
+    for (index_t j = k + 1; j < n; ++j) {
+      reflect_col(reflectors[k], work, j);
+      out.r(k, j) = work(k, j);
+    }
   }
 
-  // Thin Q: apply reflectors in reverse to the first t identity columns.
+  // Thin Q: the reflectors applied in reverse to the first t identity
+  // columns (columns before kk are still e_j on reflector kk's rows).
   out.q = DenseMatrix(m, t);
   for (index_t j = 0; j < t; ++j) out.q(j, j) = 1.0;
   for (index_t kk = t; kk-- > 0;) {
-    const Vector& v = reflectors[kk];
-    if (v.empty()) continue;
-    for (index_t j = 0; j < t; ++j) {
-      double proj = 0.0;
-      for (index_t i = kk; i < m; ++i) proj += v[i - kk] * out.q(i, j);
-      proj *= 2.0;
-      for (index_t i = kk; i < m; ++i) out.q(i, j) -= proj * v[i - kk];
-    }
+    for (index_t j = kk; j < t; ++j) reflect_col(reflectors[kk], out.q, j);
   }
   return out;
 }

@@ -1,8 +1,10 @@
 #pragma once
-// Householder QR factorization with thin-Q extraction.
+// Householder QR factorization with thin-Q extraction, on the reflector the
+// dense SVD uses too (la/householder.hpp).
 //
-// Used to (re)orthonormalize bases: folded-in document/term blocks, Lanczos
-// restart vectors, and as a reference orthogonalizer in tests.
+// Used to orthonormalize bases: the residual blocks of the exact SVD
+// updates (lsi/update.hpp), subspace iteration's blocks, and as a reference
+// orthogonalizer in tests and benches.
 
 #include "la/dense.hpp"
 

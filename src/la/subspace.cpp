@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "la/jacobi_svd.hpp"
+#include "la/golub_kahan_svd.hpp"
 #include "la/qr.hpp"
 #include "util/rng.hpp"
 
@@ -65,7 +65,7 @@ SvdResult subspace_svd(const LinearOperator& op, const SubspaceOptions& opts,
     if (iter % 4 == 3 || iter + 1 == opts.max_iterations) {
       apply_block(op, /*transpose=*/false, v, y);
       st.matvecs += block;
-      SvdResult small = jacobi_svd(y);  // y = (A V) = U S W^T
+      SvdResult small = golub_kahan_svd(y);  // y = (A V) = U S W^T
       bool settled = true;
       for (index_t i = 0; i < k; ++i) {
         const double s = small.s[i];

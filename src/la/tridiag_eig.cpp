@@ -250,73 +250,4 @@ TridiagEig tridiag_eigen_last_row(std::vector<double> diag,
   return tql(std::move(diag), std::move(off), std::move(last));
 }
 
-TridiagEig symmetric_eigen(const DenseMatrix& a) {
-  assert(a.rows() == a.cols());
-  const index_t n = a.rows();
-  if (n == 0) return {};
-
-  // Householder tridiagonalization, accumulating the transform in q.
-  DenseMatrix work = a;
-  DenseMatrix q = DenseMatrix::identity(n);
-  std::vector<double> d(n), e(n > 1 ? n - 1 : 0);
-
-  for (index_t k = 0; k + 2 < n + 1 && n >= 2 && k < n - 2 + 1; ++k) {
-    if (k >= n - 1) break;
-    // Annihilate work(k+2.., k).
-    Vector v(n - k - 1);
-    for (index_t i = k + 1; i < n; ++i) v[i - k - 1] = work(i, k);
-    const double alpha = norm2(v);
-    if (alpha != 0.0 && n - k - 1 > 1) {
-      const double sign = v[0] >= 0.0 ? 1.0 : -1.0;
-      v[0] += sign * alpha;
-      const double vn = norm2(v);
-      if (vn > 0.0) {
-        scale(v, 1.0 / vn);
-        // work <- H work H with H = I - 2 v v^T acting on rows/cols k+1..
-        // p = 2 * work * v restricted to the trailing block
-        Vector p(n - k - 1, 0.0);
-        for (index_t i = k + 1; i < n; ++i) {
-          double acc = 0.0;
-          for (index_t j = k + 1; j < n; ++j) {
-            acc += work(i, j) * v[j - k - 1];
-          }
-          p[i - k - 1] = 2.0 * acc;
-        }
-        const double vp = dot(std::span<const double>(v),
-                              std::span<const double>(p));
-        // w = p - (v^T p) v
-        for (index_t i = 0; i < p.size(); ++i) p[i] -= vp * v[i];
-        for (index_t i = k + 1; i < n; ++i) {
-          for (index_t j = k + 1; j < n; ++j) {
-            work(i, j) -= v[i - k - 1] * p[j - k - 1] +
-                          p[i - k - 1] * v[j - k - 1];
-          }
-        }
-        // Update the k-th column/row border.
-        Vector border(n - k - 1);
-        for (index_t i = k + 1; i < n; ++i) border[i - k - 1] = work(i, k);
-        const double bp = 2.0 * dot(std::span<const double>(v),
-                                    std::span<const double>(border));
-        for (index_t i = k + 1; i < n; ++i) {
-          work(i, k) -= bp * v[i - k - 1];
-          work(k, i) = work(i, k);
-        }
-        // Accumulate into q: q <- q H.
-        for (index_t r = 0; r < n; ++r) {
-          double acc = 0.0;
-          for (index_t i = k + 1; i < n; ++i) acc += q(r, i) * v[i - k - 1];
-          acc *= 2.0;
-          for (index_t i = k + 1; i < n; ++i) q(r, i) -= acc * v[i - k - 1];
-        }
-      }
-    }
-  }
-  for (index_t i = 0; i < n; ++i) d[i] = work(i, i);
-  for (index_t i = 0; i + 1 < n; ++i) e[i] = work(i + 1, i);
-
-  TridiagEig tri = tridiag_eigen(std::move(d), std::move(e));
-  tri.vectors = multiply(q, tri.vectors);
-  return tri;
-}
-
 }  // namespace lsi::la

@@ -1,9 +1,8 @@
 #pragma once
-// The small-matrix iterations behind the Lanczos solver: the symmetric
-// tridiagonal eigensolver (implicit-shift QL) its convergence check runs, and
-// the bidiagonal SVD (implicit-shift QR) that yields its factors. Exposed
-// both for tests and as an alternative "normal equations" route to small
-// truncated SVDs.
+// The small-matrix iterations behind the SVDs: the symmetric tridiagonal
+// eigensolver (implicit-shift QL) the Lanczos convergence check runs, and
+// the bidiagonal SVD (implicit-shift QR) that yields the Lanczos factors and
+// finishes la::golub_kahan_svd (la/golub_kahan_svd.hpp).
 
 #include <span>
 #include <vector>
@@ -39,10 +38,5 @@ TridiagEig tridiag_eigen_last_row(std::vector<double> diag,
 /// std::runtime_error if the iteration fails to converge.
 SvdResult bidiagonal_svd(std::span<const double> diag,
                          std::span<const double> super);
-
-/// Full eigendecomposition of a dense symmetric matrix via Householder
-/// tridiagonalization + QL. Values ascend. Intended for small matrices
-/// (orthogonality measurement, tests).
-TridiagEig symmetric_eigen(const DenseMatrix& a);
 
 }  // namespace lsi::la

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "la/jacobi_svd.hpp"
+#include "la/golub_kahan_svd.hpp"
 #include "lsi/doc_store.hpp"
 #include "lsi/gather/facets.hpp"
 #include "obs/trace.hpp"
@@ -167,7 +167,7 @@ Expected<SemanticSpace> try_build_semantic_space(const la::CscMatrix& a,
 
   la::SvdResult svd;
   if (minmn <= opts.dense_cutoff) {
-    svd = la::jacobi_svd(a.to_dense());
+    svd = la::golub_kahan_svd(a.to_dense());
     svd.truncate(k);
     if (stats) *stats = la::LanczosStats{};
   } else {
@@ -234,7 +234,7 @@ double orthogonality_loss(const la::DenseMatrix& q) {
   for (index_t i = 0; i < gram.rows(); ++i) gram(i, i) -= 1.0;
   // Spectral norm of the symmetric deviation = largest singular value.
   if (gram.rows() == 0) return 0.0;
-  const la::SvdResult s = la::jacobi_svd(gram);
+  const la::SvdResult s = la::golub_kahan_svd(gram);
   return s.s.empty() ? 0.0 : s.s[0];
 }
 

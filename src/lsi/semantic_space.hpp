@@ -153,7 +153,8 @@ struct SemanticSpace {
 };
 
 struct BuildOptions {
-  /// Below this min(m, n) the dense Jacobi SVD is used instead of Lanczos.
+  /// Up to this min(m, n) the dense SVD (la::golub_kahan_svd) is used
+  /// instead of Lanczos.
   /// 0 forces the Lanczos path even on tiny matrices (useful to exercise the
   /// instrumented sparse solver from the CLI).
   index_t dense_cutoff = 96;

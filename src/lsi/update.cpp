@@ -1,9 +1,9 @@
 #include "lsi/update.hpp"
 
 #include <cassert>
+#include <utility>
 
 #include "la/golub_kahan_svd.hpp"
-#include "la/jacobi_svd.hpp"
 #include "la/qr.hpp"
 #include "obs/trace.hpp"
 
@@ -25,18 +25,34 @@ la::DenseMatrix hstack(const la::DenseMatrix& a, const la::DenseMatrix& b) {
   return out;
 }
 
+/// W's first `k` rows and the rest, as two dense matrices.
+std::pair<la::DenseMatrix, la::DenseMatrix> split_rows(const la::DenseMatrix& w,
+                                                       index_t k) {
+  const index_t rest = w.rows() - k;
+  la::DenseMatrix top(k, w.cols()), bottom(rest, w.cols());
+  for (index_t j = 0; j < w.cols(); ++j) {
+    for (index_t i = 0; i < k; ++i) top(i, j) = w(i, j);
+    for (index_t i = 0; i < rest; ++i) bottom(i, j) = w(k + i, j);
+  }
+  return {std::move(top), std::move(bottom)};
+}
+
 /// [[V_k, 0], [0, I_p]] W for a (k+p) x k W: the k old columns' rows rotate
 /// by W's top k rows, and the p new documents take W's bottom rows.
 la::BlockedMatrix rotate_and_append(const la::BlockedMatrix& v,
                                     const la::DenseMatrix& w) {
-  const index_t k = v.cols();
-  const index_t p = w.rows() - k;
-  la::DenseMatrix top(k, w.cols()), bottom(p, w.cols());
-  for (index_t j = 0; j < w.cols(); ++j) {
-    for (index_t i = 0; i < k; ++i) top(i, j) = w(i, j);
-    for (index_t i = 0; i < p; ++i) bottom(i, j) = w(k + i, j);
-  }
+  auto [top, bottom] = split_rows(w, v.cols());
   la::BlockedMatrix out = v.multiply(top);
+  out.append_rows(bottom);
+  return out;
+}
+
+/// [[U_k, 0], [0, I_q]] W for a (k+q) x k W: the same step for the dense U,
+/// whose m old rows rotate and whose q new terms take W's bottom rows.
+la::DenseMatrix rotate_and_append(const la::DenseMatrix& u,
+                                  const la::DenseMatrix& w) {
+  auto [top, bottom] = split_rows(w, u.cols());
+  la::DenseMatrix out = la::multiply(u, top);
   out.append_rows(bottom);
   return out;
 }
@@ -87,7 +103,6 @@ void update_terms(SemanticSpace& space, const la::CscMatrix& t) {
   assert(t.cols() == space.num_docs());
   const index_t k = space.k();
   const index_t q = t.rows();
-  const index_t m = space.num_terms();
   if (q == 0) return;
   LSI_OBS_SPAN(span, "update.terms");
   obs::count("update.terms_added", q);
@@ -109,22 +124,11 @@ void update_terms(SemanticSpace& space, const la::CscMatrix& t) {
   la::DenseMatrix h = diag_of(space.sigma);
   h.append_rows(tv);
 
-  la::SvdResult hs = la::jacobi_svd(h);  // (k+q) x k: rank k
+  la::SvdResult hs = la::golub_kahan_svd(h);  // (k+q) x k: rank k
   hs.truncate(k);
 
   // U_C = [[U_k, 0], [0, I_q]] U_H ;  V_C = V_k V_H.
-  la::DenseMatrix uh_top(k, k), uh_bottom(q, k);
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < k; ++i) uh_top(i, j) = hs.u(i, j);
-    for (index_t i = 0; i < q; ++i) uh_bottom(i, j) = hs.u(k + i, j);
-  }
-  la::DenseMatrix new_u(m + q, k);
-  la::DenseMatrix rotated = la::multiply(space.u, uh_top);
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < m; ++i) new_u(i, j) = rotated(i, j);
-    for (index_t i = 0; i < q; ++i) new_u(m + i, j) = uh_bottom(i, j);
-  }
-  space.u = std::move(new_u);
+  space.u = rotate_and_append(space.u, hs.u);
   space.v = la::multiply(space.v.to_dense(), hs.v);
   space.sigma = std::move(hs.s);
   space.invalidate_doc_norms();
@@ -144,7 +148,7 @@ void update_weights(SemanticSpace& space, const la::DenseMatrix& y,
   la::DenseMatrix qm = la::multiply_a_bt(uty, vtz);     // k x k
   for (index_t i = 0; i < k; ++i) qm(i, i) += space.sigma[i];
 
-  la::SvdResult qs = la::jacobi_svd(qm);
+  la::SvdResult qs = la::golub_kahan_svd(qm);
   qs.truncate(k);
 
   space.u = la::multiply(space.u, qs.u);
@@ -205,7 +209,6 @@ void update_terms_exact(SemanticSpace& space, const la::CscMatrix& t) {
   assert(t.cols() == space.num_docs());
   const index_t k = space.k();
   const index_t q = t.rows();
-  const index_t m = space.num_terms();
   if (q == 0) return;
 
   // T = (T V) V^T + residual; QR the residual's transpose (n x q).
@@ -224,20 +227,11 @@ void update_terms_exact(SemanticSpace& space, const la::CscMatrix& t) {
   la::DenseMatrix kmat = k_top;
   kmat.append_rows(k_bottom);
 
-  la::SvdResult ks = la::jacobi_svd(kmat);
+  la::SvdResult ks = la::golub_kahan_svd(kmat);
   ks.truncate(k);
 
   // U' = [[U, 0], [0, I_q]] U_K.
-  la::DenseMatrix new_u(m + q, k);
-  for (index_t j = 0; j < k; ++j) {
-    for (index_t i = 0; i < m; ++i) {
-      double acc = 0.0;
-      for (index_t l = 0; l < k; ++l) acc += space.u(i, l) * ks.u(l, j);
-      new_u(i, j) = acc;
-    }
-    for (index_t i = 0; i < q; ++i) new_u(m + i, j) = ks.u(k + i, j);
-  }
-  space.u = std::move(new_u);
+  space.u = rotate_and_append(space.u, ks.u);
   // V' = [V Q] V_K.
   space.v = la::multiply(hstack(v, rq.q), ks.v);
   space.sigma = std::move(ks.s);
@@ -273,7 +267,7 @@ void update_weights_exact(SemanticSpace& space, const la::DenseMatrix& y,
   la::DenseMatrix kmat = la::multiply_a_bt(ycoef, zcoef);
   for (index_t i = 0; i < k; ++i) kmat(i, i) += space.sigma[i];
 
-  la::SvdResult ks = la::jacobi_svd(kmat);
+  la::SvdResult ks = la::golub_kahan_svd(kmat);
   ks.truncate(k);
 
   space.u = la::multiply(hstack(space.u, qy.q), ks.u);

@@ -6,7 +6,7 @@
 #include <atomic>
 #include <cmath>
 
-#include "la/jacobi_svd.hpp"
+#include "support/jacobi_svd.hpp"
 #include "la/lanczos.hpp"
 #include "lsi/folding.hpp"
 #include "lsi/update.hpp"

@@ -8,7 +8,7 @@
 #include <sstream>
 
 #include "data/med_topics.hpp"
-#include "la/jacobi_svd.hpp"
+#include "support/jacobi_svd.hpp"
 #include "la/lanczos.hpp"
 #include "lsi/io.hpp"
 #include "lsi/lsi_index.hpp"

@@ -1,4 +1,4 @@
-// Symmetric tridiagonal / dense eigensolver tests, and the bidiagonal QR
+// Symmetric tridiagonal eigensolver tests, and the bidiagonal QR
 // SVD held against the dense Jacobi reference.
 
 #include <gtest/gtest.h>
@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "la/jacobi_svd.hpp"
+#include "support/jacobi_svd.hpp"
 #include "la/tridiag_eig.hpp"
 #include "util/rng.hpp"
 
@@ -246,38 +246,6 @@ TEST(BidiagonalSvd, GradedMagnitudes) {
   std::reverse(d.begin(), d.end());
   std::reverse(e.begin(), e.end());
   expect_bidiagonal_svd_matches_jacobi(d, e);
-}
-
-TEST(SymmetricEigen, RandomSymmetricReconstructs) {
-  lsi::util::Rng rng(9);
-  const index_t n = 15;
-  DenseMatrix a(n, n);
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j <= i; ++j) {
-      const double v = rng.normal();
-      a(i, j) = v;
-      a(j, i) = v;
-    }
-  }
-  auto e = symmetric_eigen(a);
-  EXPECT_LT(orthonormality_error(e.vectors), 1e-9);
-  auto zd = scale_cols(e.vectors, e.values);
-  auto back = multiply_a_bt(zd, e.vectors);
-  EXPECT_LT(max_abs_diff(back, a), 1e-8);
-  for (std::size_t i = 1; i < e.values.size(); ++i) {
-    EXPECT_LE(e.values[i - 1], e.values[i]);
-  }
-}
-
-TEST(SymmetricEigen, GramMatrixIsPsd) {
-  lsi::util::Rng rng(21);
-  DenseMatrix b(10, 6);
-  for (index_t j = 0; j < 6; ++j) {
-    for (index_t i = 0; i < 10; ++i) b(i, j) = rng.normal();
-  }
-  auto g = multiply_at_b(b, b);
-  auto e = symmetric_eigen(g);
-  for (double v : e.values) EXPECT_GT(v, -1e-9);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
-// Golub–Kahan SVD tests: it keeps jacobi_svd's contract (min(m, n)
-// triplets, s descending, the normalize_signs convention) and agrees with
-// it on wide, tall, rank-deficient, repeated-sigma and zero matrices.
+// Golub–Kahan SVD tests: it keeps the contract of the test-only Jacobi
+// reference (min(m, n) triplets, s descending, the normalize_signs
+// convention) and agrees with it on wide, tall, rank-deficient,
+// repeated-sigma, block-diagonal and zero matrices.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "la/golub_kahan_svd.hpp"
-#include "la/jacobi_svd.hpp"
+#include "support/jacobi_svd.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -119,6 +121,37 @@ TEST(GolubKahanSvd, ZeroMatrixHasZeroSigmaAndOrthonormalFactors) {
 TEST(GolubKahanSvd, EmptyMatrix) {
   EXPECT_EQ(golub_kahan_svd(DenseMatrix()).rank(), 0u);
   EXPECT_EQ(golub_kahan_svd(DenseMatrix(4, 0)).rank(), 0u);
+}
+
+TEST(GolubKahanSvd, DisjointBlocksKeepExactZeros) {
+  // Document d holds terms 3d..3d+2 at equal weight: four disjoint
+  // vocabularies and a 4-fold sigma. Every singular pair must stay on one
+  // block with exact zeros elsewhere; a rounding residue there is what
+  // reorders tied cosines across shard counts.
+  DenseMatrix a(12, 4);
+  for (index_t d = 0; d < 4; ++d) {
+    for (index_t t = 3 * d; t < 3 * d + 3; ++t) a(t, d) = 0.5;
+  }
+  expect_agrees_with_jacobi(a);
+  const SvdResult gk = golub_kahan_svd(a);
+  std::vector<bool> seen(4, false);
+  for (index_t j = 0; j < 4; ++j) {
+    index_t block = 4;
+    for (index_t d = 0; d < 4; ++d) {
+      if (gk.v(d, j) != 0.0) {
+        EXPECT_EQ(block, 4u) << "column " << j << " spans two blocks";
+        block = d;
+      }
+    }
+    ASSERT_LT(block, 4u) << "column " << j;
+    EXPECT_FALSE(seen[block]) << "block " << block << " twice";
+    seen[block] = true;
+    for (index_t t = 0; t < 12; ++t) {
+      if (t / 3 != block) {
+        EXPECT_EQ(gk.u(t, j), 0.0) << t << "," << j;
+      }
+    }
+  }
 }
 
 TEST(GolubKahanSvd, DiagonalPlusBorderLikeTheUpdate) {

@@ -10,7 +10,7 @@
 #include <cmath>
 #include <vector>
 
-#include "la/jacobi_svd.hpp"
+#include "support/jacobi_svd.hpp"
 #include "la/lanczos.hpp"
 #include "la/ritz_check.hpp"
 #include "obs/trace.hpp"

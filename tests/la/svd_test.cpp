@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "la/jacobi_svd.hpp"
+#include "support/jacobi_svd.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "la/jacobi_svd.hpp"
+#include "support/jacobi_svd.hpp"
 #include "data/med_topics.hpp"
 #include "lsi/semantic_space.hpp"
 #include "synth/sparse_random.hpp"

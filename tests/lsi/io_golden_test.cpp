@@ -22,7 +22,9 @@
 
 #include "lsi/concurrent.hpp"
 #include "lsi/io.hpp"
+#include "lsi/lsi_index.hpp"
 #include "lsi/retrieval.hpp"
+#include "synth/corpus.hpp"
 
 namespace {
 
@@ -100,6 +102,34 @@ TEST(IoGolden, KnownQueryKeepsItsTop10) {
   ASSERT_EQ(hits.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(db.doc_labels[hits[i].doc], kGoldenTop10[i].label)
+        << "rank " << i;
+    EXPECT_NEAR(hits[i].cosine, kGoldenTop10[i].cosine, 1e-9) << "rank " << i;
+  }
+}
+
+TEST(IoGolden, RebuiltIndexKeepsItsTop10) {
+  // make_golden_fixture's recipe, in process: the fixture was built with an
+  // older dense SVD, so this pins the dense build path end to end without
+  // rewriting the committed bytes.
+  synth::CorpusSpec spec;
+  spec.topics = 3;
+  spec.concepts_per_topic = 7;
+  spec.docs_per_topic = 12;
+  spec.queries_per_topic = 1;
+  spec.seed = 20240806;
+  const auto corpus = synth::generate_corpus(spec);
+  ASSERT_EQ(corpus.queries[0].text, kGoldenQuery);
+  core::IndexOptions opts;
+  opts.k = 5;
+  const auto index = core::LsiIndex::try_build(corpus.docs, opts).value();
+
+  core::SearchOptions qopts;
+  qopts.z = 10;
+  const auto hits = core::retrieve(
+      index.space(), index.weighted_term_vector(kGoldenQuery), qopts);
+  ASSERT_EQ(hits.size(), 10u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(index.doc_labels()[hits[i].doc], kGoldenTop10[i].label)
         << "rank " << i;
     EXPECT_NEAR(hits[i].cosine, kGoldenTop10[i].cosine, 1e-9) << "rank " << i;
   }

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "la/jacobi_svd.hpp"
+#include "support/jacobi_svd.hpp"
 #include "la/kernels.hpp"
 #include "lsi/doc_store.hpp"
 #include "lsi/semantic_space.hpp"

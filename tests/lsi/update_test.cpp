@@ -8,7 +8,7 @@
 
 #include "data/med_topics.hpp"
 #include "la/golub_kahan_svd.hpp"
-#include "la/jacobi_svd.hpp"
+#include "support/jacobi_svd.hpp"
 #include "lsi/folding.hpp"
 #include "lsi/lsi_index.hpp"
 #include "lsi/retrieval.hpp"

@@ -1,18 +1,20 @@
-#include "la/jacobi_svd.hpp"
+#include "support/jacobi_svd.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace lsi::la {
 
 namespace {
 
+constexpr int kMaxSweeps = 60;  ///< hard cap on cyclic sweeps
+constexpr double kTol = 1e-14;  ///< relative off-diagonal threshold
+
 /// One-sided Jacobi on a matrix with rows >= cols. Returns triplets in
 /// arbitrary order; caller sorts.
-SvdResult jacobi_tall(const DenseMatrix& a, const JacobiOptions& opts) {
+SvdResult jacobi_tall(const DenseMatrix& a) {
   const index_t m = a.rows();
   const index_t n = a.cols();
   assert(m >= n);
@@ -28,7 +30,7 @@ SvdResult jacobi_tall(const DenseMatrix& a, const JacobiOptions& opts) {
   const double fro = a.frobenius_norm();
   const double dead = (1e-15 * fro) * (1e-15 * fro);
 
-  for (int sweep = 0; sweep < opts.max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool rotated = false;
     for (index_t p = 0; p + 1 < n; ++p) {
       for (index_t q = p + 1; q < n; ++q) {
@@ -38,7 +40,7 @@ SvdResult jacobi_tall(const DenseMatrix& a, const JacobiOptions& opts) {
         const double aqq = dot(wq, wq);
         if (app <= dead || aqq <= dead) continue;
         const double apq = dot(wp, wq);
-        if (std::fabs(apq) <= opts.tol * std::sqrt(app * aqq) ||
+        if (std::fabs(apq) <= kTol * std::sqrt(app * aqq) ||
             apq == 0.0) {
           continue;
         }
@@ -90,64 +92,13 @@ SvdResult jacobi_tall(const DenseMatrix& a, const JacobiOptions& opts) {
 
 }  // namespace
 
-void SvdResult::truncate(index_t k) {
-  if (k >= rank()) return;
-  u = u.first_cols(k);
-  v = v.first_cols(k);
-  s.resize(k);
-}
-
-DenseMatrix SvdResult::reconstruct() const {
-  return multiply_a_bt(scale_cols(u, s), v);
-}
-
-void normalize_signs(SvdResult& svd) {
-  for (index_t j = 0; j < svd.rank(); ++j) {
-    auto uj = svd.u.col(j);
-    index_t arg = 0;
-    double best = 0.0;
-    for (index_t i = 0; i < uj.size(); ++i) {
-      if (std::fabs(uj[i]) > best) {
-        best = std::fabs(uj[i]);
-        arg = i;
-      }
-    }
-    if (uj.empty() || uj[arg] >= 0.0) continue;
-    scale(uj, -1.0);
-    scale(svd.v.col(j), -1.0);
-  }
-}
-
-void sort_descending(SvdResult& svd) {
-  const index_t k = svd.rank();
-  std::vector<index_t> order(k);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-    return svd.s[a] > svd.s[b];
-  });
-  SvdResult out;
-  out.s.resize(k);
-  out.u = DenseMatrix(svd.u.rows(), k);
-  out.v = DenseMatrix(svd.v.rows(), k);
-  for (index_t j = 0; j < k; ++j) {
-    out.s[j] = svd.s[order[j]];
-    auto us = svd.u.col(order[j]);
-    auto ud = out.u.col(j);
-    std::copy(us.begin(), us.end(), ud.begin());
-    auto vs = svd.v.col(order[j]);
-    auto vd = out.v.col(j);
-    std::copy(vs.begin(), vs.end(), vd.begin());
-  }
-  svd = std::move(out);
-}
-
-SvdResult jacobi_svd(const DenseMatrix& a, const JacobiOptions& opts) {
+SvdResult jacobi_svd(const DenseMatrix& a) {
   SvdResult out;
   if (a.rows() == 0 || a.cols() == 0) return out;
   if (a.rows() >= a.cols()) {
-    out = jacobi_tall(a, opts);
+    out = jacobi_tall(a);
   } else {
-    out = jacobi_tall(a.transposed(), opts);
+    out = jacobi_tall(a.transposed());
     std::swap(out.u, out.v);
   }
   sort_descending(out);
