@@ -22,9 +22,9 @@ std::vector<std::uint16_t> Bf16DocStore::payload() const {
 
 void Bf16DocStore::fill_norms(std::span<const double> sigma) {
   const la::index_t begin = norms_[0].rows();
-  for (std::size_t m = 0; m < kNumSimilarityModes; ++m) {
+  for (std::size_t slot = 0; slot < kNumDocNormVectors; ++slot) {
     const bool scale_docs =
-        static_cast<SimilarityMode>(m) != SimilarityMode::kPlainV;
+        slot == doc_norm_slot(SimilarityMode::kColumnSpace);
     std::vector<double> fresh(num_docs_ - begin);
     util::parallel_for_chunks(
         begin, num_docs_,
@@ -43,9 +43,9 @@ void Bf16DocStore::fill_norms(std::span<const double> sigma) {
           }
         },
         /*grain=*/256);
-    if (norms_[m].width() == 0) norms_[m] = util::RowBlocks<double>(1);
-    norms_[m].append(fresh.size(),
-                     [&](std::size_t j, std::size_t) { return fresh[j]; });
+    if (norms_[slot].width() == 0) norms_[slot] = util::RowBlocks<double>(1);
+    norms_[slot].append(fresh.size(),
+                        [&](std::size_t j, std::size_t) { return fresh[j]; });
   }
 }
 

@@ -10,10 +10,10 @@
 //
 // Layout mirrors V: 512-row blocks, column-major inside a block (factor i
 // of a block's rows is contiguous), which is exactly the access order of
-// the batched sweep. The store also
-// carries its own per-mode document norms, computed from the DECODED bf16
-// values — cosines must divide by the norm of the vector actually scored,
-// not the fp64 norm, or the quantization would bias every score.
+// the batched sweep. The store also carries its own document norms,
+// computed from the DECODED bf16 values — cosines must divide by the norm of
+// the vector actually scored, not the fp64 norm, or the quantization would
+// bias every score.
 //
 // Lifecycle: owned by SemanticSpace behind the same lazy/extend/invalidate
 // protocol as the doc-norm caches (see semantic_space.hpp). The store is
@@ -36,8 +36,8 @@ namespace lsi::core {
 class Bf16DocStore {
  public:
   /// Encodes space.v (round-to-nearest-even via kern::bf16_from_f64) and
-  /// computes the per-mode decoded-value norms. Deterministic given the
-  /// space; building twice yields byte-identical stores.
+  /// computes the decoded-value norms. Deterministic given the space;
+  /// building twice yields byte-identical stores.
   static std::shared_ptr<const Bf16DocStore> build(const SemanticSpace& space);
 
   /// Append-only maintenance: shares `old`'s blocks and encodes only rows
@@ -72,21 +72,22 @@ class Bf16DocStore {
   /// Per-document norms of the decoded coordinates `mode` compares against
   /// (decoded bf16 values scaled by sigma for the sigma-scaled modes),
   /// computed with the same scalar la::norm2 as the fp64 caches, in the
-  /// same blocks.
+  /// same blocks. The sigma-scaled modes return the same vector
+  /// (kNumDocNormVectors).
   const util::RowBlocks<double>& doc_norms(SimilarityMode mode) const noexcept {
-    return norms_[static_cast<std::size_t>(mode)];
+    return norms_[doc_norm_slot(mode)];
   }
 
  private:
   Bf16DocStore() = default;
 
-  /// Appends the norms of rows [norms_.rows(), num_docs()) in every mode.
+  /// Appends the norms of rows [norms_.rows(), num_docs()) to every slot.
   void fill_norms(std::span<const double> sigma);
 
   la::index_t num_docs_ = 0;
   la::index_t k_ = 0;
   util::RowBlocks<std::uint16_t> words_;  ///< num_docs x k, V's blocks
-  std::array<util::RowBlocks<double>, kNumSimilarityModes> norms_;
+  std::array<util::RowBlocks<double>, kNumDocNormVectors> norms_;
 };
 
 }  // namespace lsi::core

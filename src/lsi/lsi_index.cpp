@@ -101,14 +101,6 @@ std::vector<QueryResult> LsiIndex::query(std::string_view text,
   return query_projected(project(text), opts, stats);
 }
 
-std::vector<QueryResult> LsiIndex::query_vector(const la::Vector& raw_tf,
-                                                const SearchOptions& opts,
-                                                QueryStats* stats) const {
-  const la::Vector weighted = weighting::apply_to_vector(
-      raw_tf, global_weights(), opts_.scheme.local);
-  return query_projected(project_query(space_, weighted), opts, stats);
-}
-
 void LsiIndex::add_documents(const text::Collection& docs, AddMethod method) {
   std::vector<la::SparseVector> cols;
   cols.reserve(docs.size());

@@ -113,11 +113,6 @@ class LsiIndex {
                                  const SearchOptions& opts = {},
                                  QueryStats* stats = nullptr) const;
 
-  /// Ranks documents against an explicit raw term-frequency vector.
-  std::vector<QueryResult> query_vector(const la::Vector& raw_tf,
-                                        const SearchOptions& opts = {},
-                                        QueryStats* stats = nullptr) const;
-
   /// Projects free-text into k-space (for relevance feedback, filtering
   /// profiles, and term lookups).
   la::Vector project(std::string_view text) const;

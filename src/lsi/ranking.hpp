@@ -2,12 +2,12 @@
 // The one total order every ranking in this library obeys: higher cosine
 // first, ties broken by ascending document index. Extracted here so the
 // single-query path (retrieval.cpp), the batched engine's bounded top-z heap
-// (batched_retrieval.cpp), the cluster-probing shortcut (neighbors.cpp), and
-// the sharded scatter-gather merger (sharding/) all sort by the *same*
-// comparator — a query ranked against one shard, eight shards, or the
-// monolithic index breaks equal-score ties identically, which is what makes
-// the N = 1 sharded configuration bit-identical to BatchedRetriever and
-// equal-score orderings stable across shard counts.
+// and its cluster-pruned re-rank (batched_retrieval.cpp), and the sharded
+// scatter-gather merger (sharding/) all sort by the *same* comparator — a
+// query ranked against one shard, eight shards, or the monolithic index
+// breaks equal-score ties identically, which is what makes the N = 1
+// sharded configuration bit-identical to BatchedRetriever and equal-score
+// orderings stable across shard counts.
 
 #include <algorithm>
 #include <cstddef>

@@ -11,16 +11,6 @@
 
 namespace lsi::core {
 
-namespace {
-
-/// The doc_norm_cache_ slot of a mode's norm vector: 0 for ||v_j sigma||,
-/// 1 for ||v_j||.
-std::size_t norm_slot(SimilarityMode mode) noexcept {
-  return mode == SimilarityMode::kPlainV ? 1 : 0;
-}
-
-}  // namespace
-
 void SemanticSpace::fill_doc_norm_range(bool scale_docs, index_t end,
                                         util::RowBlocks<double>& norms) const {
   const index_t begin = norms.rows();
@@ -48,7 +38,7 @@ void SemanticSpace::fill_doc_norm_range(bool scale_docs, index_t end,
 
 const util::RowBlocks<double>& SemanticSpace::doc_norms(
     SimilarityMode mode) const {
-  const std::size_t slot = norm_slot(mode);
+  const std::size_t slot = doc_norm_slot(mode);
   auto& cache = doc_norm_cache_[slot];
   // Row-count mismatch means documents were appended (folding) since the
   // cache was built; same-size mutation must call invalidate_doc_norms().

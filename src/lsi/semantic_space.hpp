@@ -49,6 +49,13 @@ inline constexpr std::size_t kNumSimilarityModes = 3;
 /// extension of the doc-norm caches computes each of these once.
 inline constexpr std::size_t kNumDocNormVectors = 2;
 
+/// The slot of a mode's norm vector among the kNumDocNormVectors: 0 for
+/// ||v_j sigma||, 1 for ||v_j||. Both norm caches (the fp64 one here and the
+/// bf16 store's) index by it.
+constexpr std::size_t doc_norm_slot(SimilarityMode mode) noexcept {
+  return mode == SimilarityMode::kPlainV ? 1 : 0;
+}
+
 struct SemanticSpace {
   la::SharedMatrix u;          ///< m x k, term vectors in rows
   la::SharedVector sigma;      ///< k singular values, descending

@@ -169,13 +169,6 @@ lsi::la::SparseVector apply_to_sparse(const lsi::la::SparseVector& tf,
   return out;
 }
 
-lsi::la::Vector apply_to_vector(const lsi::la::Vector& tf,
-                                const std::vector<double>& g, LocalWeight l) {
-  assert(tf.size() == g.size());
-  return apply_to_sparse(lsi::la::SparseVector::from_dense(tf), g, l)
-      .to_dense(tf.size());
-}
-
 std::vector<Scheme> all_schemes() {
   std::vector<Scheme> out;
   for (LocalWeight l : {LocalWeight::kRawTf, LocalWeight::kBinary,

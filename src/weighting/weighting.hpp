@@ -72,10 +72,6 @@ lsi::la::SparseVector apply_to_sparse(const lsi::la::SparseVector& tf,
                                       const std::vector<double>& g,
                                       LocalWeight l);
 
-/// apply_to_sparse on a dense m-vector, densified back.
-lsi::la::Vector apply_to_vector(const lsi::la::Vector& tf,
-                                const std::vector<double>& g, LocalWeight l);
-
 /// All local x global combinations, for sweeps.
 std::vector<Scheme> all_schemes();
 

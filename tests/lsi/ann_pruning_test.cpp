@@ -1,9 +1,9 @@
 // Cluster-pruned retrieval integration tests: the exactness contract
 // (nprobe >= num_centroids reproduces the exact ranking bit for bit, in
 // every SimilarityMode, through the snapshot and the sharded scatter), the
-// monotone recall@10 property behind the recall_target knob, the exact
-// fallback below the corpus cutoff, and coarse deadline enforcement on the
-// try_* paths.
+// monotone recall@10 property behind the recall_target knob, the recall a
+// few probes already reach, the exact fallback below the corpus cutoff, and
+// coarse deadline enforcement on the try_* paths.
 
 #include <gtest/gtest.h>
 
@@ -155,6 +155,45 @@ TEST(AnnPruning, RecallAtTenIsMonotoneInNprobe) {
     prev_recall = recall;
   }
   EXPECT_DOUBLE_EQ(prev_recall, 1.0);  // full probe == exact
+}
+
+// A quarter of the posting lists already holds most of the exact top-10.
+TEST(AnnPruning, FewProbesRecoverMostOfTheExactTop10) {
+  auto space = std::make_shared<SemanticSpace>(
+      try_build_semantic_space(synth::random_sparse_matrix(400, 360, 0.05, 3),
+                               10)
+          .value());
+  AnnOptions aopts;
+  aopts.exact_cutoff = 0;
+  aopts.num_centroids = 18;
+  const auto ann = AnnIndex::build(*space, aopts, 1);
+  ASSERT_NE(ann, nullptr);
+
+  std::vector<la::Vector> queries(20, la::Vector(400, 0.0));
+  for (std::size_t t = 0; t < queries.size(); ++t) {
+    queries[t][(t * 13) % 400] = 1.0;
+    queries[t][(t * 29 + 7) % 400] = 1.0;
+  }
+  const auto batch = QueryBatch::from_term_vectors(*space, queries);
+  const BatchedRetriever retriever(space, ann);
+
+  SearchOptions eopts;
+  eopts.search = SearchMode::kExact;
+  eopts.z = 10;
+  SearchOptions popts = eopts;
+  popts.search = SearchMode::kPruned;
+  popts.nprobe = 4;
+  const auto exact = retriever.rank(batch, eopts);
+  const auto pruned = retriever.rank(batch, popts);
+
+  double hit = 0.0, want = 0.0;
+  for (std::size_t q = 0; q < exact.size(); ++q) {
+    std::set<index_t> truth;
+    for (const auto& d : exact[q]) truth.insert(d.doc);
+    for (const auto& d : pruned[q]) hit += truth.count(d.doc);
+    want += static_cast<double>(truth.size());
+  }
+  EXPECT_GT(hit / want, 0.6);
 }
 
 TEST(AnnPruning, PrunedModeFallsBackToExactWithoutStructure) {

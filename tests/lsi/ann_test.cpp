@@ -1,7 +1,8 @@
 // AnnIndex unit tests: build determinism, the exact-cutoff and disabled
-// gates, partition integrity (every document in exactly one posting list,
-// packed rows bit-equal to V), nested cluster selection, the
-// recall_target -> nprobe mapping, append-only extend(), and rotate() across
+// gates, the derived ceil(sqrt(n)) centroid count, partition integrity
+// (every document in exactly one posting list, packed rows bit-equal to V),
+// nested cluster selection, the recall_target -> nprobe mapping, the pruned
+// path's probe and scan counts, append-only extend(), and rotate() across
 // a consolidation: the update's map, the kept assignment, full-probe
 // exactness, the rebuild rules, and recall after many consolidations.
 
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "la/dense.hpp"
@@ -181,6 +183,61 @@ TEST(AnnIndex, ResolveNprobeClampsAndIsMonotone) {
   EXPECT_EQ(ann->resolve_nprobe(opts), 1u);
   opts.nprobe = c_total + 1000;
   EXPECT_EQ(ann->resolve_nprobe(opts), c_total);
+}
+
+TEST(AnnIndex, DerivedCentroidCountIsCeilSqrtN) {
+  for (const auto& [n, want] : {std::pair<index_t, index_t>{144, 12},
+                                std::pair<index_t, index_t>{150, 13}}) {
+    auto space = small_space(60, n, 6, 37);
+    const auto ann = AnnIndex::build(*space, test_options(), 1);
+    ASSERT_NE(ann, nullptr);
+    EXPECT_EQ(ann->num_centroids(), want) << "n = " << n;
+  }
+}
+
+// The pruned path's QueryStats count exactly what it scanned: nprobe posting
+// lists per query, and the summed sizes of the lists select_clusters picks.
+TEST(AnnIndex, QueryStatsCountProbedListsAndScannedDocs) {
+  auto space = small_space(60, 90, 6, 41);
+  AnnOptions opts = test_options();
+  opts.num_centroids = 9;
+  const auto ann = AnnIndex::build(*space, opts, 1);
+  ASSERT_NE(ann, nullptr);
+  const index_t c_total = ann->num_centroids();
+  const BatchedRetriever retriever(space, ann);
+
+  util::Rng rng(43);
+  std::vector<la::Vector> qhats(3, la::Vector(space->k()));
+  for (auto& q : qhats) {
+    for (auto& x : q) x = rng.uniform() - 0.5;
+  }
+  const auto batch = QueryBatch::from_projected(*space, qhats);
+
+  for (const index_t nprobe : {index_t{1}, index_t{2}, c_total}) {
+    SearchOptions sopts;  // kColumnSpace: clusters are picked by q_hat S
+    sopts.search = SearchMode::kPruned;
+    sopts.nprobe = nprobe;
+    sopts.z = 5;
+    QueryStats stats;
+    (void)retriever.rank(batch, sopts, &stats);
+
+    std::uint64_t want_scanned = 0;
+    std::vector<index_t> clusters;
+    for (const auto& qhat : qhats) {
+      la::Vector coords(qhat);
+      for (index_t i = 0; i < space->k(); ++i) coords[i] *= space->sigma[i];
+      ann->select_clusters(coords, nprobe, clusters);
+      for (const index_t c : clusters) {
+        want_scanned += ann->cluster_docs(c).size();
+      }
+    }
+    EXPECT_EQ(stats.ann_centroids_probed, nprobe * qhats.size())
+        << "nprobe " << nprobe;
+    EXPECT_EQ(stats.ann_docs_scanned, want_scanned) << "nprobe " << nprobe;
+    if (nprobe == c_total) {
+      EXPECT_EQ(stats.ann_docs_scanned, 90u * qhats.size());
+    }
+  }
 }
 
 TEST(AnnIndex, ExtendCoversAppendedRowsAndKeepsGeneration) {

@@ -212,20 +212,4 @@ TEST(FoldThenUpdate, MixedIngestKeepsShapesConsistent) {
   EXPECT_FALSE(results.empty());
 }
 
-TEST(QueryVector, MatchesTextQuery) {
-  core::IndexOptions opts;
-  opts.parser.min_document_frequency = 2;
-  opts.parser.fold_plurals = true;
-  opts.scheme = weighting::kRaw;
-  opts.k = 2;
-  auto index = core::LsiIndex::try_build(data::med_topics(), opts).value();
-  auto by_text = index.query(data::kQueryText);
-  auto by_vector = index.query_vector(paper_query_raw());
-  ASSERT_EQ(by_text.size(), by_vector.size());
-  for (std::size_t i = 0; i < by_text.size(); ++i) {
-    EXPECT_EQ(by_text[i].doc, by_vector[i].doc);
-    EXPECT_NEAR(by_text[i].cosine, by_vector[i].cosine, 1e-12);
-  }
-}
-
 }  // namespace

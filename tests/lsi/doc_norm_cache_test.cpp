@@ -1,11 +1,13 @@
 // Regression tests for the per-mode lazy doc-norm cache on SemanticSpace:
 // staleness after fold-in and SVD-update (the scores served after a mutation
 // must equal a from-scratch recompute), the append-extension fast path
-// (bit-identical to invalidate-and-refill), and the hit/miss/extend
-// accounting the observability layer reports.
+// (bit-identical to invalidate-and-refill), the hit/miss/extend accounting
+// the observability layer reports, and the two norm slots the fp64 cache and
+// the bf16 store share.
 
 #include <gtest/gtest.h>
 
+#include "lsi/doc_store.hpp"
 #include "lsi/folding.hpp"
 #include "lsi/lsi_index.hpp"
 #include "lsi/retrieval.hpp"
@@ -114,6 +116,19 @@ TEST(DocNormCache, SigmaScaledModesShareOneNormVector) {
   space.prewarm_doc_norms();  // only the plain-V vector is still cold
   EXPECT_EQ(counter_value(sink, "retrieval.norm_cache.miss"),
             core::kNumDocNormVectors);
+}
+
+// The bf16 store keeps the same two slots: its sigma-scaled modes divide by
+// one decoded-value vector, and kPlainV by another.
+TEST(DocNormCache, Bf16StoreSigmaScaledModesShareOneNormVector) {
+  const core::SemanticSpace space = small_space(19);
+  const auto store = core::Bf16DocStore::build(space);
+  const auto& column_space =
+      store->doc_norms(core::SimilarityMode::kColumnSpace);
+  EXPECT_EQ(&column_space,
+            &store->doc_norms(core::SimilarityMode::kProjected));
+  EXPECT_NE(&column_space, &store->doc_norms(core::SimilarityMode::kPlainV));
+  EXPECT_EQ(column_space.size(), space.num_docs());
 }
 
 // Cold caches stay cold across a fold-in: extension must not eagerly build

@@ -99,8 +99,9 @@ TEST(Weighting, ApplyCombinesLocalAndGlobal) {
 TEST(Weighting, ApplyToVectorMatchesMatrixWeighting) {
   auto counts = sample_counts();
   auto g = global_weights(counts, GlobalWeight::kEntropy);
-  lsi::la::Vector tf = {1.0, 4.0, 0.0};
-  auto wq = apply_to_vector(tf, g, LocalWeight::kLog);
+  const lsi::la::Vector dense = {1.0, 4.0, 0.0};
+  const auto tf = lsi::la::SparseVector::from_dense(dense);
+  const auto wq = apply_to_sparse(tf, g, LocalWeight::kLog).to_dense(3);
   EXPECT_NEAR(wq[1], std::log2(5.0) * g[1], 1e-12);
   EXPECT_DOUBLE_EQ(wq[2], 0.0);
 }
