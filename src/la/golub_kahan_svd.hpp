@@ -7,8 +7,8 @@
 //
 // Every small dense SVD goes through it: the Section 4 updates' F, H and Q
 // and the exact updates' K (lsi/update.hpp), subspace iteration's
-// Rayleigh-Ritz block, the dense build path and truncated_svd below their
-// cutoffs, and orthogonality_loss.
+// Rayleigh-Ritz block, the dense build path below its cutoff, and
+// orthogonality_loss.
 
 #include "la/dense.hpp"
 #include "la/svd_types.hpp"

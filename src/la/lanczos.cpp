@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "la/golub_kahan_svd.hpp"
 #include "la/kernels.hpp"
 #include "la/ritz_check.hpp"
 #include "la/tridiag_eig.hpp"
@@ -277,20 +276,6 @@ SvdResult lanczos_svd(const CscMatrix& a, const LanczosOptions& opts,
                       LanczosStats* stats) {
   CscOperator op(a);
   return lanczos_svd(op, opts, stats);
-}
-
-SvdResult truncated_svd(const DenseMatrix& a, index_t k,
-                        index_t dense_cutoff) {
-  const index_t minmn = std::min(a.rows(), a.cols());
-  if (minmn <= dense_cutoff) {
-    SvdResult full = golub_kahan_svd(a);
-    full.truncate(std::min<index_t>(k, full.rank()));
-    return full;
-  }
-  DenseOperator op(a);
-  LanczosOptions opts;
-  opts.k = k;
-  return lanczos_svd(op, opts);
 }
 
 }  // namespace lsi::la

@@ -59,11 +59,4 @@ SvdResult lanczos_svd(const LinearOperator& op, const LanczosOptions& opts,
 SvdResult lanczos_svd(const CscMatrix& a, const LanczosOptions& opts,
                       LanczosStats* stats = nullptr);
 
-/// Truncated SVD of a small/medium *dense* matrix: dispatches to the dense
-/// SVD (la::golub_kahan_svd) up to `dense_cutoff` on the short side,
-/// otherwise runs Lanczos on a dense operator. The single entry point the
-/// LSI layer uses when it does not care about the backend.
-SvdResult truncated_svd(const DenseMatrix& a, index_t k,
-                        index_t dense_cutoff = 96);
-
 }  // namespace lsi::la

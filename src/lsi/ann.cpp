@@ -20,6 +20,15 @@ namespace {
 /// (chunk * k doubles) stays L2-resident for the k values in use here.
 constexpr std::size_t kAssignChunk = 256;
 
+/// Lloyd iteration bound after k-means++ seeding (small on purpose: the
+/// structure only prunes candidates, exactness comes from the re-rank).
+constexpr std::size_t kMaxIterations = 6;
+/// k-means trains on at most this many documents (stride-sampled
+/// deterministically); the final assignment pass always covers all n.
+constexpr std::size_t kTrainingSample = 65536;
+/// Seed for k-means++ sampling (part of the determinism contract).
+constexpr std::uint64_t kSeed = 0xC105731DULL;
+
 /// Gathers documents [lo, hi)'s sigma-scaled coordinates into a row-major
 /// buffer, reading V column by column within each block.
 void gather_scaled_rows(const SemanticSpace& space, std::size_t lo,
@@ -83,14 +92,6 @@ std::vector<index_t> assign_documents(const SemanticSpace& space,
 }
 
 }  // namespace
-
-Status AnnOptions::Validate() const {
-  if (training_sample == 0) {
-    return Status::InvalidArgument(
-        "ann.training_sample must be at least 1 (k-means needs data)");
-  }
-  return Status::Ok();
-}
 
 index_t AnnIndex::resolve_nprobe(const SearchOptions& opts) const noexcept {
   const index_t c_count = num_centroids();
@@ -261,8 +262,7 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const SemanticSpace& space,
 
   // Deterministic stride subsample for training (the final assignment pass
   // covers every document regardless).
-  const std::size_t sample =
-      std::min<std::size_t>(n, std::max<index_t>(opts.training_sample, 1));
+  const std::size_t sample = std::min(n, kTrainingSample);
   std::vector<double> x;  // sample x k row-major, unit rows
   x.resize(sample * k);
   {
@@ -293,8 +293,8 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const SemanticSpace& space,
   la::DenseMatrix centroids(k, c_count);
 
   // k-means++ seeding over the unit sample, squared chordal distance
-  // 2 - 2*cos as the D^2 weight. All randomness flows from opts.seed.
-  util::Rng rng(opts.seed);
+  // 2 - 2*cos as the D^2 weight. All randomness flows from kSeed.
+  util::Rng rng(kSeed);
   std::vector<double> dist(sample, 2.0);
   {
     const std::size_t first = rng.uniform_index(sample);
@@ -333,7 +333,7 @@ std::shared_ptr<const AnnIndex> AnnIndex::build(const SemanticSpace& space,
   // Bounded Lloyd over the sample (spherical k-means: means renormalized).
   std::vector<index_t> assign_s(sample);
   std::vector<double> best_dot(sample);
-  for (std::size_t iter = 0; iter < opts.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     util::parallel_for(
         0, sample,
         [&](std::size_t t) {

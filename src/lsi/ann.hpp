@@ -55,7 +55,6 @@
 #include "la/shared.hpp"
 #include "lsi/search_options.hpp"
 #include "lsi/semantic_space.hpp"
-#include "lsi/status.hpp"
 
 namespace lsi::core {
 
@@ -64,21 +63,10 @@ struct AnnOptions {
   bool enabled = true;
   /// Centroid count C; 0 derives ceil(sqrt(n)) (clamped to [1, n]).
   index_t num_centroids = 0;
-  /// Lloyd iteration bound after k-means++ seeding (small on purpose: the
-  /// structure only prunes candidates, exactness comes from the re-rank).
-  std::size_t max_iterations = 6;
-  /// k-means trains on at most this many documents (stride-sampled
-  /// deterministically); the final assignment pass always covers all n.
-  index_t training_sample = 65536;
   /// Corpora below this many documents never build a structure — the exact
   /// scan is already fast and the centroid overhead would not pay for
   /// itself. The serving layers fall back to exact scan when absent.
   index_t exact_cutoff = 4096;
-  /// Seed for k-means++ sampling (part of the determinism contract).
-  std::uint64_t seed = 0xC105731DULL;
-
-  /// First violation found, or OK (checked by ShardingOptions::Validate).
-  Status Validate() const;
 };
 
 /// rotate() rebuilds from scratch once the space holds this many times the

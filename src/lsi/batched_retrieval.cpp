@@ -158,20 +158,6 @@ QueryBatch QueryBatch::from_sparse(
   return batch;
 }
 
-Expected<QueryBatch> QueryBatch::try_from_term_vectors(
-    const SemanticSpace& space, const std::vector<la::Vector>& term_vectors,
-    QueryStats* stats) {
-  for (std::size_t b = 0; b < term_vectors.size(); ++b) {
-    if (term_vectors[b].size() != static_cast<std::size_t>(space.num_terms())) {
-      return Status::InvalidArgument(
-          "term vector " + std::to_string(b) + " has length " +
-          std::to_string(term_vectors[b].size()) + ", space has " +
-          std::to_string(space.num_terms()) + " terms");
-    }
-  }
-  return from_term_vectors(space, term_vectors, stats);
-}
-
 QueryBatch QueryBatch::from_term_vectors(
     const SemanticSpace& space, const std::vector<la::Vector>& term_vectors,
     QueryStats* stats) {

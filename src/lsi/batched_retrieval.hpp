@@ -78,15 +78,8 @@ class QueryBatch {
 
   /// from_sparse over the nonzeros of B dense weighted m-vectors (an O(m)
   /// scan each). Every vector must have length space.num_terms() (assert in
-  /// debug; use try_from_term_vectors for a checked Status instead).
+  /// debug).
   static QueryBatch from_term_vectors(
-      const SemanticSpace& space,
-      const std::vector<la::Vector>& term_vectors,
-      QueryStats* stats = nullptr);
-
-  /// Checked variant: kInvalidArgument when any vector's length differs from
-  /// space.num_terms().
-  static Expected<QueryBatch> try_from_term_vectors(
       const SemanticSpace& space,
       const std::vector<la::Vector>& term_vectors,
       QueryStats* stats = nullptr);

@@ -43,24 +43,15 @@ std::vector<ScoredDoc> IndexSnapshot::retrieve(const la::Vector& term_vector,
 // ConcurrentIndexer
 // ---------------------------------------------------------------------------
 
-namespace {
-
-IncrementalOptions master_options(const ConcurrentOptions& opts) {
-  IncrementalOptions io;
-  // The consolidation *policy* lives in ConcurrentIndexer (it brackets the
-  // SVD-update with the consolidating_ flag and its own counters), so the
-  // wrapped IncrementalIndexer runs in manual mode.
-  io.consolidate_every = 0;
-  io.exact_update = opts.exact_update;
-  return io;
-}
-
-}  // namespace
-
+// The consolidation *policy* lives in ConcurrentIndexer (it brackets the
+// SVD-update with the consolidating_ flag and its own counters), so the
+// wrapped IncrementalIndexer runs in manual mode.
 ConcurrentIndexer::ConcurrentIndexer(LsiIndex index,
                                      const ConcurrentOptions& opts)
     : opts_(opts),
-      master_(std::move(index), master_options(opts)),
+      master_(std::move(index),
+              IncrementalOptions{.consolidate_every = 0,
+                                 .exact_update = opts.exact_update}),
       queue_(opts.queue_capacity) {
   // Generation 1: the base index is servable before the first add().
   publish();

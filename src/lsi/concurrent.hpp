@@ -67,19 +67,18 @@
 
 namespace lsi::core {
 
-struct ConcurrentOptions {
-  /// Ingest queue capacity: add() blocks and try_add() refuses beyond this.
+/// The write policy (consolidate_every, exact_update) is IncrementalOptions':
+/// the writer consolidates once consolidate_every folded-but-unconsolidated
+/// documents accumulate (0 = only on explicit consolidate()).
+struct ConcurrentOptions : IncrementalOptions {
+  /// Ingest queue capacity: add() blocks and try_add() refuses beyond this
+  /// (0 behaves as 1, like util::BoundedQueue).
   std::size_t queue_capacity = 256;
-  /// Consolidate (SVD-update) once this many folded-but-unconsolidated
-  /// documents accumulate (0 = only on explicit consolidate()).
-  std::size_t consolidate_every = 64;
   /// Documents folded per snapshot publish: larger batches amortize the
   /// publish's fixed cost (a few shared-pointer copies and the ANN tail
   /// regroup; nothing of size n is copied), smaller ones shrink the
   /// ingestion-to-visibility latency.
   std::size_t max_batch = 16;
-  /// Use the exact (residual-carrying) SVD-update when consolidating.
-  bool exact_update = false;
   /// Cluster-pruned candidate generation (lsi/ann.hpp): above
   /// `ann.exact_cutoff` documents every published snapshot carries an
   /// AnnIndex, rotated at consolidation (V rotates; AnnIndex::rotate
@@ -236,6 +235,8 @@ class ConcurrentIndexer {
 
   /// Documents accepted but not yet folded into any snapshot.
   std::size_t queued() const { return queue_.size(); }
+  /// The capacity the ingest queue enforces (queue_capacity, 0 raised to 1).
+  std::size_t queue_capacity() const noexcept { return queue_.capacity(); }
   /// Documents folded into the master index so far.
   std::uint64_t ingested() const noexcept {
     return ingested_.load(std::memory_order_relaxed);

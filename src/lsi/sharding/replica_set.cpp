@@ -109,7 +109,7 @@ Status ReplicaSet::try_add_locked(const text::Document& doc) {
       // feed_mu_) is the only pusher, so queued() < capacity here means the
       // try_add below cannot refuse — the fan-out either feeds every
       // healthy replica or feeds none.
-      if (rep.indexer.queued() >= opts_.concurrent.queue_capacity) {
+      if (rep.indexer.queued() >= rep.indexer.queue_capacity()) {
         full.push_back(r);
       }
     }
@@ -123,7 +123,8 @@ Status ReplicaSet::try_add_locked(const text::Document& doc) {
       obs::count("replica.backpressure");
       return Status::ResourceExhausted(
           "every healthy replica's ingest queue is full (capacity " +
-          std::to_string(opts_.concurrent.queue_capacity) + ")");
+          std::to_string(replicas_[full.front()]->indexer.queue_capacity()) +
+          ")");
     }
     if (full.empty()) {
       log_.push_back({LogEntry::Kind::kDoc, doc});
@@ -395,9 +396,9 @@ std::size_t ReplicaSet::check_health() {
     }
     const std::size_t queued = rep.indexer.queued();
     const std::uint64_t folded = rep.indexer.ingested();
-    const bool stuck_full = queued >= opts_.concurrent.queue_capacity;
-    if (stuck_full && rep.health_observed &&
-        rep.health_queued >= opts_.concurrent.queue_capacity &&
+    const std::size_t capacity = rep.indexer.queue_capacity();
+    const bool stuck_full = queued >= capacity;
+    if (stuck_full && rep.health_observed && rep.health_queued >= capacity &&
         folded == rep.health_ingested) {
       // Two consecutive probes saw a full queue with zero fold progress:
       // the writer is wedged, not merely busy.

@@ -7,10 +7,7 @@ namespace lsi::obs {
 namespace {
 
 std::atomic<Sink*> g_active_sink{nullptr};
-
-#if LSI_OBS_ENABLED
 thread_local TraceSpan* t_span_top = nullptr;
-#endif
 
 void atomic_add(std::atomic<double>& a, double v) noexcept {
   double cur = a.load(std::memory_order_relaxed);
@@ -62,8 +59,6 @@ Sink* Sink::set_active(Sink* sink) noexcept {
   return g_active_sink.exchange(sink, std::memory_order_acq_rel);
 }
 
-#if LSI_OBS_ENABLED
-
 TraceSpan::TraceSpan(const char* name) noexcept : sink_(Sink::active()) {
   if (!sink_) return;
   name_ = name;
@@ -86,7 +81,5 @@ void TraceSpan::stop() noexcept {
   sink_->span(name_).record(elapsed, elapsed - child_seconds_);
   sink_ = nullptr;
 }
-
-#endif  // LSI_OBS_ENABLED
 
 }  // namespace lsi::obs

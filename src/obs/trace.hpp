@@ -9,9 +9,8 @@
 //
 //   LSI_OBS_SPAN(span, "lanczos.reorth");
 //
-// which is a no-op unless observability is compiled in (LSI_OBS_ENABLED,
-// default on) AND a sink is currently installed (runtime toggle). The
-// disabled-at-runtime cost is one relaxed atomic load and a branch per site,
+// which is a no-op unless a sink is currently installed (runtime toggle).
+// With no sink the cost is one relaxed atomic load and a branch per site,
 // which is why the hot paths can stay instrumented unconditionally — the
 // acceptance bar is < 1% throughput change with the sink off.
 //
@@ -28,10 +27,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-
-#ifndef LSI_OBS_ENABLED
-#define LSI_OBS_ENABLED 1
-#endif
 
 namespace lsi::obs {
 
@@ -104,9 +99,10 @@ class ScopedSink {
 /// literal.
 class TraceSpan {
  public:
-#if LSI_OBS_ENABLED
   explicit TraceSpan(const char* name) noexcept;
   ~TraceSpan() { stop(); }
+  TraceSpan(const TraceSpan&) = delete;
+  TraceSpan& operator=(const TraceSpan&) = delete;
 
   /// Ends the span early (idempotent).
   void stop() noexcept;
@@ -122,39 +118,20 @@ class TraceSpan {
   TraceSpan* parent_ = nullptr;   ///< enclosing live span on this thread
   double child_seconds_ = 0.0;    ///< accumulated by completing children
   clock::time_point start_;
-#else
-  explicit TraceSpan(const char*) noexcept {}
-  void stop() noexcept {}
-  bool live() const noexcept { return false; }
-#endif
-
- public:
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
 };
 
-/// Declares a span variable; compiles to nothing when LSI_OBS_ENABLED=0.
+/// Declares a span variable named `var` timing stage `name`.
 #define LSI_OBS_SPAN(var, name) ::lsi::obs::TraceSpan var(name)
 
 /// Bumps counter `name` on the active sink's registry, if any. For hot-path
 /// counters outside a span (e.g. cache hit/miss).
 inline void count(const char* name, std::uint64_t n = 1) {
-#if LSI_OBS_ENABLED
   if (Sink* s = Sink::active()) s->metrics().counter(name).add(n);
-#else
-  (void)name;
-  (void)n;
-#endif
 }
 
 /// Sets gauge `name` on the active sink's registry, if any.
 inline void gauge(const char* name, double v) {
-#if LSI_OBS_ENABLED
   if (Sink* s = Sink::active()) s->metrics().gauge(name).set(v);
-#else
-  (void)name;
-  (void)v;
-#endif
 }
 
 }  // namespace lsi::obs

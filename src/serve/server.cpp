@@ -20,6 +20,13 @@ namespace lsi::serve {
 
 namespace {
 
+/// Retry-After value on 429/503 answers.
+constexpr unsigned kRetryAfterSeconds = 1;
+/// Hard cap on a single search's ranked depth (sessions page within it).
+constexpr std::size_t kMaxRanking = 1000;
+/// Force-close stragglers this long after drain starts.
+constexpr std::chrono::milliseconds kDrainDeadline{5000};
+
 /// Bumps a /stats counter and the sink counter of the same event together,
 /// so the two ledgers cannot drift apart.
 void bump(std::atomic<std::uint64_t>& counter, const char* name,
@@ -74,8 +81,7 @@ util::JsonWriter search_json(const core::ShardedSnapshot::GatherResult& result,
 /// One accepted socket: its parser, its pending output, and the flags the
 /// state machine needs. Owned by the loop thread exclusively.
 struct HttpServer::Connection {
-  Connection(int fd_in, HttpParser::Limits limits)
-      : fd(fd_in), parser(limits) {}
+  explicit Connection(int fd_in) : fd(fd_in) {}
   int fd;
   HttpParser parser;
   std::string outbuf;
@@ -87,7 +93,7 @@ struct HttpServer::Connection {
 HttpServer::HttpServer(core::ShardedIndex& index, ServerOptions opts)
     : index_(index),
       opts_(std::move(opts)),
-      sessions_(opts_.max_sessions, opts_.session_ttl, opts_.token_seed) {}
+      sessions_(opts_.session_ttl) {}
 
 HttpServer::~HttpServer() {
   if (thread_.joinable()) {
@@ -217,7 +223,7 @@ void HttpServer::tick() {
 
   if (state_.load(std::memory_order_relaxed) ==
           static_cast<int>(RunState::kDraining) &&
-      now - drain_started_ > opts_.drain_deadline) {
+      now - drain_started_ > kDrainDeadline) {
     std::vector<int> fds;
     for (const auto& [fd, conn] : connections_) fds.push_back(fd);
     for (int fd : fds) close_connection(fd);
@@ -247,7 +253,7 @@ void HttpServer::on_accept(std::uint32_t) {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    auto conn = std::make_unique<Connection>(fd, opts_.limits);
+    auto conn = std::make_unique<Connection>(fd);
     if (!loop_.add(fd, EPOLLIN,
                    [this, fd](std::uint32_t ev) {
                      on_connection_event(fd, ev);
@@ -390,7 +396,7 @@ HttpResponse HttpServer::respond(int status, util::JsonWriter& json) const {
   HttpResponse resp;
   resp.status = status;
   if (status == 429 || status == 503) {
-    resp.set_header("Retry-After", std::to_string(opts_.retry_after_seconds));
+    resp.set_header("Retry-After", std::to_string(kRetryAfterSeconds));
   }
   resp.body = std::move(json).take();
   return resp;
@@ -473,7 +479,7 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
     }
     page = *v;
   }
-  page = std::min(page, opts_.max_ranking);
+  page = std::min(page, kMaxRanking);
   const bool has_cursor = request.has_param("cursor");
   const std::optional<std::size_t> cursor =
       util::parse_size(request.param("cursor"));
@@ -517,8 +523,8 @@ HttpResponse HttpServer::handle_search(const HttpRequest& request) {
   if (!q.empty() && (std::string(q) != session->last_query ||
                      knobs_key != session->last_options_key)) {
     // New query (or changed knobs) for this session: gather once against
-    // the PINNED view (depth capped at max_ranking) and page from the cache.
-    sopts.z = opts_.max_ranking;
+    // the PINNED view (depth capped at kMaxRanking) and page from the cache.
+    sopts.z = kMaxRanking;
     auto gathered = session->pin->try_gather_batch({std::string(q)}, sopts);
     if (!gathered.ok()) return status_response(gathered.status());
     session->result = std::move(gathered.value()[0]);

@@ -72,17 +72,8 @@ struct ServerOptions {
   /// 0 binds an ephemeral port; read the result from HttpServer::port().
   std::uint16_t port = 0;
   std::size_t max_connections = 1024;
-  std::size_t max_sessions = 4096;
   std::chrono::seconds session_ttl{300};
-  /// Retry-After value on 429/503 answers.
-  unsigned retry_after_seconds = 1;
-  /// Hard cap on a single search's ranked depth (sessions page within it).
-  std::size_t max_ranking = 1000;
   std::size_t default_page_size = 10;
-  /// Force-close stragglers this long after drain starts.
-  std::chrono::milliseconds drain_deadline{5000};
-  HttpParser::Limits limits;
-  std::uint64_t token_seed = 0x5eedf00dULL;
 };
 
 class HttpServer {
@@ -108,7 +99,8 @@ class HttpServer {
   /// Blocks until the loop thread exits (drain complete or /shutdown).
   void join();
 
-  /// request_drain() + join() with the configured deadline.
+  /// request_drain() + join(); stragglers are force-closed after the drain
+  /// deadline.
   void drain();
 
   /// True once the loop thread has exited and serving state is released.

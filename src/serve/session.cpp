@@ -1,19 +1,31 @@
 #include "serve/session.hpp"
 
 #include <cstdio>
+#include <random>
 
 namespace lsi::serve {
 
-SessionTable::SessionTable(std::size_t max_sessions, std::chrono::seconds ttl,
-                           std::uint64_t token_seed)
-    : max_sessions_(max_sessions), ttl_(ttl), rng_(token_seed) {}
+namespace {
+
+/// Open sessions one table holds at most.
+constexpr std::size_t kMaxSessions = 4096;
+
+std::uint64_t device_seed() {
+  std::random_device device;
+  return (static_cast<std::uint64_t>(device()) << 32) ^ device();
+}
+
+}  // namespace
+
+SessionTable::SessionTable(std::chrono::seconds ttl)
+    : ttl_(ttl), rng_(device_seed()) {}
 
 Session* SessionTable::create(
     std::shared_ptr<const core::ShardedSnapshot> pin,
     std::chrono::steady_clock::time_point now) {
-  if (sessions_.size() >= max_sessions_) return nullptr;
-  // Token = serial + 64 random bits: unique by construction, unguessable
-  // enough for a loopback daemon.
+  if (sessions_.size() >= kMaxSessions) return nullptr;
+  // Token = serial + 64 bits from a generator seeded by the OS: unique by
+  // construction, and another local process cannot predict it.
   char token[36];
   std::snprintf(token, sizeof token, "s%llx-%016llx",
                 static_cast<unsigned long long>(next_serial_++),

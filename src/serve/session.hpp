@@ -55,11 +55,12 @@ struct Session {
 /// `ttl` after their last touch, checked on the loop's housekeeping tick).
 class SessionTable {
  public:
-  SessionTable(std::size_t max_sessions, std::chrono::seconds ttl,
-               std::uint64_t token_seed);
+  /// Seeds the token generator from std::random_device, so no two tables
+  /// (and no two daemons) hand out the same tokens.
+  explicit SessionTable(std::chrono::seconds ttl);
 
-  /// Creates a session holding `pin`; returns nullptr when the table is at
-  /// max_sessions (the caller answers 503). The returned pointer stays
+  /// Creates a session holding `pin`; returns nullptr when the table is
+  /// full (the caller answers 503). The returned pointer stays
   /// valid until the session is released or expires.
   Session* create(std::shared_ptr<const core::ShardedSnapshot> pin,
                   std::chrono::steady_clock::time_point now);
@@ -81,7 +82,6 @@ class SessionTable {
   std::chrono::seconds ttl() const noexcept { return ttl_; }
 
  private:
-  std::size_t max_sessions_;
   std::chrono::seconds ttl_;
   util::Rng rng_;
   std::uint64_t next_serial_ = 0;

@@ -23,10 +23,9 @@
 // block until the site has fired (or parked) n times. The timeout is a
 // hang-safety net for a failing test, never a synchronization primitive.
 //
-// Cost discipline mirrors the observability layer (obs/trace.hpp): with no
-// site armed, a compiled-in failpoint is one relaxed atomic load and a
-// branch; configuring with -DLSI_FAILPOINTS_DISABLE=ON compiles every site
-// out entirely (LSI_FAILPOINTS_ENABLED=0), the release-build posture.
+// Cost discipline mirrors the observability layer (obs/trace.hpp): every
+// build compiles the sites in, and with no site armed a failpoint is one
+// relaxed atomic load and a branch.
 
 #include <atomic>
 #include <chrono>
@@ -36,10 +35,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-
-#ifndef LSI_FAILPOINTS_ENABLED
-#define LSI_FAILPOINTS_ENABLED 1
-#endif
 
 namespace lsi::util {
 
@@ -73,7 +68,8 @@ class Failpoints {
   void disarm_all();
 
   /// The instrumented site's entry point — use the LSI_FAILPOINT macro, not
-  /// this, so sites compile out. Returns true when the hit should fail.
+  /// this, so the unarmed fast path stays inline. Returns true when the hit
+  /// should fail.
   bool hit(const char* site, std::string_view tag);
 
   /// Matching hits of `site` so far (parked hits count on arrival).
@@ -119,19 +115,12 @@ class Failpoints {
 };
 
 inline bool failpoint_hit(const char* site, std::string_view tag) {
-#if LSI_FAILPOINTS_ENABLED
   if (!Failpoints::any_armed()) return false;
   return Failpoints::instance().hit(site, tag);
-#else
-  (void)site;
-  (void)tag;
-  return false;
-#endif
 }
 
 /// Named injection site: evaluates to true when an armed kFail matches.
-/// One relaxed load + branch when nothing is armed; nothing at all under
-/// LSI_FAILPOINTS_ENABLED=0.
+/// One relaxed load + branch when nothing is armed.
 #define LSI_FAILPOINT(site, tag) ::lsi::util::failpoint_hit(site, tag)
 
 }  // namespace lsi::util

@@ -185,21 +185,6 @@ TEST(Lanczos, KLargerThanRankIsClamped) {
   EXPECT_LE(got.rank(), 6u);
 }
 
-TEST(TruncatedSvd, DispatchesToJacobiForSmall) {
-  auto a = random_matrix(30, 12, 41);
-  auto got = truncated_svd(a, 5);
-  auto want = jacobi_svd(a);
-  expect_triplets_match(got, want, 5, 1e-9);
-  EXPECT_EQ(got.rank(), 5u);
-}
-
-TEST(TruncatedSvd, LanczosPathForLarge) {
-  auto a = random_matrix(150, 120, 43);
-  auto got = truncated_svd(a, 6, /*dense_cutoff=*/32);
-  auto want = jacobi_svd(a);
-  expect_triplets_match(got, want, 6, 1e-7);
-}
-
 // ---------------------------------------------------------------------------
 // Accuracy. One Gram-Schmidt pass (a second only when the DGKS test asks)
 // and the bidiagonal QR SVD must keep the factors orthonormal and

@@ -381,13 +381,6 @@ TEST(AnnIndex, ExtendFallsBackToRegroupWhenBf16Disappears) {
   check_extend_is_regroup(true, false);
 }
 
-TEST(AnnOptions, ValidateRejectsEmptyTrainingSample) {
-  AnnOptions opts;
-  EXPECT_TRUE(opts.Validate().ok());
-  opts.training_sample = 0;
-  EXPECT_FALSE(opts.Validate().ok());
-}
-
 // ---------------------------------------------------------------------------
 // rotate(): carrying the partition through a consolidation
 // ---------------------------------------------------------------------------

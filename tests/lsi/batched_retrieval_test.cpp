@@ -222,31 +222,6 @@ TEST(BatchedRetrieval, TopZExceedsNumDocs) {
   }
 }
 
-TEST(BatchedRetrieval, TryFromTermVectorsReportsBadLengths) {
-  auto a = synth::random_sparse_matrix(20, 12, 0.4, 19);
-  auto space = try_build_semantic_space(a, 4).value();
-
-  // Valid input: same batch as the unchecked factory.
-  const auto queries = sparse_queries(20, 3, 59);
-  auto good = QueryBatch::try_from_term_vectors(space, queries);
-  ASSERT_TRUE(good.ok()) << good.status().to_string();
-  EXPECT_EQ(good->size(), 3);
-  EXPECT_EQ(good->k(), space.k());
-
-  // Empty input: a valid empty batch, not an error.
-  auto empty = QueryBatch::try_from_term_vectors(space, {});
-  ASSERT_TRUE(empty.ok());
-  EXPECT_EQ(empty->size(), 0);
-
-  // One vector of the wrong length: kInvalidArgument naming the offender.
-  std::vector<la::Vector> bad = queries;
-  bad[1] = la::Vector(7, 0.0);
-  auto status = QueryBatch::try_from_term_vectors(space, bad);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.status().message().find("1"), std::string::npos);
-}
-
 TEST(BatchedRetrieval, TryFromProjectedReportsBadLengths) {
   auto a = synth::random_sparse_matrix(20, 12, 0.4, 19);
   auto space = try_build_semantic_space(a, 4).value();

@@ -369,6 +369,20 @@ TEST(ShardedIndex, IngestRoutesAndAssignsFreshGlobalIds) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(ShardedIndex, ZeroQueueCapacityStillAdmitsDocuments) {
+  // The ingest queue raises a capacity of 0 to 1. The replica set's
+  // backpressure probe must read that same capacity, or every replica looks
+  // full and each try_add is refused for good.
+  auto opts = tiny_options(1);
+  opts.concurrent.queue_capacity = 0;
+  auto index = core::ShardedIndex::try_build(tiny_collection(), opts).value();
+  const Status st = index.try_add({"D8", "graph ordering via nested dissection"});
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  index.flush();
+  EXPECT_EQ(index.ingested(), 1u);
+  index.shutdown();
+}
+
 TEST(ShardedIndex, ConsolidateReachesEveryShard) {
   const auto docs = tiny_collection();
   auto opts = tiny_options(2);

@@ -280,6 +280,24 @@ TEST_F(ServerTest, UnknownSessionIs404) {
   EXPECT_EQ(client.request("DELETE", "/session?session=bogus").status, 404);
 }
 
+TEST_F(ServerTest, TwoDaemonsIssueDifferentSessionTokens) {
+  // Each session table seeds its token generator from the OS, so a second
+  // daemon (or a restart) cannot replay the first one's tokens.
+  serve::HttpServer other(*index_, serve::ServerOptions{});
+  ASSERT_TRUE(other.start().ok());
+  TestClient a(server_->port());
+  TestClient b(other.port());
+  const ClientResponse first = a.request("POST", "/session");
+  const ClientResponse second = b.request("POST", "/session");
+  ASSERT_EQ(first.status, 201) << first.body;
+  ASSERT_EQ(second.status, 201) << second.body;
+  const std::string token_a = json_string_field(first.body, "session");
+  const std::string token_b = json_string_field(second.body, "session");
+  ASSERT_FALSE(token_a.empty());
+  EXPECT_NE(token_a, token_b);
+  other.drain();
+}
+
 TEST_F(ServerTest, SessionSurvivesConsolidationWhilePaging) {
   // THE pin regression: a session pages a ranking while a consolidation
   // retires and republishes every shard snapshot underneath it. The
