@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 
 #include "la/kernels.hpp"
 #include "lsi/doc_store.hpp"
@@ -91,6 +92,17 @@ std::vector<index_t> assign_documents(const SemanticSpace& space,
   return assign;
 }
 
+/// Appends one segment's column-major len x k block to `out` row-major.
+template <class T>
+void append_rows(std::span<const T> block, std::size_t len, index_t k,
+                 std::vector<T>& out) {
+  const std::size_t base = out.size();
+  out.resize(base + block.size());
+  for (std::size_t t = 0; t < len; ++t) {
+    for (index_t i = 0; i < k; ++i) out[base + t * k + i] = block[i * len + t];
+  }
+}
+
 }  // namespace
 
 index_t AnnIndex::resolve_nprobe(const SearchOptions& opts) const noexcept {
@@ -163,7 +175,9 @@ std::shared_ptr<const AnnIndex::Postings> AnnIndex::regroup(
   }
   // Pack each posting's raw V_k row (bit-exact copies: the pruned re-rank
   // must reproduce the exact sweep's arithmetic). V is walked in document
-  // order, one block at a time, and each row lands at its posting position.
+  // order, one block at a time, and each row lands at its posting position;
+  // then each segment's len x k rows turn column-major in place. Writing the
+  // columns straight from V would scatter every row over k cache lines.
   std::vector<index_t> position(n);
   for (std::size_t pos = 0; pos < n; ++pos) {
     position[out->docs[pos] - first] = pos;
@@ -182,6 +196,17 @@ std::shared_ptr<const AnnIndex::Postings> AnnIndex::regroup(
         }
       }
       t += len;
+    }
+    std::vector<std::remove_reference_t<decltype(rows[0])>> seg_rows;
+    for (index_t c = 0; c < c_count; ++c) {
+      const std::size_t lo = out->offsets[c], len = out->offsets[c + 1] - lo;
+      auto* seg = rows.data() + lo * k_;
+      seg_rows.assign(seg, seg + len * k_);
+      for (std::size_t t = 0; t < len; ++t) {
+        for (index_t i = 0; i < k_; ++i) {
+          seg[i * len + t] = seg_rows[t * k_ + i];
+        }
+      }
     }
   };
   pack(space.v, out->rows);
@@ -212,7 +237,7 @@ std::vector<index_t> AnnIndex::cluster_docs(index_t c) const {
 std::vector<double> AnnIndex::cluster_rows(index_t c) const {
   std::vector<double> out;
   for (const PostingSpan& p : postings(c)) {
-    out.insert(out.end(), p.rows.begin(), p.rows.end());
+    append_rows(p.rows, p.docs.size(), k_, out);
   }
   return out;
 }
@@ -220,7 +245,7 @@ std::vector<double> AnnIndex::cluster_rows(index_t c) const {
 std::vector<std::uint16_t> AnnIndex::cluster_rows_bf16(index_t c) const {
   std::vector<std::uint16_t> out;
   for (const PostingSpan& p : postings(c)) {
-    out.insert(out.end(), p.rows16.begin(), p.rows16.end());
+    append_rows(p.rows16, p.docs.size(), k_, out);
   }
   return out;
 }
@@ -228,19 +253,26 @@ std::vector<std::uint16_t> AnnIndex::cluster_rows_bf16(index_t c) const {
 double AnnIndex::mean_fit(std::span<const double> sigma) const {
   double sum = 0.0;
   std::size_t count = 0;
+  std::vector<double> dot, nrm;
   for (index_t c = 0; c < num_centroids(); ++c) {
     const double* cen = centroids_.col(c).data();
     for (const PostingSpan& p : postings(c)) {
-      for (std::size_t t = 0; t < p.docs.size(); ++t) {
-        const double* row = p.rows.data() + t * k_;
-        double dot = 0.0, nrm = 0.0;
-        for (index_t i = 0; i < k_; ++i) {
-          const double x = row[i] * sigma[i];
-          dot += x * cen[i];
-          nrm += x * x;
+      // Column by column, but each document's two sums still add i
+      // ascending, so they are the sums a row at a time would give.
+      const std::size_t len = p.docs.size();
+      dot.assign(len, 0.0);
+      nrm.assign(len, 0.0);
+      for (index_t i = 0; i < k_; ++i) {
+        const double* col = p.col(i);
+        for (std::size_t t = 0; t < len; ++t) {
+          const double x = col[t] * sigma[i];
+          dot[t] += x * cen[i];
+          nrm[t] += x * x;
         }
-        if (nrm > 0.0) {
-          sum += dot / std::sqrt(nrm);
+      }
+      for (std::size_t t = 0; t < len; ++t) {
+        if (nrm[t] > 0.0) {
+          sum += dot[t] / std::sqrt(nrm[t]);
           ++count;
         }
       }

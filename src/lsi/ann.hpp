@@ -12,16 +12,18 @@
 //           k-means++ seeding, a bounded number of Lloyd iterations over a
 //           deterministic training subsample, then one parallel assignment
 //           pass over all n documents. Per centroid: a posting list of local
-//           doc ids plus a row-major copy of those documents' raw V_k rows,
-//           so the query-time scan is cache-sequential (V itself is
-//           column-major; gathering scattered rows from it would stride by n).
+//           doc ids plus a column-major copy of those documents' raw V_k
+//           rows, so the query-time scan streams each factor's column
+//           through the exact sweep's axpy kernels (V's own columns stride
+//           over every document; the copy holds only the list's).
 //
 //   query   score the C centroids (O(C*k)), take the `nprobe` best, scan only
 //           their posting lists and re-rank survivors with the exact
-//           Equation-6 cosine — the same accumulation order, the same skip of
-//           zero weights, the same normalization as the exact sweep, so with
-//           nprobe == num_centroids the pruned ranking is bit-identical to
-//           the exact scan (asserted by tests and the serving bench).
+//           Equation-6 cosine — the same kernel calls in the same order, the
+//           same skip of zero weights, the same normalization as the exact
+//           sweep, so with nprobe == num_centroids the pruned ranking is
+//           bit-identical to the exact scan (asserted by tests and the
+//           serving bench).
 //
 // Determinism: given the same space and options, build() is bit-reproducible
 // — seeding and Lloyd run on a stride-deterministic subsample with a fixed
@@ -154,13 +156,23 @@ class AnnIndex {
                        std::vector<index_t>& out) const;
 
   /// One stretch of a posting list: ascending local doc ids and, in the
-  /// same order, their raw V_k rows packed row-major (rows[t * k() + i] ==
-  /// V(docs[t], i), bit-exact copies so the pruned re-rank reproduces the
-  /// exact sweep) and, when has_bf16(), the store's encoded words likewise.
+  /// same order, their raw V_k rows packed column-major
+  /// (rows[i * docs.size() + t] == V(docs[t], i), bit-exact copies so the
+  /// pruned re-rank reproduces the exact sweep) and, when has_bf16(), the
+  /// store's encoded words likewise.
   struct PostingSpan {
     std::span<const index_t> docs;
     std::span<const double> rows;
     std::span<const std::uint16_t> rows16;
+
+    /// Factor i's column over the stretch: col(i)[t] == V(docs[t], i).
+    const double* col(index_t i) const {
+      return rows.data() + i * docs.size();
+    }
+    /// The same for the bf16 words; only when rows16 is not empty.
+    const std::uint16_t* col16(index_t i) const {
+      return rows16.data() + i * docs.size();
+    }
   };
   /// Centroid c's posting list in scan order: the base from the last build
   /// or rotate, then the tail appended since. Together they ascend.
@@ -174,7 +186,8 @@ class AnnIndex {
   }
 
   /// Copies of centroid c's whole posting list (base then tail): local doc
-  /// ids, packed rows and packed bf16 words (empty unless has_bf16()).
+  /// ids, and the rows and bf16 words (empty unless has_bf16()) row-major,
+  /// out[t * k() + i] for the list's t-th document.
   std::vector<index_t> cluster_docs(index_t c) const;
   std::vector<double> cluster_rows(index_t c) const;
   std::vector<std::uint16_t> cluster_rows_bf16(index_t c) const;
@@ -191,8 +204,10 @@ class AnnIndex {
   struct Postings {
     std::vector<index_t> offsets;  ///< C + 1 offsets into docs/rows
     std::vector<index_t> docs;     ///< local doc ids grouped by centroid
-    std::vector<double> rows;      ///< packed raw V_k rows, posting order
-    std::vector<std::uint16_t> rows16;  ///< packed bf16 rows, or empty
+    /// Raw V_k rows, one column-major len x k block per centroid's
+    /// segment: its column i starts at rows[offsets[c] * k + i * len].
+    std::vector<double> rows;
+    std::vector<std::uint16_t> rows16;  ///< bf16 words likewise, or empty
 
     PostingSpan span(index_t c, index_t k) const {
       const std::size_t lo = offsets[c], len = offsets[c + 1] - lo;
@@ -210,7 +225,7 @@ class AnnIndex {
 
   /// Groups `assign` (document first + t -> centroid assign[t]) into
   /// posting lists, packing the rows (and bf16 words when the space carries
-  /// a compressed store) from `space`.
+  /// a compressed store) from `space` column-major per segment.
   std::shared_ptr<const Postings> regroup(const SemanticSpace& space,
                                           const std::vector<index_t>& assign,
                                           index_t first) const;

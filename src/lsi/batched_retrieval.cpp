@@ -23,6 +23,9 @@ constexpr std::size_t kSweepTileBytes = 16 * 1024;
 /// Floor on the sub-tile height, so very large batches still run the
 /// elementwise kernels over vector-length stretches.
 constexpr std::size_t kMinSweepTile = 16;
+/// Documents per tile of a pruned re-rank's posting segment: one V block's
+/// worth, as a B = 1 exact sweep tile, so the accumulators stay in L1.
+constexpr std::size_t kSegmentTile = util::kBlockRows;
 
 // ranks_before (lsi/ranking.hpp) is the total order every ranking obeys:
 // higher cosine first, then lower document index. Also the heap ordering for
@@ -389,6 +392,7 @@ std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank_pruned(
   // the stored bf16 words and divides by the decoded-value norms, so a
   // full-probe pruned ranking stays bit-identical to the exact bf16 sweep.
   const Bf16DocStore* bf16 = space_.compressed_docs();
+  const bool ann_bf16 = bf16 != nullptr && ann_->has_bf16();
   // The norms live in V's 512-row blocks; one pointer per block keeps a
   // candidate's lookup to two loads.
   const util::RowBlocks<double>& norms =
@@ -397,10 +401,11 @@ std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank_pruned(
   for (std::size_t b = 0; b < norms.num_blocks(); ++b) {
     norm_blocks.push_back(norms.block(b));
   }
+  const la::kern::Ops& kern_ops = la::kern::active();
   const std::size_t z = opts.z;
   const double min_cos = opts.min_cosine;
 
-  std::vector<std::uint64_t> scanned(bsz, 0);
+  std::vector<std::uint64_t> scanned(bsz, 0), rerank_flops(bsz, 0);
   util::parallel_for(
       0, bsz,
       [&](std::size_t b) {
@@ -408,16 +413,18 @@ std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank_pruned(
         ann_->select_clusters(qprime.col(b), nprobe, clusters);
         const double qn = query_norm[b];
         const auto wb = w.col(b);
-        // fp32 weights for the bf16 chain, cast exactly like the exact
-        // sweep's lane setup; the zero-skip still tests the double weight.
-        std::vector<float> w32;
-        if (bf16) {
-          w32.resize(k);
-          for (index_t i = 0; i < k; ++i) {
-            w32[i] = static_cast<float>(wb[i]);
-          }
+        // The factors the sweep accumulates, i ascending: a zero weight
+        // skips its column here as it does in scores(), so skipping is not
+        // an approximation.
+        std::vector<index_t> live;
+        for (index_t i = 0; i < k; ++i) {
+          if (wb[i] != 0.0) live.push_back(i);
         }
-        const bool ann_bf16 = bf16 != nullptr && ann_->has_bf16();
+        std::vector<double> acc(kSegmentTile), dn(kSegmentTile);
+        std::vector<float> acc32(bf16 ? kSegmentTile : 0);
+        // One column of bf16 words gathered from the store when the
+        // postings carry none.
+        std::vector<std::uint16_t> words(bf16 && !ann_bf16 ? kSegmentTile : 0);
         const bool bounded = z > 0;
         std::vector<ScoredDoc> keep;
         keep.reserve(bounded ? z + 1 : 0);
@@ -427,59 +434,64 @@ std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank_pruned(
         std::vector<double> bg;
         std::uint64_t cand_count = 0;
         // Each centroid's list is its base segment, then its tail: one
-        // ascending list, scanned in the order a single list would be.
+        // ascending list, scanned in the order a single list would be. A
+        // segment is scored in tiles the way scores() sweeps a tile of V:
+        // one axpy per live factor over the tile's column (the same kernel
+        // calls, so each document's sum is the same sequence of roundings),
+        // then cos_norm over the tile's gathered norms.
         for (const index_t c : clusters) {
           for (const AnnIndex::PostingSpan& seg : ann_->postings(c)) {
-            cand_count += seg.docs.size();
-            for (std::size_t t = 0; t < seg.docs.size(); ++t) {
-              const index_t j = seg.docs[t];
-              double score;
-              if (bf16) {
-                // Decode the SAME encoded words the exact bf16 sweep streams
-                // (packed posting rows when available, else a strided
-                // gather from the store) and accumulate the same fp32 chain.
-                float acc = 0.0f;
-                if (ann_bf16) {
-                  const std::uint16_t* row16 = seg.rows16.data() + t * k;
-                  for (index_t i = 0; i < k; ++i) {
-                    if (wb[i] == 0.0) continue;
-                    acc += w32[i] * la::kern::bf16_to_f32(row16[i]);
-                  }
-                } else {
-                  for (index_t i = 0; i < k; ++i) {
-                    if (wb[i] == 0.0) continue;
-                    acc += w32[i] * la::kern::bf16_to_f32(bf16->word(j, i));
-                  }
-                }
-                score = static_cast<double>(acc);
-              } else {
-                const double* row = seg.rows.data() + t * k;
-                // Same accumulation as the exact sweep: i ascending, zero
-                // weights skipped (they are skipped there too, so skipping
-                // is not an approximation).
-                double acc = 0.0;
-                for (index_t i = 0; i < k; ++i) {
-                  const double wib = wb[i];
-                  if (wib == 0.0) continue;
-                  acc += wib * row[i];
-                }
-                score = acc;
+            const std::size_t len = seg.docs.size();
+            cand_count += len;
+            for (std::size_t lo = 0, tl; lo < len; lo += tl) {
+              tl = std::min(kSegmentTile, len - lo);
+              const index_t* docs = seg.docs.data() + lo;
+              for (std::size_t t = 0; t < tl; ++t) {
+                const index_t j = docs[t];
+                dn[t] = norm_blocks[j / util::kBlockRows]
+                                   [j % util::kBlockRows];
               }
-              const double dn =
-                  norm_blocks[j / util::kBlockRows][j % util::kBlockRows];
-              const ScoredDoc cand{
-                  j, (qn == 0.0 || dn == 0.0) ? 0.0 : score / (qn * dn)};
-              if (moments) bg.push_back(cand.cosine);
-              if (cand.cosine < min_cos) continue;
-              if (!bounded) {
-                keep.push_back(cand);
-              } else if (keep.size() < z) {
-                keep.push_back(cand);
-                std::push_heap(keep.begin(), keep.end(), by_rank);
-              } else if (by_rank(cand, keep.front())) {
-                std::pop_heap(keep.begin(), keep.end(), by_rank);
-                keep.back() = cand;
-                std::push_heap(keep.begin(), keep.end(), by_rank);
+              if (bf16) {
+                // Decode the SAME encoded words the exact bf16 sweep
+                // streams: the packed posting column, or the tile's words
+                // gathered from the store. The fp32 weight is cast like the
+                // exact sweep's lane setup.
+                std::fill_n(acc32.begin(), tl, 0.0f);
+                for (const index_t i : live) {
+                  const std::uint16_t* col = words.data();
+                  if (ann_bf16) {
+                    col = seg.col16(i) + lo;
+                  } else {
+                    for (std::size_t t = 0; t < tl; ++t) {
+                      words[t] = bf16->word(docs[t], i);
+                    }
+                  }
+                  kern_ops.axpy_bf16(static_cast<float>(wb[i]), col,
+                                     acc32.data(), tl);
+                }
+                kern_ops.cos_norm_f32(qn, acc32.data(), dn.data(), acc.data(),
+                                      tl);
+              } else {
+                std::fill_n(acc.begin(), tl, 0.0);
+                for (const index_t i : live) {
+                  kern_ops.axpy(wb[i], seg.col(i) + lo, acc.data(), tl);
+                }
+                kern_ops.cos_norm(qn, dn.data(), acc.data(), tl);
+              }
+              for (std::size_t t = 0; t < tl; ++t) {
+                const ScoredDoc cand{docs[t], acc[t]};
+                if (moments) bg.push_back(cand.cosine);
+                if (cand.cosine < min_cos) continue;
+                if (!bounded) {
+                  keep.push_back(cand);
+                } else if (keep.size() < z) {
+                  keep.push_back(cand);
+                  std::push_heap(keep.begin(), keep.end(), by_rank);
+                } else if (by_rank(cand, keep.front())) {
+                  std::pop_heap(keep.begin(), keep.end(), by_rank);
+                  keep.back() = cand;
+                  std::push_heap(keep.begin(), keep.end(), by_rank);
+                }
               }
             }
           }
@@ -492,11 +504,17 @@ std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank_pruned(
         out[b] = std::move(keep);
         if (moments) (*moments)[b] = moments_of(bg);
         scanned[b] = cand_count;
+        // Counted like scores(): a multiply-add per live factor, then one
+        // normalization divide, per scanned document.
+        rerank_flops[b] = cand_count * (2 * live.size() + 1);
       },
       /*grain=*/1);
 
-  std::uint64_t total_scanned = 0;
-  for (const std::uint64_t s : scanned) total_scanned += s;
+  std::uint64_t total_scanned = 0, total_rerank_flops = 0;
+  for (index_t b = 0; b < bsz; ++b) {
+    total_scanned += scanned[b];
+    total_rerank_flops += rerank_flops[b];
+  }
   obs::count("retrieval.batches");
   obs::count("retrieval.queries", bsz);
   obs::count("ann.pruned_queries", bsz);
@@ -509,9 +527,9 @@ std::vector<std::vector<ScoredDoc>> BatchedRetriever::rank_pruned(
     stats->ann_centroids_probed +=
         static_cast<std::uint64_t>(nprobe) * bsz;
     stats->ann_docs_scanned += total_scanned;
-    stats->flops += 3ull * k * bsz                                // weight prep
-                    + 2ull * ann_->num_centroids() * k * bsz      // centroids
-                    + 2ull * total_scanned * k + total_scanned;   // re-rank
+    stats->flops += 3ull * k * bsz                            // weight prep
+                    + 2ull * ann_->num_centroids() * k * bsz  // centroids
+                    + total_rerank_flops;                     // re-rank
     const double elapsed = timer.seconds();
     stats->score_seconds += elapsed;
     stats->total_seconds += elapsed;

@@ -2,7 +2,7 @@
 // gates, the derived ceil(sqrt(n)) centroid count, partition integrity
 // (every document in exactly one posting list, packed rows bit-equal to V),
 // nested cluster selection, the recall_target -> nprobe mapping, the pruned
-// path's probe and scan counts, append-only extend(), and rotate() across
+// path's probe, scan and flop counts, append-only extend(), and rotate() across
 // a consolidation: the update's map, the kept assignment, full-probe
 // exactness, the rebuild rules, and recall after many consolidations.
 
@@ -238,6 +238,46 @@ TEST(AnnIndex, QueryStatsCountProbedListsAndScannedDocs) {
       EXPECT_EQ(stats.ann_docs_scanned, 90u * qhats.size());
     }
   }
+}
+
+// The pruned re-rank's flops count what runs, as scores() counts the sweep:
+// zero weights skip their multiply-add, so at the full probe the re-rank
+// term equals the exact sweep's 2 n nnz(w) + n B.
+TEST(AnnIndex, FullProbeReRankFlopsMatchTheExactSweep) {
+  auto space = small_space(60, 90, 6, 41);
+  AnnOptions opts = test_options();
+  opts.num_centroids = 9;
+  const auto ann = AnnIndex::build(*space, opts, 1);
+  ASSERT_NE(ann, nullptr);
+  const BatchedRetriever retriever(space, ann);
+
+  // Query b has b of its k weights at exactly zero.
+  util::Rng rng(47);
+  std::vector<la::Vector> qhats(3, la::Vector(space->k()));
+  std::uint64_t nnz_w = 0;
+  for (std::size_t b = 0; b < qhats.size(); ++b) {
+    for (index_t i = 0; i < space->k(); ++i) {
+      qhats[b][i] = i < b ? 0.0 : rng.uniform() - 0.5;
+      if (qhats[b][i] != 0.0) ++nnz_w;
+    }
+  }
+  const auto batch = QueryBatch::from_projected(*space, qhats);
+  const std::uint64_t n = space->num_docs(), k = space->k(),
+                      bsz = qhats.size();
+
+  SearchOptions exact;
+  exact.search = SearchMode::kExact;
+  QueryStats exact_stats;
+  (void)retriever.rank(batch, exact, &exact_stats);
+  EXPECT_EQ(exact_stats.flops, 3 * k * bsz + 2 * n * nnz_w + n * bsz);
+
+  SearchOptions full;
+  full.search = SearchMode::kPruned;
+  full.nprobe = ann->num_centroids();
+  QueryStats pruned_stats;
+  (void)retriever.rank(batch, full, &pruned_stats);
+  const std::uint64_t centroids = 2 * ann->num_centroids() * k * bsz;
+  EXPECT_EQ(pruned_stats.flops - centroids, exact_stats.flops);
 }
 
 TEST(AnnIndex, ExtendCoversAppendedRowsAndKeepsGeneration) {
@@ -547,6 +587,42 @@ TEST(AnnRotation, FullProbeBitIdenticalToExact) {
         EXPECT_EQ(got[q][i].doc, want[q][i].doc) << "query " << q;
         EXPECT_EQ(got[q][i].cosine, want[q][i].cosine) << "query " << q;
       }
+    }
+  }
+}
+
+// Compression switched on after the build: the postings carry no bf16
+// words, so the re-rank gathers the store's words per tile and must still
+// reproduce the exact bf16 sweep bit for bit.
+TEST(AnnIndex, FullProbeWithoutPackedBf16WordsMatchesExactBf16Sweep) {
+  auto space = small_space(90, 120, 8, 101);
+  const auto ann = AnnIndex::build(*space, test_options(), 1);
+  ASSERT_NE(ann, nullptr);
+  space->set_compress_docs(true);
+  space->prewarm_doc_norms();
+  ASSERT_NE(space->compressed_docs(), nullptr);
+  ASSERT_FALSE(ann->has_bf16());
+
+  util::Rng rng(103);
+  std::vector<la::Vector> queries(10, la::Vector(90, 0.0));
+  for (auto& q : queries) {
+    for (int t = 0; t < 4; ++t) q[rng.uniform_index(90)] = 1.0;
+  }
+  const auto batch = QueryBatch::from_term_vectors(*space, queries);
+  const BatchedRetriever retriever(space, ann);
+  SearchOptions exact;
+  exact.search = SearchMode::kExact;
+  SearchOptions full;
+  full.search = SearchMode::kPruned;
+  full.nprobe = ann->num_centroids();
+  const auto want = retriever.rank(batch, exact);
+  const auto got = retriever.rank(batch, full);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t q = 0; q < got.size(); ++q) {
+    ASSERT_EQ(got[q].size(), want[q].size()) << "query " << q;
+    for (std::size_t i = 0; i < got[q].size(); ++i) {
+      EXPECT_EQ(got[q][i].doc, want[q][i].doc) << "query " << q;
+      EXPECT_EQ(got[q][i].cosine, want[q][i].cosine) << "query " << q;
     }
   }
 }

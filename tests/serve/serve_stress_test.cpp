@@ -41,7 +41,12 @@ std::string json_string_field(const std::string& body, const std::string& key) {
   return body.substr(begin, body.find('"', begin) - begin);
 }
 
-TEST(ServeStress, MixedTrafficRacesWriterThreadsAndConsolidation) {
+/// Four session clients page, ingest and search while an out-of-band
+/// thread consolidates. With `ann`, every shard carries an AnnIndex from
+/// the build on (the 30-document shards are under the default cutoff), so
+/// every search runs the pruned scan while ingests extend the structure and
+/// consolidations rotate or rebuild it.
+void run_mixed_traffic(bool ann) {
   synth::CorpusSpec spec;
   spec.topics = 3;
   spec.concepts_per_topic = 5;
@@ -55,9 +60,13 @@ TEST(ServeStress, MixedTrafficRacesWriterThreadsAndConsolidation) {
   sopts.index.k = 8;
   sopts.concurrent.queue_capacity = 8;  // small: 429s WILL happen
   sopts.concurrent.consolidate_every = 32;
+  if (ann) sopts.concurrent.ann.exact_cutoff = 0;
   auto built = core::ShardedIndex::try_build(corpus.docs, sopts);
   ASSERT_TRUE(built.ok()) << built.status().to_string();
   core::ShardedIndex& index = *built;
+  for (const auto& shard : index.shard_infos()) {
+    EXPECT_EQ(shard.ann_exact_fallback, !ann) << "shard " << shard.shard;
+  }
 
   serve::ServerOptions opts;
   opts.default_page_size = 4;
@@ -157,6 +166,14 @@ TEST(ServeStress, MixedTrafficRacesWriterThreadsAndConsolidation) {
   EXPECT_TRUE(server.stopped());
   EXPECT_EQ(index.pinned(), 0u);  // every session pin released by the drain
   index.shutdown();
+}
+
+TEST(ServeStress, MixedTrafficRacesWriterThreadsAndConsolidation) {
+  run_mixed_traffic(/*ann=*/false);
+}
+
+TEST(ServeStress, AnnMixedTrafficRacesWriterThreadsAndConsolidation) {
+  run_mixed_traffic(/*ann=*/true);
 }
 
 TEST(ServeStress, DrainRacesInFlightTraffic) {

@@ -540,6 +540,13 @@ TEST_F(ServerTest, StatsReportsExactFallbackBelowCutoff) {
       << resp.body;
 }
 
+std::uint64_t sink_counter(const obs::Sink& sink, const std::string& name) {
+  for (const auto& [counter, value] : sink.metrics().counters()) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
 /// Same daemon, but the index builds a cluster-pruned structure per shard
 /// (ann.exact_cutoff = 0 admits the tiny test corpus).
 class AnnServerTest : public ::testing::Test {
@@ -626,6 +633,45 @@ TEST_F(AnnServerTest, FullProbeSearchBitIdenticalToExactOverHttp) {
   }
 }
 
+TEST_F(AnnServerTest, FullProbeMatchesExactAfterIngestAndConsolidate) {
+  // The full-probe contract over every posting layout a live shard reaches:
+  // tails over the build's base, a base rotate() rewrote, and tails over
+  // that rotated base.
+  obs::Sink sink;
+  obs::ScopedSink scoped(&sink);
+  TestClient client(server_->port());
+  std::size_t next_doc = 0;
+  const auto ingest_batches = [&](int batches) {
+    for (int b = 0; b < batches; ++b) {
+      std::string tsv;
+      for (int d = 0; d < 6; ++d, ++next_doc) {
+        tsv.append("late")
+            .append(std::to_string(next_doc))
+            .append("\t")
+            .append(corpus_.docs[(next_doc * 7) % corpus_.docs.size()].body)
+            .append("\n");
+      }
+      ASSERT_EQ(client.request("POST", "/ingest?wait=1", tsv).status, 202);
+    }
+  };
+  ingest_batches(3);
+  ASSERT_EQ(client.request("POST", "/consolidate").status, 200);
+  EXPECT_GT(sink_counter(sink, "ann.rotations"), 0u)
+      << "the consolidation rebuilt every shard's structure";
+  ingest_batches(3);
+  EXPECT_GT(sink_counter(sink, "ann.extends"), 0u);
+
+  for (const auto& q : corpus_.queries) {
+    const std::string base =
+        "/search?q=" + encode_query(q.text) + "&top=10";
+    const ClientResponse exact = client.request("GET", base + "&exact=1");
+    const ClientResponse pruned = client.request("GET", base + "&nprobe=1000");
+    ASSERT_EQ(exact.status, 200);
+    ASSERT_EQ(pruned.status, 200);
+    EXPECT_EQ(exact.body, pruned.body) << q.text;
+  }
+}
+
 TEST_F(AnnServerTest, SessionReRanksWhenKnobsChange) {
   // A pinned session caches its ranking keyed on (query, knobs): switching
   // from a 1-probe ranking to exact=1 must re-rank, not page the stale
@@ -664,13 +710,6 @@ TEST_F(AnnServerTest, GenerousDeadlineAnswers200) {
 // ---------------------------------------------------------------------------
 // Response bodies: one JSON writer behind every endpoint and status
 // ---------------------------------------------------------------------------
-
-std::uint64_t sink_counter(const obs::Sink& sink, const std::string& name) {
-  for (const auto& [counter, value] : sink.metrics().counters()) {
-    if (counter == name) return value;
-  }
-  return 0;
-}
 
 TEST(ServerBodies, EveryEndpointAndStatusAnswersWellFormedJson) {
   synth::CorpusSpec spec;
